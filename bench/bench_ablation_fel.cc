@@ -4,7 +4,7 @@
 // and the CountBefore scan used by the ByPendingEventCount metric.
 #include <benchmark/benchmark.h>
 
-#include "src/core/calendar_queue.h"
+#include "bench/calendar_queue.h"
 #include "src/core/fel.h"
 #include "src/core/rng.h"
 

@@ -32,9 +32,9 @@
 #include <thread>
 #include <vector>
 
+#include "bench/barrier_sync.h"
 #include "bench/bench_util.h"
 #include "src/kernel/engine/cpu_topology.h"
-#include "src/sched/barrier_sync.h"
 #include "src/sched/combining_barrier.h"
 
 using namespace unison;

@@ -41,7 +41,8 @@ IncastResult RunIncast(bool dctcp) {
     unison::InstallFlow(net, unison::FlowSpec{.src = topo.hosts[i],
                                               .dst = victim,
                                               .bytes = 256 * 1024,
-                                              .start = unison::Time::Zero()});
+                                              .start = unison::Time::Zero(),
+                                              .tcp = {}});
   }
   unison::TrafficSpec bg;
   bg.hosts = topo.hosts;

@@ -26,7 +26,8 @@ unison::RunDigest RunOnce(unison::KernelType kernel, uint32_t threads) {
   unison::InstallFlow(net, unison::FlowSpec{.src = topo.hosts[0],
                                             .dst = topo.hosts[15],
                                             .bytes = 1 << 20,
-                                            .start = unison::Time::Zero()});
+                                            .start = unison::Time::Zero(),
+                                            .tcp = {}});
   // ...plus web-search background traffic at 20% of bisection bandwidth.
   unison::TrafficSpec traffic;
   traffic.hosts = topo.hosts;

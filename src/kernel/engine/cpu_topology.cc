@@ -54,33 +54,49 @@ int ReadSysfsInt(const char* path, int fallback) {
   std::fclose(f);
   return value;
 }
+
+// The calling thread's allowed set at the first detection or pin in this
+// process, whichever comes first; every pin captures it before narrowing.
+const std::vector<uint32_t>& ProcessCpus() {
+  static const std::vector<uint32_t> cpus = CurrentThreadCpus();
+  return cpus;
+}
 #endif
 
 }  // namespace
 
-CpuTopology CpuTopology::Detect() {
-  CpuTopology topo;
+std::vector<uint32_t> CurrentThreadCpus() {
+  std::vector<uint32_t> cpus;
 #if defined(__linux__)
   cpu_set_t mask;
   CPU_ZERO(&mask);
   if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
     for (uint32_t cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (!CPU_ISSET(cpu, &mask)) {
-        continue;
+      if (CPU_ISSET(cpu, &mask)) {
+        cpus.push_back(cpu);
       }
-      char path[128];
-      std::snprintf(path, sizeof(path),
-                    "/sys/devices/system/cpu/cpu%u/topology/physical_package_id",
-                    cpu);
-      const int package = ReadSysfsInt(path, 0);
-      std::snprintf(path, sizeof(path),
-                    "/sys/devices/system/cpu/cpu%u/topology/core_id", cpu);
-      // Missing core_id degrades to "every CPU its own core", which keeps
-      // compact placement sane (no false SMT siblings).
-      const int core = ReadSysfsInt(path, static_cast<int>(cpu));
-      topo.cpus.push_back(Cpu{cpu, static_cast<uint32_t>(package),
-                              static_cast<uint32_t>(core)});
     }
+  }
+#endif
+  return cpus;
+}
+
+CpuTopology CpuTopology::Detect() {
+  CpuTopology topo;
+#if defined(__linux__)
+  for (uint32_t cpu : ProcessCpus()) {
+    char path[128];
+    std::snprintf(path, sizeof(path),
+                  "/sys/devices/system/cpu/cpu%u/topology/physical_package_id",
+                  cpu);
+    const int package = ReadSysfsInt(path, 0);
+    std::snprintf(path, sizeof(path),
+                  "/sys/devices/system/cpu/cpu%u/topology/core_id", cpu);
+    // Missing core_id degrades to "every CPU its own core", which keeps
+    // compact placement sane (no false SMT siblings).
+    const int core = ReadSysfsInt(path, static_cast<int>(cpu));
+    topo.cpus.push_back(Cpu{cpu, static_cast<uint32_t>(package),
+                            static_cast<uint32_t>(core)});
   }
 #endif
   if (topo.cpus.empty()) {
@@ -147,6 +163,7 @@ std::vector<uint32_t> CpuTopology::PlacementOrder(AffinityPolicy policy) const {
 
 bool PinCurrentThreadToCpu(uint32_t cpu) {
 #if defined(__linux__)
+  ProcessCpus();
   cpu_set_t mask;
   CPU_ZERO(&mask);
   CPU_SET(cpu, &mask);
@@ -162,6 +179,7 @@ bool PinCurrentThreadToCpus(const std::vector<uint32_t>& cpus) {
   if (cpus.empty()) {
     return false;
   }
+  ProcessCpus();
   cpu_set_t mask;
   CPU_ZERO(&mask);
   for (uint32_t cpu : cpus) {

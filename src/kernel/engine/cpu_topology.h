@@ -43,8 +43,10 @@ struct CpuTopology {
   };
   std::vector<Cpu> cpus;  // CPUs this process is allowed to run on.
 
-  // Reads the live topology (sched_getaffinity + sysfs); portable fallback
-  // is hardware_concurrency() CPUs in one package. Never returns empty.
+  // Reads the topology (allowed CPUs + sysfs) of the CPU set this process
+  // had before it first pinned a thread, so a pool that narrowed a thread's
+  // mask never narrows a later detection. Portable fallback is
+  // hardware_concurrency() CPUs in one package. Never returns empty.
   static CpuTopology Detect();
 
   // The CPU ids workers should be pinned to, in worker-id order, under
@@ -53,6 +55,10 @@ struct CpuTopology {
   // pinning) for kNone.
   std::vector<uint32_t> PlacementOrder(AffinityPolicy policy) const;
 };
+
+// The calling thread's allowed CPUs as of now (sched_getaffinity), pins
+// included; empty where unsupported.
+std::vector<uint32_t> CurrentThreadCpus();
 
 // Pins the calling thread to `cpu`. Returns false where unsupported (the
 // portable no-op) or when the kernel rejects the mask.

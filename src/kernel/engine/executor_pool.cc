@@ -17,10 +17,12 @@ uint64_t ExecutorPool::TotalThreadsSpawned() {
 ExecutorPool::~ExecutorPool() { Shutdown(); }
 
 void ExecutorPool::Shutdown() {
+  if (caller_pinned_) {
+    RestoreCaller();  // The next pool on this thread must see its full mask.
+  }
   if (!threads_.empty()) {
     shutdown_.store(true, std::memory_order_release);
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-    epoch_.notify_all();
+    PublishEpoch(0);
     for (auto& t : threads_) {
       t.join();
     }
@@ -34,9 +36,8 @@ void ExecutorPool::EnsureTopology() {
   if (topology_cached_) {
     return;
   }
-  // Detect once per pool, and strictly before the first pin: Detect() reads
-  // the calling thread's allowed-CPU mask, which pinning narrows to one CPU.
-  // The cached full set is also what un-pinning restores.
+  // Detect once per pool. The cached full set is what un-pinning restores
+  // the workers to.
   topology_ = CpuTopology::Detect();
   all_cpus_.clear();
   all_cpus_.reserve(topology_.cpus.size());
@@ -57,7 +58,7 @@ void ExecutorPool::ApplyPlacement(AffinityPolicy policy) {
     }
     cpu_order_.clear();
     ++placement_gen_;
-    PinCurrentThreadToCpus(all_cpus_);
+    RestoreCaller();
     return;
   }
   placement_ = policy;
@@ -67,8 +68,23 @@ void ExecutorPool::ApplyPlacement(AffinityPolicy policy) {
     return;  // Portable fallback: pinning unsupported here.
   }
   ++placement_gen_;
+  PinCaller();
+}
+
+void ExecutorPool::PinCaller() {
+  caller_thread_ = std::this_thread::get_id();
   PinCurrentThreadToCpu(cpu_order_[0]);  // The caller is worker 0.
   caller_pinned_ = true;
+}
+
+void ExecutorPool::RestoreCaller() {
+  // The caller un-pins to the same pre-pin set as the workers, so the result
+  // does not depend on which other pools pinned it or in what order they go.
+  // Affinity calls reach only the calling thread, so a pool torn down on
+  // another thread leaves the pinned one as it is.
+  if (std::this_thread::get_id() == caller_thread_) {
+    PinCurrentThreadToCpus(all_cpus_);
+  }
 }
 
 void ExecutorPool::Ensure(uint32_t parties) {
@@ -80,27 +96,32 @@ void ExecutorPool::Ensure(uint32_t parties) {
     EnsureTopology();
     cpu_order_ = topology_.PlacementOrder(placement_);
     if (!cpu_order_.empty()) {
-      PinCurrentThreadToCpu(cpu_order_[0]);  // The caller is worker 0.
+      PinCaller();
     }
     caller_pinned_ = true;
   }
   const uint32_t want_threads = parties == 0 ? 0 : parties - 1;
   if (want_threads <= threads_.size()) {
     // Shrink (or re-grow within the high-water set): the excess threads stay
-    // parked — Loop gates on parties_ — and nothing is retired or spawned.
+    // parked — Loop gates on each epoch's party count — and nothing is
+    // retired or spawned.
     return;
   }
   threads_.reserve(want_threads);
   // New threads must baseline on the epoch as of spawn time: a thread that
   // read the counter only after a later Run() bumped it would mistake that
-  // run's epoch for "already seen" and sleep through it.
+  // run's epoch for "already seen" and sleep through it. Their first pin is
+  // fixed here too, since placement may change before a thread starts.
   const uint64_t seen = epoch_.load(std::memory_order_relaxed);
   const uint64_t pin_gen = placement_gen_;
   for (uint32_t id = static_cast<uint32_t>(threads_.size()) + 1;
        id <= want_threads; ++id) {
-    threads_.emplace_back([this, id, seen, pin_gen] {
-      if (!cpu_order_.empty()) {
-        PinCurrentThreadToCpu(cpu_order_[id % cpu_order_.size()]);
+    const int64_t cpu = cpu_order_.empty()
+                            ? int64_t{-1}
+                            : int64_t{cpu_order_[id % cpu_order_.size()]};
+    threads_.emplace_back([this, id, seen, pin_gen, cpu] {
+      if (cpu >= 0) {
+        PinCurrentThreadToCpu(static_cast<uint32_t>(cpu));
       }
       Loop(id, seen, pin_gen);
     });
@@ -109,11 +130,16 @@ void ExecutorPool::Ensure(uint32_t parties) {
   }
 }
 
+void ExecutorPool::PublishEpoch(uint32_t parties) {
+  const uint64_t sequence = (epoch_.load(std::memory_order_relaxed) >> 32) + 1;
+  epoch_.store(sequence << 32 | parties, std::memory_order_release);
+  epoch_.notify_all();
+}
+
 void ExecutorPool::Run(std::function<void(uint32_t)> body) {
   body_ = std::move(body);
   done_.store(0, std::memory_order_release);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  epoch_.notify_all();
+  PublishEpoch(parties_);
   // The caller is worker 0 for the duration of the window body; everything
   // it runs between windows (injection, summaries) is back to kNoExecutor.
   SetCurrentExecutorId(0);
@@ -139,7 +165,8 @@ void ExecutorPool::Loop(uint32_t id, uint64_t seen, uint64_t pin_gen) {
     if (shutdown_.load(std::memory_order_acquire)) {
       return;
     }
-    if (id < parties_) {  // Excess (parked) workers sit this epoch out.
+    // Excess (parked) workers sit this epoch out.
+    if (id < static_cast<uint32_t>(e)) {
       if (pin_gen != placement_gen_) {
         // Placement changed since this worker last ran: chase it lazily.
         // Safe to read here — ApplyPlacement writes strictly before the

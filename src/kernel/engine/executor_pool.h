@@ -14,7 +14,8 @@
 //
 // With a placement policy set (SetPlacement, before the first Ensure), the
 // caller and every spawned worker are pinned to cores per the policy's CPU
-// order (see cpu_topology.h); worker w gets order[w % order.size()].
+// order (see cpu_topology.h); worker w gets order[w % order.size()]. The
+// caller gets its pre-pin mask back when the pool shuts down.
 //
 // Kernels hand the pool their whole round loop once per run; phase
 // synchronization inside the loop is the kernel's job (CombiningBarrier).
@@ -73,15 +74,24 @@ class ExecutorPool {
  private:
   void Shutdown();
   void Loop(uint32_t id, uint64_t seen, uint64_t pin_gen);
-  // Caches the machine topology (and the full allowed-CPU set, for un-pin)
-  // once, before any pin narrows the mask Detect() reads.
+  // Caches the machine topology (and the full allowed-CPU set, for un-pin).
   void EnsureTopology();
+  // Pins the caller to cpu_order_[0] and remembers which thread that was.
+  void PinCaller();
+  // Widens the caller back to all_cpus_: on a drop to kNone, and at shutdown
+  // so a later pool on the same thread sees every CPU again.
+  void RestoreCaller();
 
-  // Active party count for the current/next Run. Plain field: workers read it
-  // only after acquiring the run epoch, which the caller bumps (release)
-  // strictly after any Ensure() write.
+  // Starts the next run epoch for `parties` workers (0 at shutdown).
+  void PublishEpoch(uint32_t parties);
+
+  // Active party count for the next Run; caller-side only.
   uint32_t parties_ = 0;
   std::function<void(uint32_t)> body_;
+  // (epoch sequence << 32) | the epoch's party count. Workers decide whether
+  // to take part from the count of the very epoch they woke for: a parked
+  // worker that read a separate field late could see a later Ensure's count,
+  // count itself in, and run the next epoch's body twice.
   std::atomic<uint64_t> epoch_{0};
   std::atomic<uint32_t> done_{0};
   std::atomic<bool> shutdown_{false};
@@ -90,10 +100,11 @@ class ExecutorPool {
   AffinityPolicy placement_ = AffinityPolicy::kNone;
   std::vector<uint32_t> cpu_order_;  // Pin targets; empty = no pinning.
   // Bumped on every placement change; workers re-pin when their last-seen
-  // generation lags. Plain field under the same epoch release/acquire edge
-  // as parties_.
+  // generation lags. Plain field: active workers read it only after
+  // acquiring an epoch published strictly after any placement write.
   uint64_t placement_gen_ = 0;
   bool caller_pinned_ = false;
+  std::thread::id caller_thread_;  // The thread PinCaller last pinned.
   bool topology_cached_ = false;
   CpuTopology topology_;
   std::vector<uint32_t> all_cpus_;  // Allowed set before any pin; for un-pin.

@@ -1,11 +1,11 @@
-// The shared coordinator prologue of the barrier-phase kernels.
+// The coordinator prologue of the round kernel.
 //
-// Barrier, Unison, and hybrid each used to carry a private copy of the same
-// start-of-round logic: fold the workers' min-reduction into the Eq. 2 LBTS,
-// run the stop/termination check, and open the profiler/trace round. Copies
-// drift — the cross-kernel time-composition comparisons (Figs. 5b/9b/13) are
-// only trustworthy when every kernel runs identically-audited machinery — so
-// RoundSync is the single implementation, parameterized by kernel name. The
+// RoundSync holds the start-of-round logic of the one round loop
+// (round_kernel.h) that the barrier, Unison, and hybrid presets share: fold
+// the workers' min-reduction into the Eq. 2 LBTS, run the stop/termination
+// check, and open the profiler/trace round, parameterized by kernel name —
+// the cross-kernel time-composition comparisons (Figs. 5b/9b/13) are only
+// trustworthy because every preset runs this one audited copy. The
 // null-message kernel keeps its channel-local windows (it has no global
 // rounds) but uses BeginRun for the same run-level bookkeeping.
 //
@@ -13,7 +13,7 @@
 // contribute their partial {min, event count, stop flag} to the
 // CombiningBarrier's fused arrival pass, and the coordinator Absorb()s the
 // tree's published result between barriers. Every method here is
-// coordinator-only (worker 0 / rank 0, between barriers).
+// coordinator-only (worker 0, between barriers).
 #ifndef UNISON_SRC_KERNEL_ENGINE_ROUND_SYNC_H_
 #define UNISON_SRC_KERNEL_ENGINE_ROUND_SYNC_H_
 
@@ -40,9 +40,10 @@ class RoundSync {
   // a window continues the session, it does not restart it.
   void BeginRun(const char* kernel_name, uint32_t executors, Time stop);
 
-  // Seeds the reduced minimum with every LP's next event timestamp. Kernels
-  // whose workers contribute partial minima at the *end* of each round need
-  // this before the first prologue.
+  // Seeds the reduced minimum with every LP's next event timestamp: workers
+  // contribute partial minima at the *end* of each round, so the first
+  // prologue needs this instead (for the barrier preset it replaces stock
+  // barrier sync's leading all-reduce).
   void SeedMinFromLps();
 
   // Copies the fused reduction the barrier published on its last release —

@@ -1,12 +1,10 @@
 #include <memory>
 #include <string>
 
-#include "src/kernel/barrier.h"
-#include "src/kernel/hybrid.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/nullmsg.h"
+#include "src/kernel/round_kernel.h"
 #include "src/kernel/sequential.h"
-#include "src/kernel/unison.h"
 
 namespace unison {
 
@@ -17,14 +15,12 @@ std::unique_ptr<Kernel> MakeKernel(const KernelConfig& config) {
   switch (config.type) {
     case KernelType::kSequential:
       return std::make_unique<SequentialKernel>(config);
-    case KernelType::kBarrier:
-      return std::make_unique<BarrierKernel>(config);
     case KernelType::kNullMessage:
       return std::make_unique<NullMessageKernel>(config);
+    case KernelType::kBarrier:
     case KernelType::kUnison:
-      return std::make_unique<UnisonKernel>(config);
     case KernelType::kHybrid:
-      return std::make_unique<HybridKernel>(config);
+      return std::make_unique<RoundKernel>(config);
   }
   return nullptr;
 }

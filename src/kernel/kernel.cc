@@ -139,8 +139,9 @@ void Kernel::ScheduleRemote(Lp* from, LpId target, Event ev) {
   if (box != nullptr) {
     box->events.push_back(std::move(ev));
   } else {
-    // No wired channel (possible after a dynamic topology change until the
-    // next rewire): fall back to the locked overflow box.
+    // No wired channel (the barrier preset wires none; otherwise possible
+    // after a dynamic topology change until the next rewire): fall back to
+    // the locked overflow box.
     lps_[target]->overflow().Push(std::move(ev));
   }
 }

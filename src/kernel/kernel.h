@@ -326,13 +326,13 @@ class Kernel {
 
  protected:
   // Routes an event from `from` to a different LP. The base implementation
-  // uses the wired outbox, falling back to the target's overflow box.
-  // Overridden by kernels with their own transport (barrier ranks, null
-  // message channels).
+  // uses the wired outbox, falling back to the target's locked overflow box.
+  // Overridden by kernels with their own transport (null-message channels).
   virtual void ScheduleRemote(Lp* from, LpId target, Event ev);
 
-  // Creates outboxes/inboxes for every cut edge of the partition.
-  void WireMailboxes();
+  // Creates outboxes/inboxes for every cut edge of the partition. The
+  // barrier preset wires nothing, so all its sends take the overflow box.
+  virtual void WireMailboxes();
 
   // LBTS per Eq. 2: min(N_pub, min_i N_i + lookahead). Returns Time::Max()
   // when no events remain anywhere.
@@ -358,9 +358,9 @@ class Kernel {
   void ApplyPendingMigrations();
 
   // Hook for kernels that mirror the partition map into their own structures
-  // (hybrid's rank arrays). Called with the pool quiescent, after the map has
-  // changed (migration apply or snapshot restore). Default: nothing — kernels
-  // that read pmap_.owned() directly need no mirror.
+  // (the round kernel's window layout). Called with the pool quiescent, after
+  // the map has changed (migration apply or snapshot restore). Default:
+  // nothing — kernels that read pmap_.owned() directly need no mirror.
   virtual void OnOwnershipChanged() {}
 
   // Adds to an LP's processing cost for the current window. Safe from

@@ -1,8 +1,7 @@
 #include "src/kernel/nullmsg.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "src/kernel/engine/phase_accountant.h"
 
@@ -45,11 +44,9 @@ void NullMessageKernel::Setup(const TopoGraph& graph, const Partition& partition
   }
   for (const auto& c : channels_) {
     if (c->lookahead.IsZero()) {
-      std::fprintf(stderr,
-                   "NullMessageKernel: zero-lookahead channel %u->%u; the "
-                   "partition must not cut zero-delay links\n",
-                   c->from, c->to);
-      std::abort();
+      FatalConfigError("NullMessageKernel: zero-lookahead channel " +
+                       std::to_string(c->from) + "->" + std::to_string(c->to) +
+                       "; the partition must not cut zero-delay links");
     }
   }
   active_pool_ = external_pool_ != nullptr ? external_pool_ : &pool_;
@@ -72,8 +69,8 @@ void NullMessageKernel::DrainTransportForSnapshot() {
 void NullMessageKernel::ScheduleRemote(Lp* from, LpId target, Event ev) {
   const auto it = channel_of_pair_.find(PairKey(from->id(), target));
   if (it == channel_of_pair_.end()) {
-    std::fprintf(stderr, "NullMessageKernel: no channel %u->%u\n", from->id(), target);
-    std::abort();
+    FatalConfigError("NullMessageKernel: no channel " + std::to_string(from->id()) +
+                     "->" + std::to_string(target));
   }
   Channel* const chan = it->second;
   // Piggy-backed promise: sender send-times are nondecreasing, so no future
@@ -107,10 +104,9 @@ RunResult NullMessageKernel::Run(Time stop_time) {
   if (!public_lp_->fel().Empty()) {
     public_lp_->ProcessUntil(resume_floor() + Time::Picoseconds(1));
     if (!public_lp_->fel().Empty()) {
-      std::fprintf(stderr,
-                   "NullMessageKernel: global events beyond the session "
-                   "resume point are not supported by this baseline\n");
-      std::abort();
+      FatalConfigError(
+          "NullMessageKernel: global events beyond the session resume point "
+          "are not supported by this baseline");
     }
   }
   // The party count is structural (one LP loop per LP), so only placement is

@@ -9,14 +9,19 @@ namespace unison {
 std::vector<uint32_t> SortByCostDescending(const std::vector<uint64_t>& cost) {
   std::vector<uint32_t> order(cost.size());
   std::iota(order.begin(), order.end(), 0);
+  SortByCostDescending(order.data(), order.data() + order.size(), cost);
+  return order;
+}
+
+void SortByCostDescending(uint32_t* first, uint32_t* last,
+                          const std::vector<uint64_t>& cost) {
   // Explicit (cost desc, id asc) key instead of a stable sort over the input
   // order: the tie-break is then a property of the values, not of the caller
   // passing id order or of any library's stable_sort implementation — the
   // claim order is bitwise-identical across platforms whenever costs tie.
-  std::sort(order.begin(), order.end(), [&cost](uint32_t a, uint32_t b) {
+  std::sort(first, last, [&cost](uint32_t a, uint32_t b) {
     return cost[a] != cost[b] ? cost[a] > cost[b] : a < b;
   });
-  return order;
 }
 
 uint64_t ListScheduleMakespan(const std::vector<uint64_t>& cost,

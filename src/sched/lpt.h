@@ -23,6 +23,11 @@ namespace unison {
 // and standard-library versions whenever costs tie.
 std::vector<uint32_t> SortByCostDescending(const std::vector<uint64_t>& cost);
 
+// Sorts the job ids in [first, last) in place by the same key, so the result
+// depends only on their costs, never on the order they arrive in.
+void SortByCostDescending(uint32_t* first, uint32_t* last,
+                          const std::vector<uint64_t>& cost);
+
 // Simulates list scheduling of jobs (taken in `order`) on `workers` identical
 // machines; returns the makespan and optionally the per-job worker
 // assignment.

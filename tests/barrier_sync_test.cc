@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/sched/barrier_sync.h"
+#include "bench/barrier_sync.h"
 #include "src/sched/combining_barrier.h"
 
 namespace unison {

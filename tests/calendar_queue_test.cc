@@ -3,7 +3,7 @@
 
 #include <algorithm>
 
-#include "src/core/calendar_queue.h"
+#include "bench/calendar_queue.h"
 #include "src/core/fel.h"
 #include "src/core/rng.h"
 

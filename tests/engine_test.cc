@@ -11,10 +11,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <set>
 #include <thread>
 #include <vector>
-
-#include <set>
 
 #include "src/kernel/engine/cpu_topology.h"
 #include "src/kernel/engine/executor_pool.h"
@@ -145,23 +145,72 @@ TEST(ExecutorPool, ApplyPlacementSpawnsNothingAndKeepsWorkersAlive) {
 
 TEST(ExecutorPool, PlacementRoundTripRestoresCallerAffinity) {
   // kCompact pins the caller (worker 0) to one core; kNone must widen it
-  // back to the full pre-pin mask, which the pool captured before pinning.
-  const size_t before = CpuTopology::Detect().cpus.size();
+  // back to the full pre-pin set.
+  const size_t before = CurrentThreadCpus().size();
   ExecutorPool pool;
   pool.Ensure(2);
   pool.ApplyPlacement(AffinityPolicy::kCompact);
   pool.ApplyPlacement(AffinityPolicy::kNone);
   pool.Run([](uint32_t) {});  // Let workers observe the placement epoch too.
-  EXPECT_EQ(CpuTopology::Detect().cpus.size(), before);
+  EXPECT_EQ(CurrentThreadCpus().size(), before);
 }
 
 TEST(ExecutorPool, ApplyPlacementBeforeAnyPinIsANoOp) {
   ExecutorPool pool;
   pool.Ensure(2);
   // kNone with nothing ever pinned must not touch the caller's mask.
-  const size_t before = CpuTopology::Detect().cpus.size();
+  const size_t before = CurrentThreadCpus().size();
   pool.ApplyPlacement(AffinityPolicy::kNone);
-  EXPECT_EQ(CpuTopology::Detect().cpus.size(), before);
+  EXPECT_EQ(CurrentThreadCpus().size(), before);
+}
+
+// Running one pinned Network must not change how the next one in the same
+// process is placed. The pool pins its caller as worker 0; it must hand the
+// caller its pre-pin mask back at shutdown, and the next pool's topology
+// must not be read from a mask an earlier pool narrowed.
+TEST(ExecutorPool, BackToBackPinnedNetworksKeepCallerMaskAndSpreadWorkers) {
+  const size_t before = CurrentThreadCpus().size();
+  if (before < 2) {
+    GTEST_SKIP() << "needs at least 2 allowed CPUs";
+  }
+  const auto pinned_network = [] {
+    SimConfig cfg;
+    cfg.kernel.type = KernelType::kUnison;
+    cfg.kernel.threads = 2;
+    cfg.kernel.affinity = AffinityPolicy::kCompact;
+    auto net = std::make_unique<Network>(cfg);
+    BuildFatTree(*net, 4, 10'000'000'000ULL, Time::Microseconds(3));
+    net->Finalize();
+    return net;
+  };
+  {
+    std::unique_ptr<Network> first = pinned_network();
+    first->Run(Time::Microseconds(100));
+  }
+  EXPECT_EQ(CurrentThreadCpus().size(), before);
+
+  std::unique_ptr<Network> second = pinned_network();
+  std::vector<std::vector<uint32_t>> masks(2);
+  second->kernel().executor_pool()->Run(
+      [&masks](uint32_t worker) { masks[worker] = CurrentThreadCpus(); });
+  ASSERT_EQ(masks[0].size(), 1u);
+  ASSERT_EQ(masks[1].size(), 1u);
+  EXPECT_NE(masks[0][0], masks[1][0]);
+}
+
+// Two pools pinning the same caller at once: whichever is torn down last
+// must still leave the caller its full pre-pin set, not the other's pin.
+TEST(ExecutorPool, OverlappingPinnedPoolsRestoreCallerInAnyOrder) {
+  const size_t before = CurrentThreadCpus().size();
+  auto first = std::make_unique<ExecutorPool>();
+  auto second = std::make_unique<ExecutorPool>();
+  first->SetPlacement(AffinityPolicy::kCompact);
+  first->Ensure(2);
+  second->SetPlacement(AffinityPolicy::kScatter);
+  second->Ensure(2);
+  first.reset();
+  second.reset();
+  EXPECT_EQ(CurrentThreadCpus().size(), before);
 }
 
 // --- CpuTopology ---

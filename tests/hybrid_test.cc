@@ -1,7 +1,7 @@
 // Hybrid (distributed) kernel: rank/lane sweeps, structure, and equivalence.
 #include <gtest/gtest.h>
 
-#include "src/kernel/hybrid.h"
+#include "src/kernel/kernel.h"
 #include "src/partition/fine_grained.h"
 #include "tests/test_util.h"
 
@@ -40,11 +40,13 @@ TEST(Hybrid, RanksPartitionEveryLpExactlyOnce) {
   kc.type = KernelType::kHybrid;
   kc.ranks = 3;
   kc.threads = 2;
-  HybridKernel kernel(kc);
-  kernel.Setup(graph, FineGrainedPartition(graph));
-  EXPECT_EQ(kernel.ranks(), 3u);
-  const auto& rank_of_lp = kernel.rank_of_lp();
-  EXPECT_EQ(rank_of_lp.size(), kernel.num_lps());
+  auto kernel = MakeKernel(kc);
+  kernel->Setup(graph, FineGrainedPartition(graph));
+  const PartitionMap& pmap = kernel->partition_map();
+  EXPECT_EQ(pmap.num_executors(), 3u);
+  EXPECT_EQ(kernel->MaxExecutors(), 6u);  // 3 ranks x 2 lanes.
+  const auto& rank_of_lp = pmap.owners();
+  EXPECT_EQ(rank_of_lp.size(), kernel->num_lps());
   std::vector<uint32_t> counts(3, 0);
   for (uint32_t r : rank_of_lp) {
     ASSERT_LT(r, 3u);
@@ -71,6 +73,27 @@ TEST(Hybrid, MoreRanksThanLpsStillRuns) {
   kernel->ScheduleOnNode(1, Time::Microseconds(2), [&ran] { ++ran; });
   kernel->Run(Time::Milliseconds(1));
   EXPECT_EQ(ran, 2);
+}
+
+// Hybrid ranks re-sort by measured last-round time under either metric, so
+// they must time their LPs even without profiling: untimed, every estimate
+// stays 0 and the ranks silently claim in id order.
+TEST(Hybrid, PendingMetricStillTimesLpsForItsResort) {
+  SimConfig cfg;
+  cfg.kernel.type = KernelType::kHybrid;
+  cfg.kernel.ranks = 2;
+  cfg.kernel.threads = 2;
+  cfg.kernel.metric = SchedulingMetric::kByPendingEventCount;
+  Network net(cfg);
+  FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
+  net.Finalize();
+  GeneratePermutation(net, topo.hosts, 100000, Time::Zero());
+  net.Run(Time::Milliseconds(1));
+  uint64_t timed_ns = 0;
+  for (uint64_t ns : *net.kernel().ownership_view().lp_cost_ns) {
+    timed_ns += ns;
+  }
+  EXPECT_GT(timed_ns, 0u);
 }
 
 TEST(Hybrid, LiveEventsVisibleFromGlobalEvent) {

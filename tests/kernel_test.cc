@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/kernel/nullmsg.h"
-#include "src/kernel/unison.h"
 #include "src/partition/fine_grained.h"
 #include "src/partition/manual.h"
 #include "tests/test_util.h"
@@ -262,6 +261,21 @@ TEST(KernelMechanics, DisconnectedGraphRunsIndependently) {
   kernel->ScheduleOnNode(1, Time::Microseconds(2), [&ran] { ++ran; });
   kernel->Run(Time::Seconds(1.0));
   EXPECT_EQ(ran.load(), 2);
+}
+
+// A manual partition that cuts a zero-delay link leaves a null-message
+// channel with no lookahead, on which CMB can never promise progress. The
+// kernel rejects it at Setup through the single config-error path.
+TEST(NullMessageDeathTest, ManualPartitionCuttingZeroDelayLinkIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SimConfig cfg;
+  cfg.kernel.type = KernelType::kNullMessage;
+  cfg.partition = PartitionMode::kManual;
+  Network net(cfg);
+  net.AddNodes(2);
+  net.AddLink(0, 1, 10'000'000'000ULL, Time::Zero());
+  net.SetManualPartition(2, {0, 1});
+  EXPECT_DEATH(net.Finalize(), "unison: NullMessageKernel: zero-lookahead channel");
 }
 
 }  // namespace

@@ -7,8 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench/barrier_sync.h"
 #include "src/core/rng.h"
-#include "src/sched/barrier_sync.h"
 #include "src/sched/lpt.h"
 
 namespace unison {
