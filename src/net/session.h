@@ -21,6 +21,14 @@
 // deterministic EventKey total order makes the restored FELs dequeue
 // identically regardless of heap layout.
 //
+// One state encoder serves both formats declared here. A USNP buffer (v5) is
+// an immutable header (SimConfig, topology, realized partition, tunables,
+// ownership, session accumulators, flow-source specs), then the window-state
+// section — byte for byte what the speculation checkpoint below holds — then
+// an FNV-1a-64 digest trailer that LoadFrom verifies. Fork and Restore
+// rebuild the network from the header and read the section through the same
+// function the checkpoint rollback uses.
+//
 // Forked branches reuse the parent's warm executor pool by default
 // (ForkOptions::share_executors): the child kernel borrows the pool at
 // Setup, so forking and running N branches spawns zero new OS threads. Two
@@ -30,16 +38,18 @@
 // resume format for long simulations; Session::Restore rebuilds a network
 // cold, with its own pool.
 //
-// Not serializable (Snapshot fatals with a description): distance-vector
-// routing state, packets carrying control payloads, and ad-hoc lambda events
-// (every model event type is a named functor in src/net/model_events.h;
-// user-scheduled lambdas — progress tickers, test callbacks — are not).
+// Not serializable (Snapshot fatals with a description, TrySnapshot and the
+// checkpoint decline): distance-vector routing state, packets carrying
+// control payloads, and ad-hoc lambda events (every model event type is a
+// named functor in src/net/model_events.h; user-scheduled lambdas — progress
+// tickers, test callbacks — are not).
 #ifndef UNISON_SRC_NET_SESSION_H_
 #define UNISON_SRC_NET_SESSION_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,7 +58,7 @@
 namespace unison {
 
 // An immutable captured session: a versioned little-endian binary buffer
-// (magic "USNP"). Value type — copy, store, ship to disk.
+// (magic "USNP") ending in its digest. Value type — copy, store, ship to disk.
 class SessionSnapshot {
  public:
   SessionSnapshot() = default;
@@ -57,11 +67,16 @@ class SessionSnapshot {
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   size_t size_bytes() const { return bytes_.size(); }
 
-  // FNV-1a over the buffer; identifies the snapshot in lineage tags
+  // The digest trailer: FNV-1a-64 over every preceding byte, computed once
+  // by Snapshot(). Identifies the snapshot in lineage tags
   // (RunSummary::forked_from) and in equality checks between snapshots.
   uint64_t Digest() const;
 
-  // On-disk resume format: the buffer, verbatim. Fatal on I/O failure.
+  // On-disk resume format: the buffer, verbatim. SaveTo writes a temp file
+  // beside `path` and renames it over `path`, so a process killed mid-save
+  // leaves the previous file intact. LoadFrom fatals with "corrupt snapshot"
+  // when the digest trailer does not match the bytes before it. Both fatal
+  // on I/O failure.
   void SaveTo(const std::string& path) const;
   static SessionSnapshot LoadFrom(const std::string& path);
 
@@ -93,6 +108,9 @@ class Session {
   // owning FELs (null-message channels), which the next window's receive
   // phase would do identically.
   SessionSnapshot Snapshot();
+  // Snapshot() that declines instead: nullopt when the session holds state
+  // the format cannot represent (e.g. a progress-report ticker pending).
+  std::optional<SessionSnapshot> TrySnapshot();
 
   // Rebuilds an independent Network from `snap`, sharing the parent's warm
   // executor pool per `opts`. The fork's next Run() continues exactly where
@@ -111,21 +129,19 @@ class Session {
 
 // --- Window checkpoints for speculative execution (DESIGN.md §3k) ---
 //
-// A slimmed, no-disk variant of the USNP snapshot, shared-serialization but
-// different contract: it captures only what speculative rounds can mutate
-// within one Run() window — LP clocks/counters/FELs, per-node device, queue,
-// RED and TCP endpoint state, the sharded FlowMonitor, streaming flow-source
-// RNG cursors, and per-link up/delay (a global may flip a link mid-window) —
-// and restores *in place* on the same finalized Network. Everything a full
-// snapshot re-encodes but a window cannot change (topology shape, SimConfig,
-// CDF specs, tunables, ownership, session accumulators) is skipped, which is
-// what makes capture cheap enough to run at every window boundary.
+// The window-state section alone: what speculative rounds can mutate within
+// one Run() window — per-link up/delay (a global may flip a link
+// mid-window), LP clocks/counters/FELs, per-node device, queue, RED and TCP
+// endpoint state, the sharded FlowMonitor, and streaming flow-source RNG
+// cursors — restored *in place* on the same finalized Network. No header and
+// no trailer, which is what makes capture cheap enough to run at every
+// window boundary.
 
 // Serializes the checkpoint into `out` (cleared, capacity kept — the pooled
-// buffer lives in SpecCheckpoint). Returns false, leaving the session
-// untouched, when the state is not representable (lambda events such as
-// progress tickers, control-payload packets, DV routing) — the kernel then
-// runs the window conservatively.
+// buffer lives in SpecCheckpoint). Returns false, with `out` emptied and the
+// session untouched, when the state is not representable (lambda events
+// such as progress tickers, control-payload packets, DV routing) — the
+// kernel then runs the window conservatively.
 bool CaptureWindowCheckpoint(Network& net, std::vector<uint8_t>* out);
 
 // Rolls the live session back to the captured state. Requires the same
@@ -133,12 +149,6 @@ bool CaptureWindowCheckpoint(Network& net, std::vector<uint8_t>* out);
 // (which a speculation abort guarantees: misses latch between rounds, after
 // all mailboxes drained).
 void RestoreWindowCheckpoint(Network& net, const std::vector<uint8_t>& buf);
-
-// True when the session's live state fits the USNP snapshot format — the
-// same predicate Snapshot() enforces fatally, as a query. Used by the
-// auto-checkpoint path to skip boundaries where a snapshot would abort
-// (e.g. a progress-report ticker pending in the public FEL).
-bool SessionSerializable(Network& net);
 
 }  // namespace unison
 

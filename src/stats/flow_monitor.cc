@@ -213,20 +213,6 @@ void FlowMonitor::RestoreImage(const Image& image) {
         "RestoreImage shard-count mismatch; the restored network must be "
         "finalized with the same executor count as the snapshot source");
   }
-  for (const auto& shard : shards_) {
-    if (shard->count != 0) {
-      MonitorFatal("RestoreImage into a monitor that already has flows");
-    }
-  }
-  RestoreImageInPlace(image);
-}
-
-void FlowMonitor::RestoreImageInPlace(const Image& image) {
-  if (image.shards != shards_.size()) {
-    MonitorFatal(
-        "RestoreImageInPlace shard-count mismatch; the image must come from "
-        "this monitor's own configuration");
-  }
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     // Slots past the image's count were registered by the rounds being

@@ -173,12 +173,9 @@ class FlowMonitor {
   // Records registered in shard `s` so far.
   uint32_t shard_flows(uint32_t s) const { return shards_[s]->count; }
 
-  // Full monitor state for session snapshots: per-shard records (in slot
-  // order) and pending window deltas, plus the merged session totals. Save
-  // from a quiescent context; Restore only into a monitor whose shards are
-  // configured to the same count and still empty (fatal otherwise — flow ids
-  // embed the shard/slot split, so a mismatched restore would corrupt every
-  // outstanding id).
+  // Full monitor state for session snapshots and speculation checkpoints:
+  // per-shard records (in slot order) and pending window deltas, plus the
+  // merged session totals. Save from a quiescent context.
   struct Image {
     uint32_t shards = 0;
     std::vector<std::vector<FlowRecord>> records;  // [shard][slot].
@@ -187,14 +184,13 @@ class FlowMonitor {
     uint32_t windows_merged = 0;
   };
   Image SaveImage() const;
+  // Overwrites the image's slots and sets each shard's count to the image's.
+  // Valid on a fresh monitor (fork, restore) and on one whose live state is
+  // a superset of the image — which a rollback guarantees: speculative
+  // rounds can only have *appended* records (slots are never reused). The
+  // shard count must match (fatal otherwise — flow ids embed the shard/slot
+  // split, so a mismatched restore would corrupt every outstanding id).
   void RestoreImage(const Image& image);
-  // Speculation-rollback variant: restores into a monitor that already holds
-  // flows, overwriting slots and truncating each shard's count back to the
-  // image's. Valid only when the live state is a superset of the image —
-  // which a rollback guarantees: speculative rounds can only have *appended*
-  // records (slots are never reused), so rewinding count + overwriting the
-  // surviving slots reproduces the captured monitor exactly.
-  void RestoreImageInPlace(const Image& image);
 
  private:
   // Records are stored in doubling segments: segment k holds kSegBase << k

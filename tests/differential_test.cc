@@ -1,10 +1,12 @@
 // Randomized cross-axis differential test. The fixed matrices each sweep one
 // transparency axis; here every seed draws a point across all of them at
-// once — round-kernel preset, thread count, window split, speculation, and
-// staged migrations at every window boundary — and the sequential kernel is
-// the oracle: the fingerprint and the digest must match it exactly
-// (deterministic total ordering makes any other outcome a bug). A failure
-// prints a one-line reproducer holding the seed and every drawn axis value.
+// once — kernel preset (the three round-kernel presets and null-message),
+// thread count, window split, speculation, staged migrations at every window
+// boundary, and a snapshot/fork at one of the window stops — and the
+// sequential kernel is the oracle: the fingerprint and the digest must match
+// it exactly (deterministic total ordering makes any other outcome a bug). A
+// failure prints a one-line reproducer holding the seed and every drawn axis
+// value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/net/session.h"
 #include "src/stats/digest.h"
 #include "tests/test_util.h"
 
@@ -29,6 +32,7 @@ struct Axes {
   std::vector<int64_t> stops_ps;  // Window stop times, ascending.
   int64_t spec_horizon_ps = 0;    // 0 = speculation off.
   uint32_t move_pct = 0;          // Chance per LP of a staged move per boundary.
+  int64_t fork_at_ps = 0;         // A window stop to fork at; 0 = no fork.
 };
 
 Axes Draw(uint64_t seed) {
@@ -37,7 +41,7 @@ Axes Draw(uint64_t seed) {
   a.seed = seed;
   const uint32_t threads[] = {1, 2, 4};
   a.kernel.threads = threads[rng() % 3];
-  switch (rng() % 3) {
+  switch (rng() % 4) {
     case 0:
       a.kernel.type = KernelType::kBarrier;
       a.partition = PartitionMode::kManual;  // One rank per pod.
@@ -45,9 +49,13 @@ Axes Draw(uint64_t seed) {
     case 1:
       a.kernel.type = KernelType::kUnison;
       break;
-    default:
+    case 2:
       a.kernel.type = KernelType::kHybrid;
       a.kernel.ranks = 1 + static_cast<uint32_t>(rng() % 3);
+      break;
+    default:
+      a.kernel.type = KernelType::kNullMessage;
+      a.partition = PartitionMode::kManual;  // One LP per pod.
       break;
   }
   const int64_t total_ps = Time::Milliseconds(kSimMs).ps();
@@ -66,13 +74,18 @@ Axes Draw(uint64_t seed) {
     a.spec_horizon_ps = static_cast<int64_t>(std::pow(10.0, exponent));
   }
   a.move_pct = static_cast<uint32_t>(rng() % 101);
+  const size_t fork_pick = rng() % (a.stops_ps.size() + 1);
+  if (fork_pick < a.stops_ps.size()) {
+    a.fork_at_ps = a.stops_ps[fork_pick];
+  }
   return a;
 }
 
 std::string Reproducer(const Axes& a) {
-  const char* preset = a.kernel.type == KernelType::kBarrier  ? "barrier"
-                       : a.kernel.type == KernelType::kHybrid ? "hybrid"
-                                                              : "unison";
+  const char* preset = a.kernel.type == KernelType::kBarrier       ? "barrier"
+                       : a.kernel.type == KernelType::kHybrid      ? "hybrid"
+                       : a.kernel.type == KernelType::kNullMessage ? "nullmsg"
+                                                                   : "unison";
   std::string s = "reproduce: seed=" + std::to_string(a.seed) +
                   " preset=" + preset +
                   " threads=" + std::to_string(a.kernel.threads);
@@ -87,12 +100,16 @@ std::string Reproducer(const Axes& a) {
            ? " speculation=auto horizon_ps=" + std::to_string(a.spec_horizon_ps)
            : std::string(" speculation=off");
   s += " move_pct=" + std::to_string(a.move_pct);
+  s += a.fork_at_ps > 0 ? " fork_at=" + std::to_string(a.fork_at_ps)
+                        : std::string(" fork_at=none");
   return s;
 }
 
 // The k=4 fat-tree scenario with permutation flows plus streaming Poisson
 // load, traffic drawn from the case seed. Runs one Run() per stop time and,
-// when `a` is non-null, stages a random move set before each of them.
+// when `a` is non-null, stages a random move set before each of them and
+// forks at `a->fork_at_ps`: the windows after it run on the fork, which
+// borrows the parent's executors.
 RunDigest RunScenario(const KernelConfig& kernel, PartitionMode partition,
                       uint64_t seed, const Axes* a) {
   SimConfig cfg;
@@ -123,8 +140,10 @@ RunDigest RunScenario(const KernelConfig& kernel, PartitionMode partition,
     return DigestOf(net);
   }
   std::mt19937_64 moves_rng(a->seed ^ 0x9e3779b97f4a7c15ULL);
+  std::unique_ptr<Network> fork;
+  Network* live = &net;
   for (int64_t stop_ps : a->stops_ps) {
-    Kernel& k = net.kernel();
+    Kernel& k = live->kernel();
     const uint32_t domain = k.partition_map().num_executors();
     std::vector<LpMove> moves;
     for (uint32_t lp = 0; lp < k.num_lps(); ++lp) {
@@ -134,9 +153,14 @@ RunDigest RunScenario(const KernelConfig& kernel, PartitionMode partition,
       }
     }
     k.StageMigrations(moves);
-    net.Run(Time::Picoseconds(stop_ps));
+    live->Run(Time::Picoseconds(stop_ps));
+    if (stop_ps == a->fork_at_ps) {
+      Session session(&net);
+      fork = session.Fork(session.Snapshot());
+      live = fork.get();
+    }
   }
-  return DigestOf(net);
+  return DigestOf(*live);
 }
 
 class CrossAxisDifferential : public ::testing::TestWithParam<uint64_t> {};

@@ -8,6 +8,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -374,6 +378,217 @@ TEST(SessionSnapshotIo, SaveLoadRoundtripAndColdRestore) {
   EXPECT_EQ(resumed->kernel().session_events(), mono.events);
 }
 
+// SaveTo replaces the file atomically: saving over an existing file leaves
+// exactly the new bytes, and the temp file it wrote is gone.
+TEST(SessionSnapshotIo, SaveToReplacesExistingFileAtomically) {
+  KernelConfig k;
+  k.type = KernelType::kSequential;
+  FatTreeScenario parent = BuildFatTreeScenarioStreaming(k, PartitionMode::kSingle);
+  parent.net->Run(Time::Microseconds(100));
+  const SessionSnapshot older = Session(parent.net.get()).Snapshot();
+  parent.net->Run(Time::Microseconds(200));
+  const SessionSnapshot newer = Session(parent.net.get()).Snapshot();
+  ASSERT_NE(older.bytes(), newer.bytes());
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "unison_save_atomic";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "session.usnp").string();
+  older.SaveTo(path);
+  newer.SaveTo(path);
+  EXPECT_EQ(SessionSnapshot::LoadFrom(path).bytes(), newer.bytes());
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"session.usnp"});
+  std::filesystem::remove_all(dir);
+}
+
+void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// LoadFrom checks the digest trailer before parsing any field: a truncated
+// file, or one with a single flipped bit anywhere — header, window-state
+// section or trailer — is rejected as corrupt. FNV-1a's per-byte step is a
+// bijection of the running hash, so no single-byte change can slip through.
+TEST(SessionSnapshotIoDeathTest, CorruptFilesAreRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  KernelConfig k;
+  k.type = KernelType::kSequential;
+  FatTreeScenario parent = BuildFatTreeScenarioStreaming(k, PartitionMode::kSingle);
+  parent.net->Run(Time::Microseconds(100));
+  const std::vector<uint8_t> good = Session(parent.net.get()).Snapshot().bytes();
+  std::vector<uint8_t> section;
+  ASSERT_TRUE(CaptureWindowCheckpoint(*parent.net, &section));
+  const size_t trailer = good.size() - sizeof(uint64_t);
+  const size_t header = trailer - section.size();
+  ASSERT_GT(header, 8u);
+
+  const std::string path = ::testing::TempDir() + "unison_corrupt_test.usnp";
+  for (const size_t keep :
+       {size_t{0}, size_t{4}, header / 2, header + section.size() / 2,
+        good.size() - 1}) {
+    SCOPED_TRACE("truncated to " + std::to_string(keep));
+    WriteFileBytes(path, std::vector<uint8_t>(good.begin(), good.begin() + keep));
+    EXPECT_DEATH(SessionSnapshot::LoadFrom(path), "corrupt snapshot");
+  }
+  std::mt19937_64 rng(13);
+  const size_t regions[3][2] = {{0, header}, {header, trailer}, {trailer, good.size()}};
+  for (const auto& [begin, end] : regions) {
+    for (int flip = 0; flip < 2; ++flip) {
+      const size_t offset = begin + rng() % (end - begin);
+      SCOPED_TRACE("bit flip at " + std::to_string(offset));
+      std::vector<uint8_t> bad = good;
+      bad[offset] ^= static_cast<uint8_t>(1u << (rng() % 8));
+      WriteFileBytes(path, bad);
+      EXPECT_DEATH(SessionSnapshot::LoadFrom(path), "corrupt snapshot");
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// The version check still rejects an older layout: a buffer re-stamped as
+// v4 with a consistent trailer passes LoadFrom's digest check and then fails
+// at the version field.
+TEST(SessionSnapshotIoDeathTest, OlderVersionIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  KernelConfig k;
+  k.type = KernelType::kSequential;
+  FatTreeScenario parent = BuildFatTreeScenarioStreaming(k, PartitionMode::kSingle);
+  parent.net->Run(Time::Microseconds(100));
+  std::vector<uint8_t> bytes = Session(parent.net.get()).Snapshot().bytes();
+  const uint32_t v4 = 4;
+  std::memcpy(bytes.data() + 4, &v4, sizeof v4);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i + sizeof h < bytes.size(); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  std::memcpy(bytes.data() + bytes.size() - sizeof h, &h, sizeof h);
+  const std::string path = ::testing::TempDir() + "unison_v4_test.usnp";
+  WriteFileBytes(path, bytes);
+  const SessionSnapshot loaded = SessionSnapshot::LoadFrom(path);
+  std::remove(path.c_str());
+  EXPECT_DEATH(Session::Restore(loaded), "unsupported snapshot version 4");
+}
+
+// --- One state format ---
+
+// Capture → RestoreWindowCheckpoint → capture is byte-stable: the restore
+// reads back exactly what the capture wrote.
+TEST(SessionStateFormat, CheckpointRestoreRecaptureIsByteStable) {
+  KernelConfig k;
+  k.type = KernelType::kUnison;
+  k.threads = 2;
+  FatTreeScenario parent = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
+  parent.net->Run(Time::Milliseconds(2));
+  std::vector<uint8_t> first;
+  ASSERT_TRUE(CaptureWindowCheckpoint(*parent.net, &first));
+  EXPECT_GT(first.size(), 0u);
+  RestoreWindowCheckpoint(*parent.net, first);
+  std::vector<uint8_t> second;
+  ASSERT_TRUE(CaptureWindowCheckpoint(*parent.net, &second));
+  EXPECT_EQ(first, second);
+}
+
+// Snapshot → Fork → Snapshot of the un-run fork is byte-stable. The parent
+// runs on the manual pod partition, the mode every fork replays (under
+// kAuto the fork would rewrite the partition-mode byte).
+TEST(SessionStateFormat, ForkResnapshotIsByteStable) {
+  KernelConfig k;
+  k.type = KernelType::kUnison;
+  k.threads = 2;
+  FatTreeScenario parent =
+      BuildFatTreeScenarioStreaming(k, PartitionMode::kManual);
+  parent.net->Run(Time::Milliseconds(2));
+  Session session(parent.net.get());
+  const SessionSnapshot snap = session.Snapshot();
+  std::unique_ptr<Network> fork = session.Fork(snap);
+  const SessionSnapshot again = Session(fork.get()).Snapshot();
+  EXPECT_EQ(again.bytes(), snap.bytes());
+  EXPECT_EQ(again.Digest(), snap.Digest());
+}
+
+// The snapshot is header + window-state section + trailer, and the section
+// is byte for byte the speculation checkpoint taken at the same boundary.
+TEST(SessionStateFormat, SnapshotEndsWithTheCheckpointSection) {
+  KernelConfig k;
+  k.type = KernelType::kUnison;
+  k.threads = 2;
+  FatTreeScenario parent = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
+  parent.net->Run(Time::Milliseconds(2));
+  const SessionSnapshot snap = Session(parent.net.get()).Snapshot();
+  std::vector<uint8_t> section;
+  ASSERT_TRUE(CaptureWindowCheckpoint(*parent.net, &section));
+  const std::vector<uint8_t>& bytes = snap.bytes();
+  ASSERT_GT(bytes.size(), section.size() + sizeof(uint64_t));
+  const auto body_end = bytes.end() - sizeof(uint64_t);
+  EXPECT_TRUE(std::equal(section.begin(), section.end(),
+                         body_end - static_cast<ptrdiff_t>(section.size())));
+}
+
+// --- Declined captures ---
+
+// A progress-report ticker is a lambda event the state format cannot hold.
+// At such a boundary every capture declines: the speculation checkpoint
+// runs the window conservatively, the auto-checkpoint writes no file, and
+// Snapshot() dies naming the event.
+std::unique_ptr<Network> TickerScenario(SimConfig cfg) {
+  cfg.kernel.type = KernelType::kUnison;
+  cfg.kernel.threads = 2;
+  auto net = std::make_unique<Network>(cfg);
+  FatTreeTopo topo =
+      BuildFatTree(*net, 4, 10'000'000'000ULL, Time::Microseconds(3));
+  net->Finalize();
+  GeneratePermutation(*net, topo.hosts, 200 * 1024, Time::Zero());
+  net->EnableProgressReport(Time::Microseconds(500), [](Time, uint64_t) {});
+  return net;
+}
+
+TEST(SessionDecline, SpeculationRunsConservativelyWithALambdaPending) {
+  SimConfig off;
+  std::unique_ptr<Network> conservative = TickerScenario(off);
+  SimConfig spec;
+  spec.speculation = SpeculationMode::kAuto;
+  spec.trace = true;
+  std::unique_ptr<Network> declined = TickerScenario(spec);
+  for (int w = 1; w <= 3; ++w) {
+    conservative->Run(Time::Milliseconds(w));
+    declined->Run(Time::Milliseconds(w));
+  }
+  EXPECT_EQ(declined->run_trace().Cumulative().spec_rounds, 0u);
+  EXPECT_EQ(declined->kernel().spec_checkpoint().captures(), 0u);
+  EXPECT_EQ(declined->flow_monitor().Fingerprint(),
+            conservative->flow_monitor().Fingerprint());
+  EXPECT_TRUE(DigestOf(*declined) == DigestOf(*conservative));
+}
+
+TEST(SessionDecline, AutoCheckpointWritesNoFileWithALambdaPending) {
+  const std::string path = ::testing::TempDir() + "unison_declined_ckpt.usnp";
+  std::remove(path.c_str());
+  SimConfig cfg;
+  cfg.kernel.auto_checkpoint_every = 1;
+  cfg.auto_checkpoint_path = path;
+  std::unique_ptr<Network> net = TickerScenario(cfg);
+  for (int w = 1; w <= 3; ++w) {
+    net->Run(Time::Milliseconds(w));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(SessionDeclineDeathTest, SnapshotNamesTheLambdaEvent) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::unique_ptr<Network> net = TickerScenario(SimConfig{});
+  net->Run(Time::Milliseconds(1));
+  Session session(net.get());
+  EXPECT_DEATH(session.Snapshot(), "not a named model event");
+}
+
 // Satellite: the injection-stream counter is session state. Sibling forks
 // that inject the same spec draw the same derived rng stream — identical to
 // each other and to the parent performing the same injection after the
@@ -466,6 +681,24 @@ TEST(SessionFork, FailLinkAndQueueMutationDivergeDeterministically) {
   const uint64_t shallow_b = shallow_branch();
   EXPECT_EQ(shallow_a, shallow_b);
   EXPECT_NE(shallow_a, baseline);
+
+  // A link that failed *before* the snapshot: the down state rides in the
+  // window-state section, and the fork resumes with the link still down,
+  // landing on its un-forked twin's digest.
+  FatTreeScenario twin = BuildFatTreeScenarioStreaming(
+      k, PartitionMode::kAuto, 4, 10, 5, 1, 0.5);
+  twin.net->FailLink(victim, Time::Milliseconds(1));
+  twin.net->Run(Time::Milliseconds(2));
+  ASSERT_FALSE(twin.net->links()[victim].up);
+  Session twin_session(twin.net.get());
+  std::unique_ptr<Network> failed_fork =
+      twin_session.Fork(twin_session.Snapshot());
+  EXPECT_FALSE(failed_fork->links()[victim].up);
+  failed_fork->Run(Time::Milliseconds(5));
+  twin.net->Run(Time::Milliseconds(5));
+  EXPECT_TRUE(DigestOf(*failed_fork) == DigestOf(*twin.net));
+  EXPECT_EQ(failed_fork->flow_monitor().Fingerprint(),
+            twin.net->flow_monitor().Fingerprint());
 }
 
 // --- Live tuning plane ---
