@@ -14,11 +14,16 @@
 //
 // Every generation's reduced minimum is checked against a serially computed
 // reference on both paths; a mismatch fails the bench (exit 1). Timings are
-// reported honestly for whatever machine this runs on — on hosts with fewer
-// cores than parties (this repo's reference container has one core) every
-// crossing parks in the futex and the numbers measure the scheduler more
-// than the barrier, so the pass criterion is correctness, not speedup; the
-// cores field in the JSON tells consumers which regime produced the numbers.
+// reported for whatever machine this runs on. Rows whose parties exceed the
+// host's cores measure futex scheduling more than barrier structure: there
+// the tree's waiters park at once (spin_wait.h), and
+// oversubscribed_tree_over_flat reports the worst tree/flat ratio among such
+// rows so a gate can catch a tree that spins when it should park. The
+// placement sweep runs at the largest party count whose waiters spin (one
+// party fewer than the cores, at most 16), so it compares placements rather
+// than wake-up latencies. Each sweep row alternates flat and tree over
+// kBatches batches and reports each side's median batch, so a shift in host
+// load between the two measurements does not show up as a ratio.
 //
 // With --trace=PATH, additionally runs a small traced Unison simulation
 // (k=4 fat-tree, 4 workers) and writes its run trace to PATH so CI can
@@ -41,6 +46,8 @@ using namespace unison;
 using namespace unison::bench;
 
 namespace {
+
+constexpr uint32_t kBatches = 5;
 
 // Deterministic per-(generation, party) contribution; mixes well so the
 // minimum lands on a different party every generation.
@@ -67,15 +74,17 @@ std::vector<int64_t> ExpectedMins(uint32_t parties, uint32_t gens) {
 struct SyncResult {
   double ns_per_gen = 0;
   uint64_t mismatches = 0;
-  uint64_t parks = 0;        // Tree only.
-  uint32_t spin_budget = 0;  // Tree only.
+  uint64_t parks = 0;  // Tree only.
 };
 
 // Spawns parties-1 helper threads (party 0 is the caller, as in the kernels),
 // optionally pinning party p to pin_order[p % size]. Times the caller's loop.
+// A pinned caller is widened back to `all_cpus` afterwards, so one row's
+// placement never reaches the next.
 template <typename Body>
 SyncResult RunParties(uint32_t parties, uint32_t gens,
-                      const std::vector<uint32_t>& pin_order, const Body& body) {
+                      const std::vector<uint32_t>& pin_order,
+                      const std::vector<uint32_t>& all_cpus, const Body& body) {
   std::vector<std::thread> threads;
   std::vector<uint64_t> mismatches(parties, 0);
   for (uint32_t p = 1; p < parties; ++p) {
@@ -95,6 +104,9 @@ SyncResult RunParties(uint32_t parties, uint32_t gens,
   for (auto& t : threads) {
     t.join();
   }
+  if (!pin_order.empty()) {
+    PinCurrentThreadToCpus(all_cpus);
+  }
   SyncResult out;
   out.ns_per_gen = static_cast<double>(dt) / static_cast<double>(gens);
   for (uint64_t m : mismatches) {
@@ -103,13 +115,12 @@ SyncResult RunParties(uint32_t parties, uint32_t gens,
   return out;
 }
 
-SyncResult RunFlat(uint32_t parties, uint32_t gens,
-                   const std::vector<uint32_t>& pin_order) {
+SyncResult RunFlat(uint32_t parties, uint32_t gens) {
   const std::vector<int64_t> expected = ExpectedMins(parties, gens);
   SpinBarrier barrier(parties);
   AtomicTimeMin min;
   min.Reset();
-  return RunParties(parties, gens, pin_order, [&](uint32_t p) -> uint64_t {
+  return RunParties(parties, gens, {}, {}, [&](uint32_t p) -> uint64_t {
     uint64_t bad = 0;
     for (uint32_t gen = 0; gen < gens; ++gen) {
       min.Update(Contrib(gen, p));
@@ -125,11 +136,12 @@ SyncResult RunFlat(uint32_t parties, uint32_t gens,
 }
 
 SyncResult RunTree(uint32_t parties, uint32_t gens,
-                   const std::vector<uint32_t>& pin_order) {
+                   const std::vector<uint32_t>& pin_order = {},
+                   const std::vector<uint32_t>& all_cpus = {}) {
   const std::vector<int64_t> expected = ExpectedMins(parties, gens);
   CombiningBarrier barrier(parties);
-  SyncResult out =
-      RunParties(parties, gens, pin_order, [&](uint32_t p) -> uint64_t {
+  SyncResult out = RunParties(
+      parties, gens, pin_order, all_cpus, [&](uint32_t p) -> uint64_t {
         uint64_t bad = 0;
         for (uint32_t gen = 0; gen < gens; ++gen) {
           barrier.Arrive(p, Contrib(gen, p), 1, 0);
@@ -141,7 +153,6 @@ SyncResult RunTree(uint32_t parties, uint32_t gens,
         return bad;
       });
   out.parks = barrier.parks();
-  out.spin_budget = barrier.spin_budget();
   return out;
 }
 
@@ -175,6 +186,10 @@ int main(int argc, char** argv) {
 
   const CpuTopology topo = CpuTopology::Detect();
   const size_t cores = topo.cpus.size();
+  std::vector<uint32_t> all_cpus;
+  for (const CpuTopology::Cpu& c : topo.cpus) {
+    all_cpus.push_back(c.id);
+  }
   std::printf("Round synchronization: flat SpinBarrier+AtomicTimeMin (2 "
               "crossings + CAS line) vs\ncombining tree (1 fused crossing), "
               "%u generations per config, %zu cores visible\n\n",
@@ -188,28 +203,53 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   uint64_t mismatches = 0;
-  Table t({"parties", "flat ns/gen", "tree ns/gen", "flat/tree", "tree parks",
-           "spin budget"});
+  // Worst tree/flat time ratio over the rows whose parties exceed the cores
+  // (0 when none does): a tree that spins where it should park shows here.
+  double oversubscribed_ratio = 0;
+  Table t({"parties", "flat ns/gen", "tree ns/gen", "flat/tree", "tree parks"});
   for (const uint32_t parties : party_counts) {
-    Row row{parties, RunFlat(parties, gens, {}), RunTree(parties, gens, {})};
+    Row row{parties, {}, {}};
+    std::vector<double> flat_ns;
+    std::vector<double> tree_ns;
+    for (uint32_t b = 0; b < kBatches; ++b) {
+      const SyncResult flat = RunFlat(parties, gens / kBatches);
+      const SyncResult tree = RunTree(parties, gens / kBatches);
+      flat_ns.push_back(flat.ns_per_gen);
+      tree_ns.push_back(tree.ns_per_gen);
+      row.flat.mismatches += flat.mismatches;
+      row.tree.mismatches += tree.mismatches;
+      row.tree.parks += tree.parks;
+    }
+    std::nth_element(flat_ns.begin(), flat_ns.begin() + kBatches / 2,
+                     flat_ns.end());
+    std::nth_element(tree_ns.begin(), tree_ns.begin() + kBatches / 2,
+                     tree_ns.end());
+    row.flat.ns_per_gen = flat_ns[kBatches / 2];
+    row.tree.ns_per_gen = tree_ns[kBatches / 2];
     mismatches += row.flat.mismatches + row.tree.mismatches;
     rows.push_back(row);
+    if (parties > cores && row.flat.ns_per_gen > 0) {
+      oversubscribed_ratio = std::max(
+          oversubscribed_ratio, row.tree.ns_per_gen / row.flat.ns_per_gen);
+    }
     t.Row({Fmt("%u", parties), Fmt("%.0f", row.flat.ns_per_gen),
            Fmt("%.0f", row.tree.ns_per_gen),
            Fmt("%.2fx", row.tree.ns_per_gen == 0
                             ? 0.0
                             : row.flat.ns_per_gen / row.tree.ns_per_gen),
-           Fmt("%llu", static_cast<unsigned long long>(row.tree.parks)),
-           Fmt("%u", row.tree.spin_budget)});
+           Fmt("%llu", static_cast<unsigned long long>(row.tree.parks))});
   }
   t.Print();
 
-  // Placement policies, tree barrier at the largest swept party count. With
+  // Placement policies, tree barrier at the largest party count whose
+  // waiters spin (at most the largest swept count, at least 2): with more,
+  // every crossing would time futex wake-ups, whatever the placement. With
   // one visible core every policy degenerates to the same pin, so the rows
   // measure scheduler noise, not placement — the JSON says so explicitly
   // (affinity_degenerate) instead of letting consumers read three identical
-  // policies as a null result. Multi-core hosts get the real comparison.
-  const uint32_t aff_parties = party_counts.back();
+  // policies as a null result.
+  const uint32_t aff_parties = static_cast<uint32_t>(std::clamp<size_t>(
+      cores > 0 ? cores - 1 : 0, 2, party_counts.back()));
   const bool affinity_degenerate = cores < 2;
   std::printf("\nPlacement policies (tree, %u parties)%s:\n\n", aff_parties,
               affinity_degenerate
@@ -225,7 +265,7 @@ int main(int argc, char** argv) {
        {AffinityPolicy::kNone, AffinityPolicy::kCompact,
         AffinityPolicy::kScatter}) {
     const SyncResult res =
-        RunTree(aff_parties, gens, topo.PlacementOrder(policy));
+        RunTree(aff_parties, gens, topo.PlacementOrder(policy), all_cpus);
     mismatches += res.mismatches;
     aff_rows.push_back(AffRow{AffinityPolicyName(policy), res});
     ta.Row({AffinityPolicyName(policy), Fmt("%.0f", res.ns_per_gen),
@@ -238,11 +278,11 @@ int main(int argc, char** argv) {
               "(expected 0)\n",
               pass ? "PASS" : "FAIL",
               static_cast<unsigned long long>(mismatches));
-  if (cores < 8) {
-    std::printf("note: %zu-core host — parties exceed cores, so ns/gen "
-                "measures futex scheduling, not barrier structure; treat "
-                "ratios as indicative only\n",
-                cores);
+  if (party_counts.back() > cores) {
+    std::printf("note: %zu-core host — rows with more parties than cores "
+                "measure futex scheduling, not barrier structure (worst "
+                "tree/flat there: %.2fx)\n",
+                cores, oversubscribed_ratio);
   }
 
   FILE* out = std::fopen("BENCH_round_sync.json", "w");
@@ -258,16 +298,17 @@ int main(int argc, char** argv) {
       const Row& r = rows[i];
       std::fprintf(out,
                    "%s\n    {\"parties\": %u, \"flat_ns_per_gen\": %.1f, "
-                   "\"tree_ns_per_gen\": %.1f, \"tree_parks\": %llu, "
-                   "\"tree_spin_budget\": %u}",
+                   "\"tree_ns_per_gen\": %.1f, \"tree_parks\": %llu}",
                    i == 0 ? "" : ",", r.parties, r.flat.ns_per_gen,
                    r.tree.ns_per_gen,
-                   static_cast<unsigned long long>(r.tree.parks),
-                   r.tree.spin_budget);
+                   static_cast<unsigned long long>(r.tree.parks));
     }
     std::fprintf(out,
                  "\n  ],\n"
-                 "  \"affinity\": [");
+                 "  \"oversubscribed_tree_over_flat\": %.3f,\n"
+                 "  \"affinity_parties\": %u,\n"
+                 "  \"affinity\": [",
+                 oversubscribed_ratio, aff_parties);
     for (size_t i = 0; i < aff_rows.size(); ++i) {
       std::fprintf(out,
                    "%s\n    {\"policy\": \"%s\", \"ns_per_gen\": %.1f, "

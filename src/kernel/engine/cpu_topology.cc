@@ -65,6 +65,20 @@ const std::vector<uint32_t>& ProcessCpus() {
 
 }  // namespace
 
+uint32_t ProcessCpuCount() {
+  static const uint32_t count = [] {
+    size_t n = 0;
+#if defined(__linux__)
+    n = ProcessCpus().size();
+#endif
+    if (n == 0) {
+      n = std::thread::hardware_concurrency();
+    }
+    return static_cast<uint32_t>(std::max<size_t>(n, 1));
+  }();
+  return count;
+}
+
 std::vector<uint32_t> CurrentThreadCpus() {
   std::vector<uint32_t> cpus;
 #if defined(__linux__)

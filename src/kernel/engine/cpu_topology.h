@@ -56,6 +56,11 @@ struct CpuTopology {
   std::vector<uint32_t> PlacementOrder(AffinityPolicy policy) const;
 };
 
+// How many CPUs the process may use: the size of the set Detect() reads,
+// cached at the first call (or first pin) so it costs a load, never a
+// syscall. Falls back to hardware_concurrency(); never 0.
+uint32_t ProcessCpuCount();
+
 // The calling thread's allowed CPUs as of now (sched_getaffinity), pins
 // included; empty where unsupported.
 std::vector<uint32_t> CurrentThreadCpus();

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/core/executor_id.h"
+#include "src/sched/spin_wait.h"
 
 namespace unison {
 
@@ -147,20 +148,19 @@ void ExecutorPool::Run(std::function<void(uint32_t)> body) {
   SetCurrentExecutorId(kNoExecutor);
   // Wait for the other active workers (parked excess threads don't report).
   const uint32_t expected = parties_ - 1;
-  uint32_t done = done_.load(std::memory_order_acquire);
-  while (done != expected) {
-    done_.wait(done, std::memory_order_acquire);
-    done = done_.load(std::memory_order_acquire);
-  }
+  SpinThenPark(done_, WaitSpins(parties_),
+               [expected](uint32_t done) { return done == expected; });
 }
 
 void ExecutorPool::Loop(uint32_t id, uint64_t seen, uint64_t pin_gen) {
   for (;;) {
-    uint64_t e = epoch_.load(std::memory_order_acquire);
-    while (e == seen) {
-      epoch_.wait(e, std::memory_order_acquire);
-      e = epoch_.load(std::memory_order_acquire);
-    }
+    // A worker that ran the last epoch spins for the next one like any
+    // executor wait; an excess worker, likely to sit the next one out too,
+    // parks at once.
+    const uint32_t last_parties = static_cast<uint32_t>(seen);
+    SpinThenPark(epoch_, id < last_parties && WaitSpins(last_parties),
+                 [seen](uint64_t e) { return e != seen; });
+    const uint64_t e = epoch_.load(std::memory_order_acquire);
     seen = e;
     if (shutdown_.load(std::memory_order_acquire)) {
       return;

@@ -2,10 +2,16 @@
 //
 // The calling thread participates as worker 0, so a pool of N parties uses
 // N-1 OS threads. Unlike the per-run WorkerTeam it replaces, the pool is
-// created once (at Kernel::Setup) and its threads park in a futex wait
-// between Run() invocations, so back-to-back runs on one kernel instance —
-// and multi-run benches like bench_fig08b_speedup, which execute dozens of
-// short simulations per process — never pay thread spawn/join more than once.
+// created once (at Kernel::Setup) and its threads wait between Run()
+// invocations, so back-to-back runs on one kernel instance — and multi-run
+// benches like bench_fig08b_speedup, which execute dozens of short
+// simulations per process — never pay thread spawn/join more than once.
+//
+// Both of the pool's waits — a worker's wait for the next run epoch and the
+// caller's wait for the workers to finish — follow the same policy as the
+// barrier crossings inside a run (spin_wait.h): when the parties leave one of
+// the allowed CPUs free, a bounded spin that yields every few microseconds,
+// then a futex park; otherwise a park at once.
 //
 // The thread set is a high-water mark: Ensure() grows it by spawning only the
 // missing workers and shrinks it in place by parking the excess (they skip

@@ -12,6 +12,7 @@ void RoundSync::BeginRun(const char* kernel_name, uint32_t executors, Time stop)
   stop_ = stop;
   lbts_ = Time::Zero();
   window_ = Time::Zero();
+  globals_due_ = false;
   done_ = false;
   reason_ = RunReason::kExhausted;
   round_index_ = 0;
@@ -96,6 +97,7 @@ bool RoundSync::ComputeWindow() {
     lbts_ = std::min(npub, min_next + lookahead);
   }
   window_ = std::min(lbts_, stop_);
+  globals_due_ = npub <= lbts_ && !npub.IsMax();
   if (spec_enabled_) {
     if (!min_next.IsMax() && !lookahead.IsMax()) {
       // Optimistic extension: up to spec_horizon_ps past the Eq. 2 bound,

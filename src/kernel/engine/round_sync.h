@@ -122,6 +122,10 @@ class RoundSync {
   Time stop() const { return stop_; }
   Time lbts() const { return lbts_; }
   Time window() const { return window_; }
+  // Whether the public FEL held an event at or below lbts() when the window
+  // was computed, i.e. the round's global phase has work before any LP event
+  // schedules one.
+  bool globals_due() const { return globals_due_; }
   uint32_t round_index() const { return round_index_; }
   // Event count from the last Absorb(): the cross-worker total as of the
   // reduction barrier — the live events_before input to CommitRound.
@@ -132,6 +136,7 @@ class RoundSync {
   Time stop_;
   Time lbts_;
   Time window_;
+  bool globals_due_ = false;
   // Written by the coordinator between barriers, read by every worker after
   // the next barrier; the barrier's acquire/release ordering publishes it.
   bool done_ = false;

@@ -123,6 +123,7 @@ void Kernel::ScheduleGlobal(Time abs, EventFn fn) {
   if (cur != nullptr && cur != public_lp_.get()) {
     std::lock_guard<std::mutex> lock(public_mu_);
     public_lp_->fel().Push(Event{cur->MakeKey(abs), kNoNode, std::move(fn)});
+    mid_round_global_ = true;
     return;
   }
   Lp* const sender = cur != nullptr ? cur : public_lp_.get();

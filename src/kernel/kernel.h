@@ -424,6 +424,10 @@ class Kernel {
   uint32_t session_windows_ = 0;
   std::atomic<bool> stop_requested_{false};
   std::mutex public_mu_;
+  // Set by ScheduleGlobal's locked path, i.e. when an LP event scheduled a
+  // global mid-round. Written under public_mu_; the round kernel reads it
+  // after the barrier that ends phase 1 and clears it in its prologue.
+  bool mid_round_global_ = false;
   std::function<void()> window_end_hook_;
   ExecutorPool* external_pool_ = nullptr;  // Borrowed; see set_external_pool.
   std::string lineage_;                    // Empty unless forked.

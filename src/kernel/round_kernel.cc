@@ -189,6 +189,9 @@ void RoundKernel::BuildLayout(uint32_t workers) {
 }
 
 void RoundKernel::Prologue() {
+  // Every worker read last round's flag before the end-of-round barrier that
+  // this prologue follows.
+  mid_round_global_ = false;
   if (!sync_.ComputeWindow()) {
     return;
   }
@@ -284,33 +287,37 @@ void RoundKernel::RoundLoop(uint32_t worker) {
     barrier_->Arrive(worker);
     acct.CloseSync();
 
-    // Phase 2: global events, worker 0 only; everyone else is parked at the
-    // next barrier, so direct cross-LP insertion is safe. Under speculation
-    // the guard skips the phase when a straggler global landed below the
-    // covered bound — the next prologue latches the miss.
-    if (worker == 0) {
-      if (sync_.SpecAllowsGlobals()) {
-        events += RunGlobalEvents(sync_.lbts(), sync_.stop());
+    // Phase 2: global events, worker 0 only, in rounds where one is due: the
+    // prologue saw the public FEL's next event at or below the LBTS, or an LP
+    // event scheduled a global mid-round (ScheduleGlobal's locked path; the
+    // barrier above publishes the flag). Every worker reads the same two
+    // inputs after the same crossing, so all of them cross or skip the
+    // phase's barrier together. While worker 0 runs it, everyone else waits
+    // at that barrier, so direct cross-LP insertion is safe. Under
+    // speculation the guard skips the events when a straggler global landed
+    // below the covered bound — the next prologue latches the miss.
+    if (sync_.globals_due() || mid_round_global_) {
+      if (worker == 0) {
+        if (sync_.SpecAllowsGlobals()) {
+          events += RunGlobalEvents(sync_.lbts(), sync_.stop());
+        }
+        acct.CloseProcessing();
       }
-      acct.CloseProcessing();
+      barrier_->Arrive(worker);
+      acct.CloseSync();
     }
-    barrier_->Arrive(worker);
-    acct.CloseSync();
 
     // Phase 3: receive events from mailboxes — intra- and inter-group alike.
     // The lists partition all LPs, so every inbox is drained exactly once.
     for (uint32_t id : mine) {
       lps_[id]->DrainInboxes();
     }
-    acct.CloseMessaging();
-    // Every drain must land before anyone reads FELs for the window update:
-    // a min computed on a half-drained FEL could overshoot the next LBTS.
-    barrier_->Arrive(worker);
-    acct.CloseSync();
 
     // Phase 4: update the window — fold the list into a local minimum and
     // contribute it, with the event count and stop vote, to the end-of-round
-    // barrier's fused reduction. No shared CAS line: the tree combine IS the
+    // barrier's fused reduction. No barrier separates it from phase 3: a
+    // worker folds exactly the LPs it just drained, so no FEL is read across
+    // workers between the two. No shared CAS line: the tree combine IS the
     // all-reduce. When speculative rounds ran, the same fold doubles as the
     // miss check: an inbound arrival at or below an LP's already-advanced
     // clock is a causality violation, flagged into the fused reduction.

@@ -3,7 +3,7 @@
 //
 // Executors are laid out as G groups of L lanes; worker ids are group-major
 // (worker = group * L + lane), so compact placement keeps a group's lanes on
-// one package. Each round has four phases separated by barriers:
+// one package. Each round has four phases:
 //   1. Process events  — the lanes of a group claim that group's LPs through
 //                        an atomic cursor over its claim order (LPT list
 //                        scheduling) and run each up to the window bound.
@@ -16,6 +16,13 @@
 //                        worker 0 absorbs the result and derives the next
 //                        LBTS from Eq. 2 (RoundSync).
 // Under speculation the phase-4 fold doubles as the causality-miss check.
+//
+// A round crosses the barrier three times: after worker 0's prologue, after
+// phase 1, and at the end of round. Phase 2 adds a fourth crossing only in
+// rounds where a global event is due (RoundSync::globals_due, or an LP event
+// that scheduled one mid-round); otherwise worker 0 has nothing to run and
+// the others go straight to phase 3. Phases 3 and 4 need no crossing between
+// them, because each worker folds exactly the LPs it drained.
 //
 // The three kernels are presets of that loop, picked from KernelType:
 //
@@ -33,8 +40,8 @@
 // fallback — which reproduces MPI receive-order indeterminism when the run
 // is non-deterministic (Fig. 11). Stock barrier sync all-reduces *before*
 // each round; here that reduction is the end-of-round one, and the leading
-// reduce is RoundSync::SeedMinFromLps, so the same five barrier crossings per
-// round just start one phase later.
+// reduce is RoundSync::SeedMinFromLps, so the same three crossings per round
+// just start one phase later.
 #ifndef UNISON_SRC_KERNEL_ROUND_KERNEL_H_
 #define UNISON_SRC_KERNEL_ROUND_KERNEL_H_
 
@@ -62,6 +69,12 @@ class RoundKernel : public Kernel {
   uint32_t MaxExecutors() const override { return groups_ * max_lanes_; }
 
   ExecutorPool* executor_pool() override { return active_pool_; }
+
+  // Barrier crossings completed since the barrier was built, at Setup or in
+  // the last window whose worker count changed (test hook: a run of R rounds
+  // makes 3R + 1 when no global is ever due, the +1 being the crossing that
+  // ends the run).
+  uint32_t barrier_crossings() const { return barrier_->generation(); }
 
   uint64_t LiveEvents() const override {
     uint64_t sum = 0;

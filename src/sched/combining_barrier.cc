@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/sched/spin_wait.h"
+
 namespace unison {
 
-CombiningBarrier::CombiningBarrier(uint32_t parties) : parties_(parties) {
+CombiningBarrier::CombiningBarrier(uint32_t parties)
+    : parties_(parties), spin_(WaitSpins(parties)) {
   if (parties_ <= 1) {
     return;  // Single party: Arrive never touches the tree.
   }
@@ -85,12 +88,11 @@ void CombiningBarrier::Arrive(uint32_t party, int64_t min_ps, uint64_t count,
     }
     node->remaining.store(node->arity, std::memory_order_relaxed);
     if (node->parent < 0) {
-      // Root completed: publish the reduction, retune the spin budget, and
-      // release everyone with one broadcast.
+      // Root completed: publish the reduction and release everyone with one
+      // broadcast.
       result_min_ = m;
       result_count_ = c;
       result_flags_ = f;
-      AdaptSpin();
       generation_.fetch_add(1, std::memory_order_release);
       generation_.notify_all();
       return;
@@ -104,35 +106,8 @@ void CombiningBarrier::Arrive(uint32_t party, int64_t min_ps, uint64_t count,
 }
 
 void CombiningBarrier::Wait(uint32_t gen) {
-  const uint32_t budget = spin_budget_.load(std::memory_order_relaxed);
-  for (uint32_t i = 0; i < budget; ++i) {
-    if (generation_.load(std::memory_order_acquire) != gen) {
-      return;
-    }
-  }
-  if (generation_.load(std::memory_order_acquire) == gen) {
-    parks_.fetch_add(1, std::memory_order_relaxed);
-    do {
-      generation_.wait(gen, std::memory_order_acquire);
-    } while (generation_.load(std::memory_order_acquire) == gen);
-  }
-}
-
-void CombiningBarrier::AdaptSpin() {
-  const uint64_t total = parks_.load(std::memory_order_relaxed);
-  const uint64_t delta = total - last_parks_;
-  last_parks_ = total;
-  uint32_t budget = spin_budget_.load(std::memory_order_relaxed);
-  if (delta * 2 >= parties_) {
-    // Most waiters parked anyway (oversubscribed host or heavy phase skew):
-    // the spin is wasted burn before an inevitable futex wait.
-    budget = std::max(kMinSpin, budget / 2);
-  } else if (delta == 0 && budget < kMaxSpin) {
-    // Everyone made it by spinning: a longer spin absorbs slightly larger
-    // skew before anyone pays a syscall.
-    budget = std::min(kMaxSpin, budget * 2);
-  }
-  spin_budget_.store(budget, std::memory_order_relaxed);
+  SpinThenPark(generation_, spin_, [gen](uint32_t g) { return g != gen; },
+               &parks_);
 }
 
 }  // namespace unison

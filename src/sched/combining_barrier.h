@@ -18,10 +18,9 @@
 // the flat CAS fold regardless of arrival order — the determinism tests hold
 // with no caveats.
 //
-// The pre-park spin is adaptive: the root completer compares the number of
-// futex parks in the finished generation against the party count and resizes
-// a shared spin budget (halve when most waiters parked anyway, grow when
-// everyone made it by spinning). Cumulative parks are exposed so the trace
+// Waiters follow the one executor wait policy (spin_wait.h): a bounded,
+// yielding spin when the parties leave one of the allowed CPUs free, a prompt
+// futex park when they do not. Cumulative parks are exposed so the trace
 // layer can report per-round park deltas.
 #ifndef UNISON_SRC_SCHED_COMBINING_BARRIER_H_
 #define UNISON_SRC_SCHED_COMBINING_BARRIER_H_
@@ -43,11 +42,6 @@ class CombiningBarrier {
   // coordinator's next RoundSync::ComputeWindow latches the miss.
   static constexpr uint32_t kStopFlag = 1u << 0;
   static constexpr uint32_t kSpecMissFlag = 1u << 1;
-
-  // Adaptive spin-budget bounds (iterations of the pre-park generation poll).
-  static constexpr uint32_t kMinSpin = 16;
-  static constexpr uint32_t kMaxSpin = 4096;
-  static constexpr uint32_t kInitialSpin = 64;
 
   explicit CombiningBarrier(uint32_t parties);
 
@@ -72,9 +66,10 @@ class CombiningBarrier {
   uint32_t parties() const { return parties_; }
   // Cumulative futex parks across all generations (trace/bench counter).
   uint64_t parks() const { return parks_.load(std::memory_order_relaxed); }
-  // Current adaptive pre-park spin budget (bench/test visibility).
-  uint32_t spin_budget() const {
-    return spin_budget_.load(std::memory_order_relaxed);
+  // Completed generations, i.e. crossings (test hook: a round's crossing
+  // count is the difference across it).
+  uint32_t generation() const {
+    return generation_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -96,9 +91,9 @@ class CombiningBarrier {
   };
 
   void Wait(uint32_t gen);
-  void AdaptSpin();
 
   const uint32_t parties_;
+  const bool spin_;  // WaitSpins(parties_), fixed at construction.
   uint32_t num_nodes_ = 0;
   std::unique_ptr<Node[]> nodes_;
 
@@ -109,15 +104,11 @@ class CombiningBarrier {
   int64_t result_min_ = INT64_MAX;
   uint64_t result_count_ = 0;
   uint32_t result_flags_ = 0;
-  // Parks observed when the spin budget was last adapted. Root-completer
-  // private: successive completers are ordered by the barrier itself.
-  uint64_t last_parks_ = 0;
 
   // The broadcast word lives on its own line: every waiter polls it, and the
   // tree exists precisely so that polling traffic never lands on the lines
   // arrivals are writing.
   alignas(64) std::atomic<uint32_t> generation_{0};
-  std::atomic<uint32_t> spin_budget_{kInitialSpin};
   std::atomic<uint64_t> parks_{0};
 };
 

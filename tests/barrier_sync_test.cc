@@ -3,11 +3,14 @@
 // The load-bearing claims: the tree reduction is bit-identical to the flat
 // AtomicTimeMin CAS fold regardless of arrival order; a generation's reduced
 // values are stable for every party until it arrives for the next generation,
-// even under heavy phase skew; stop votes OR through; and the adaptive spin
-// budget stays inside its documented bounds. The skew-stress test runs under
-// TSan in CI, which is where barrier bugs actually die.
+// even under heavy phase skew; stop votes OR through; and waiters follow the
+// wait policy of spin_wait.h — the spin is bounded, oversubscribed parties
+// never spin, and a spinning waiter yields to a straggler on its own CPU. The
+// skew-stress test runs under TSan in CI, which is where barrier bugs
+// actually die.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -16,7 +19,9 @@
 #include <vector>
 
 #include "bench/barrier_sync.h"
+#include "src/kernel/engine/cpu_topology.h"
 #include "src/sched/combining_barrier.h"
+#include "src/sched/spin_wait.h"
 
 namespace unison {
 namespace {
@@ -157,37 +162,106 @@ TEST(CombiningBarrier, RandomizedPhaseSkewStress) {
     t.join();
   }
   EXPECT_EQ(mismatches.load(), 0u);
-  // The sleeps guarantee some crossings outlived the spin budget; the park
-  // counter must have moved, and the adapted budget must respect its bounds.
-  EXPECT_GE(b.spin_budget(), CombiningBarrier::kMinSpin);
-  EXPECT_LE(b.spin_budget(), CombiningBarrier::kMaxSpin);
 }
 
-TEST(CombiningBarrier, SpinBudgetStaysBoundedUnderForcedParking) {
-  constexpr uint32_t kParties = 4;
-  CombiningBarrier b(kParties);
-  // Straggler pattern: party 0 arrives ~1ms late every generation, forcing
-  // the others past any spin budget into the futex. The adaptive budget must
-  // walk down toward kMinSpin and never leave [kMinSpin, kMaxSpin].
-  std::vector<std::thread> threads;
-  for (uint32_t p = 1; p < kParties; ++p) {
-    threads.emplace_back([&, p] {
-      for (uint32_t gen = 0; gen < 30; ++gen) {
-        b.Arrive(p);
-        EXPECT_GE(b.spin_budget(), CombiningBarrier::kMinSpin);
-        EXPECT_LE(b.spin_budget(), CombiningBarrier::kMaxSpin);
-      }
-    });
-  }
-  for (uint32_t gen = 0; gen < 30; ++gen) {
+// A straggler that arrives long after the spin bound still finds its waiter
+// parked: the spin ends on its own.
+TEST(CombiningBarrier, StragglerPastTheSpinBoundParks) {
+  constexpr uint32_t kGenerations = 20;
+  CombiningBarrier b(2);
+  std::thread waiter([&] {
+    for (uint32_t gen = 0; gen < kGenerations; ++gen) {
+      b.Arrive(1);
+    }
+  });
+  for (uint32_t gen = 0; gen < kGenerations; ++gen) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     b.Arrive(0);
   }
-  for (auto& t : threads) {
+  waiter.join();
+  // Every generation outlives the bound by ~20x; only a waiter delayed past
+  // its straggler's 1 ms sleep could have missed the park.
+  EXPECT_GE(b.parks(), kGenerations / 2);
+}
+
+// More parties than allowed CPUs (or exactly as many): waiters park at once
+// instead of spinning. The straggler stays busy for 10 us before each
+// arrival, far inside the spin bound, so a waiter that spun would catch
+// almost every release without parking; one that parks at once parks at
+// every wait, i.e. parties - 1 times per generation whatever the arrival
+// order.
+TEST(CombiningBarrier, OversubscribedPartiesNeverSpin) {
+  const uint32_t parties = ProcessCpuCount() + 1;
+  EXPECT_FALSE(WaitSpins(parties));
+  EXPECT_FALSE(WaitSpins(ProcessCpuCount()));
+  EXPECT_TRUE(WaitSpins(ProcessCpuCount() - 1));
+  constexpr uint32_t kGenerations = 50;
+  CombiningBarrier b(parties);
+  std::vector<std::thread> waiters;
+  for (uint32_t p = 1; p < parties; ++p) {
+    waiters.emplace_back([&, p] {
+      for (uint32_t gen = 0; gen < kGenerations; ++gen) {
+        b.Arrive(p);
+      }
+    });
+  }
+  for (uint32_t gen = 0; gen < kGenerations; ++gen) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(10);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    b.Arrive(0);
+  }
+  for (auto& t : waiters) {
     t.join();
   }
-  EXPECT_GT(b.parks(), 0u);
-  EXPECT_EQ(b.spin_budget(), CombiningBarrier::kMinSpin);
+  // A waiter misses the park only when the last arrival lands between its
+  // own arrival and its first look at the generation.
+  EXPECT_GE(b.parks(), uint64_t{parties - 1} * kGenerations * 3 / 4);
+}
+
+// Two parties pinned to one CPU — what wake-up placement does to unpinned
+// executors — with a straggler that stays busy for a few microseconds before
+// each arrival. A generation's wait is the longer of the two parties' waits
+// (the party that arrives last barely waits). The waiter's spin must yield
+// the CPU to the straggler: a spin that did not would hold off the arrival
+// until the bound ran out, and the median wait would exceed kSpinBoundNs.
+TEST(CombiningBarrier, CoLocatedStragglerIsNotStarvedBySpin) {
+  if (!WaitSpins(2)) {
+    GTEST_SKIP() << "needs 3 allowed CPUs for 2 parties to spin";
+  }
+  const uint32_t cpu = CpuTopology::Detect().cpus.front().id;
+  constexpr uint32_t kGenerations = 400;
+  constexpr auto kStraggle = std::chrono::microseconds(2);
+  CombiningBarrier b(2);
+  std::vector<int64_t> waits[2];
+  auto body = [&](uint32_t p) {
+    PinCurrentThreadToCpu(cpu);
+    waits[p].reserve(kGenerations);
+    for (uint32_t gen = 0; gen < kGenerations; ++gen) {
+      if (p == 1) {
+        const auto until = std::chrono::steady_clock::now() + kStraggle;
+        while (std::chrono::steady_clock::now() < until) {
+        }
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      b.Arrive(p);
+      waits[p].push_back(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+    }
+  };
+  std::thread waiter(body, 0);
+  std::thread straggler(body, 1);
+  waiter.join();
+  straggler.join();
+  std::vector<int64_t> longer(kGenerations);
+  for (uint32_t gen = 0; gen < kGenerations; ++gen) {
+    longer[gen] = std::max(waits[0][gen], waits[1][gen]);
+  }
+  std::nth_element(longer.begin(), longer.begin() + kGenerations / 2,
+                   longer.end());
+  EXPECT_LT(longer[kGenerations / 2], kSpinBoundNs / 2);
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 #include "src/control/controller.h"
 #include "src/control/drift_replay.h"
 #include "src/control/tunables.h"
+#include "src/net/app.h"
 #include "src/net/network.h"
+#include "src/sched/spin_wait.h"
 #include "tests/test_util.h"
 
 namespace unison {
@@ -167,11 +169,39 @@ TEST(Controller, OversubscribedFitsPartiesToTheMachine) {
   SegmentSpec spec;
   spec.executors = 8;  // Twice the machine.
   spec.parties = 8;
-  spec.parked_per_round = 10;  // > parks_per_round_high 4.0.
+  spec.parked_per_round = 10;  // > parks_per_round_high 2.0.
   EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
   EXPECT_EQ(store.Get().parties, 4u);  // knob * cpu_limit / executors.
   ASSERT_EQ(ctl.decisions().size(), 1u);
   EXPECT_EQ(ctl.decisions()[0].rule, "oversubscribed");
+}
+
+// The default threshold separates a two-party run whose waiter parks at each
+// of a round's three crossings from one that catches most crossings in the
+// spin.
+TEST(Controller, OversubscribedDefaultThresholdSplitsParkingFromSpinning) {
+  SegmentSpec spec;
+  spec.executors = 2;
+  spec.parties = 2;
+  spec.parked_per_round = 3;
+  {
+    TunableStore store;
+    Controller ctl(TestConfig(), &store);
+    EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
+    EXPECT_EQ(store.Get().parties, 1u);
+    ASSERT_EQ(ctl.decisions().size(), 1u);
+    EXPECT_EQ(ctl.decisions()[0].rule, "oversubscribed");
+  }
+  {
+    TunableStore store;
+    Controller ctl(TestConfig(), &store);
+    WindowTraceSegment seg = MakeSegment(spec);
+    for (RoundTraceRecord& rec : seg.records) {
+      rec.parked = rec.round % 2;  // 0.5 parks per round.
+    }
+    EXPECT_FALSE(ctl.OnWindowEnd(seg));
+    EXPECT_TRUE(ctl.decisions().empty());
+  }
 }
 
 TEST(Controller, AffinityFallbackAtThePartyFloor) {
@@ -626,6 +656,7 @@ TEST(TuningPlane, AutoTuningIsResultsNeutral) {
   cfg.tuning = TuningMode::kAuto;
   cfg.tuning_config.min_rounds = 1;
   cfg.tuning_config.ps_low = 1.0;  // Shrink on every window with sync time.
+  cfg.tuning_config.rule_patience = 1;
   cfg.tuning_config.min_window_ps = 500'000'000;  // Floor at 0.5 ms.
 
   Network net(cfg);
@@ -650,6 +681,63 @@ TEST(TuningPlane, AutoTuningIsResultsNeutral) {
   const RunOutcome tuned = OutcomeOf(net);
   EXPECT_EQ(tuned.fingerprint, off.fingerprint);
   EXPECT_EQ(tuned.events, off.events);
+}
+
+// A sync-bound run that fits the machine: 2 unpinned threads on a 4-site WAN
+// ring whose 100 ns cut links hold every round to a few events. Its waiters
+// catch most of a round's crossings in the spin, so the oversubscription
+// rule must stay quiet and the run keeps both parties.
+TEST(TuningPlane, SyncBoundRunThatFitsIsNotOversubscribed) {
+  if (!WaitSpins(2)) {
+    GTEST_SKIP() << "needs 3 allowed CPUs for 2 parties to spin";
+  }
+  constexpr uint32_t kSites = 4;
+  constexpr uint32_t kHostsPerSite = 4;
+  constexpr uint64_t kBps = 10'000'000'000ULL;
+  SimConfig cfg;
+  cfg.kernel.type = KernelType::kUnison;
+  cfg.kernel.threads = 2;
+  cfg.partition = PartitionMode::kManual;
+  cfg.tuning = TuningMode::kAuto;
+  Network net(cfg);
+  std::vector<NodeId> routers;
+  std::vector<std::vector<NodeId>> hosts(kSites);
+  std::vector<LpId> lp_of_node;
+  for (uint32_t s = 0; s < kSites; ++s) {
+    routers.push_back(net.AddNode());
+    lp_of_node.push_back(s);
+    for (uint32_t h = 0; h < kHostsPerSite; ++h) {
+      hosts[s].push_back(net.AddNode());
+      lp_of_node.push_back(s);
+      net.AddLink(hosts[s][h], routers[s], kBps, Time::Microseconds(1));
+    }
+  }
+  for (uint32_t s = 0; s < kSites; ++s) {
+    net.AddLink(routers[s], routers[(s + 1) % kSites], kBps,
+                Time::Nanoseconds(100));
+  }
+  net.SetManualPartition(kSites, std::move(lp_of_node));
+  net.Finalize();
+  FlowSpec flow;
+  for (uint32_t s = 0; s < kSites; ++s) {
+    for (uint32_t h = 0; h < kHostsPerSite; ++h) {
+      flow.src = hosts[s][h];
+      flow.dst = h + 1 < kHostsPerSite ? hosts[s][h + 1]
+                                       : hosts[(s + 1) % kSites][0];
+      flow.bytes = 256 * 1024;
+      flow.start = Time::Nanoseconds(700 * (s * kHostsPerSite + h));
+      InstallFlow(net, flow);
+    }
+  }
+  net.Run(Time::Milliseconds(2));
+
+  ASSERT_NE(net.controller(), nullptr);
+  EXPECT_GT(net.kernel().session_rounds(), 1000u);
+  for (const Controller::Decision& d : net.controller()->decisions()) {
+    EXPECT_EQ(d.rule.find("oversubscribed"), std::string::npos)
+        << "window " << d.window << ": " << d.rule;
+  }
+  EXPECT_EQ(net.kernel().window_tuning().parties, 2u);
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/kernel/nullmsg.h"
+#include "src/kernel/round_kernel.h"
 #include "src/partition/fine_grained.h"
 #include "src/partition/manual.h"
+#include "src/stats/digest.h"
 #include "tests/test_util.h"
 
 namespace unison {
@@ -261,6 +264,118 @@ TEST(KernelMechanics, DisconnectedGraphRunsIndependently) {
   kernel->ScheduleOnNode(1, Time::Microseconds(2), [&ran] { ++ran; });
   kernel->Run(Time::Seconds(1.0));
   EXPECT_EQ(ran.load(), 2);
+}
+
+// --- Round barrier crossings ---
+
+struct GlobalsRun {
+  RunDigest digest;
+  uint64_t rounds = 0;
+  uint32_t crossings = 0;  // Round kernels only.
+  int mid_round_globals = 0;
+};
+
+// The k=4 fat-tree with permutation and streaming Poisson traffic, plus
+// globals mid-run: a FailLink at 2 ms, and a second core link failing at
+// 3 ms. With `mid_round`, the 3 ms failure is not scheduled up front: an LP
+// event at 1.5 ms schedules, through ScheduleGlobal's locked path and at its
+// own timestamp (so at or below its round's LBTS), a global that schedules
+// it. Without, an identical LP event does nothing and the failure is
+// scheduled up front, so both variants see the same public FEL from 1.5 ms
+// on and run the same rounds.
+GlobalsRun RunWithGlobals(const KernelConfig& kernel, PartitionMode partition,
+                          bool mid_round) {
+  SimConfig cfg;
+  cfg.kernel = kernel;
+  cfg.partition = partition;
+  Network net(cfg);
+  FatTreeTopo topo =
+      BuildFatTree(net, 4, 10'000'000'000ULL, Time::Microseconds(3));
+  if (partition == PartitionMode::kManual) {
+    net.SetManualPartition(4, FatTreePodPartition(topo, net.num_nodes()));
+  }
+  net.Finalize();
+  GeneratePermutation(net, topo.hosts, 200 * 1024, Time::Zero());
+  TrafficSpec traffic;
+  traffic.hosts = topo.hosts;
+  traffic.bisection_bps = topo.bisection_bps;
+  traffic.load = 0.1;
+  traffic.duration = Time::Milliseconds(4);
+  InstallFlowSources(net, traffic);
+
+  const uint32_t core_a = static_cast<uint32_t>(net.links().size()) - 1;
+  const uint32_t core_b = core_a - 1;
+  net.FailLink(core_a, Time::Milliseconds(2));
+  const Time lp_event_at = Time::Microseconds(1500);
+  std::atomic<int> mid_round_globals{0};
+  Network* const n = &net;
+  std::atomic<int>* const ran = &mid_round_globals;
+  if (mid_round) {
+    net.kernel().ScheduleOnNode(topo.hosts[3], lp_event_at, [n, ran, core_b] {
+      n->sim().ScheduleGlobal(n->sim().Now(), [n, ran, core_b] {
+        ran->fetch_add(1);
+        n->FailLink(core_b, Time::Milliseconds(3));
+      });
+    });
+  } else {
+    net.kernel().ScheduleOnNode(topo.hosts[3], lp_event_at, [] {});
+    net.FailLink(core_b, Time::Milliseconds(3));
+  }
+  net.Run(Time::Milliseconds(4));
+
+  GlobalsRun out;
+  out.digest = DigestOf(net);
+  out.rounds = net.kernel().rounds();
+  if (auto* round_kernel = dynamic_cast<RoundKernel*>(&net.kernel())) {
+    out.crossings = round_kernel->barrier_crossings();
+  }
+  out.mid_round_globals = mid_round_globals.load();
+  EXPECT_FALSE(net.links()[core_a].up);
+  EXPECT_FALSE(net.links()[core_b].up);
+  return out;
+}
+
+// A round crosses the barrier three times, plus once in each round where a
+// global is due — including one an LP event scheduled mid-round at or below
+// the LBTS, which runs in the very round that scheduled it. Results stay
+// those of the sequential kernel.
+TEST(RoundCrossings, ThreePerRoundPlusOnePerRoundWithAGlobal) {
+  KernelConfig seq;
+  seq.type = KernelType::kSequential;
+  const GlobalsRun seq_mid = RunWithGlobals(seq, PartitionMode::kSingle, true);
+  const GlobalsRun seq_plain =
+      RunWithGlobals(seq, PartitionMode::kSingle, false);
+  EXPECT_EQ(seq_mid.mid_round_globals, 1);
+  EXPECT_EQ(seq_mid.digest.flow_fingerprint, seq_plain.digest.flow_fingerprint);
+
+  for (KernelType type :
+       {KernelType::kUnison, KernelType::kHybrid, KernelType::kBarrier}) {
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      KernelConfig k;
+      k.type = type;
+      k.threads = threads;
+      k.ranks = 2;
+      const PartitionMode partition = type == KernelType::kBarrier
+                                          ? PartitionMode::kManual
+                                          : PartitionMode::kAuto;
+      SCOPED_TRACE("type=" + std::to_string(static_cast<int>(type)) +
+                   " threads=" + std::to_string(threads));
+      const GlobalsRun mid = RunWithGlobals(k, partition, true);
+      const GlobalsRun plain = RunWithGlobals(k, partition, false);
+      EXPECT_TRUE(mid.digest == seq_mid.digest);
+      EXPECT_EQ(mid.digest.flow_fingerprint, seq_mid.digest.flow_fingerprint);
+      EXPECT_TRUE(plain.digest == seq_plain.digest);
+      EXPECT_EQ(mid.mid_round_globals, 1);
+      // The mid-round global ran in the round that scheduled it: no extra
+      // round against the up-front variant.
+      EXPECT_EQ(mid.rounds, plain.rounds);
+      // Plus one for the start-of-round crossing that ends the run; the
+      // globals add a crossing each in the 2 ms and 3 ms rounds, and the
+      // mid-round one in the 1.5 ms round.
+      EXPECT_EQ(plain.crossings, 3 * plain.rounds + 1 + 2);
+      EXPECT_EQ(mid.crossings, 3 * mid.rounds + 1 + 3);
+    }
+  }
 }
 
 // A manual partition that cuts a zero-delay link leaves a null-message
