@@ -6,7 +6,9 @@
 // warm-up once when forked from a snapshot, versus N times when each branch
 // is run cold from scratch. This bench runs both ways on the same workload
 // (k=4 fat tree, permutation start-up burst + streaming Poisson load) and
-// reports sweep speedup, per-fork restore latency, and snapshot size.
+// reports sweep speedup, per-fork restore latency, and snapshot size. The
+// speedup is the median over repetitions that alternate which sweep runs
+// first, so one slow stretch of the host cannot skew the ratio.
 //
 // Correctness anchor: every forked branch must finish with the exact
 // FlowMonitor fingerprint and session event count of a cold run to the same
@@ -65,64 +67,113 @@ BranchResult Finish(Network& net) {
   return out;
 }
 
-}  // namespace
+struct Sweep {
+  uint64_t ns = 0;
+  bool match = true;  // Every branch ended as the cold run did.
+  BranchResult result;
+  size_t snapshot_bytes = 0;
+  uint64_t snapshot_ns = 0;
+  uint64_t fork_restore_ns = 0;  // Summed over branches.
+};
 
-int main(int argc, char** argv) {
-  const bool quick = HasFlag(argc, argv, "--quick");
-  const int branches = quick ? 2 : 4;
-
-  std::printf("Fork sweep: %d branches sharing a %dms warm prefix of a %dms "
-              "horizon vs %d cold runs (k=%u fat tree, load %.1f)\n\n",
-              branches, kSnapMs, kHorizonMs, branches, kFatTreeK, kLoad);
-
-  // Cold baseline: every branch pays the full horizon from scratch.
-  uint64_t cold_ns = 0;
-  BranchResult cold;
+// Every branch pays the full horizon from scratch.
+Sweep ColdSweep(int branches) {
+  Sweep out;
+  const uint64_t t0 = Profiler::NowNs();
   for (int b = 0; b < branches; ++b) {
-    const uint64_t t0 = Profiler::NowNs();
     std::unique_ptr<Network> net = BuildWorkload();
-    cold = Finish(*net);
-    cold_ns += Profiler::NowNs() - t0;
+    out.result = Finish(*net);
   }
+  out.ns = Profiler::NowNs() - t0;
+  return out;
+}
 
-  // Warm sweep: one prefix run + snapshot, then fork per branch.
-  const uint64_t warm_t0 = Profiler::NowNs();
+// One prefix run and snapshot, then a fork per branch; each branch must end
+// as `cold` did.
+Sweep WarmSweep(int branches, const BranchResult& cold) {
+  Sweep out;
+  const uint64_t t0 = Profiler::NowNs();
   std::unique_ptr<Network> parent = BuildWorkload();
   parent->Run(Time::Milliseconds(kSnapMs));
   Session session(parent.get());
   const uint64_t snap_t0 = Profiler::NowNs();
   const SessionSnapshot snap = session.Snapshot();
-  const uint64_t snapshot_ns = Profiler::NowNs() - snap_t0;
-
-  bool fingerprints_match = true;
-  uint64_t fork_restore_ns_sum = 0;
+  out.snapshot_ns = Profiler::NowNs() - snap_t0;
+  out.snapshot_bytes = snap.size_bytes();
   for (int b = 0; b < branches; ++b) {
     const uint64_t f0 = Profiler::NowNs();
     std::unique_ptr<Network> branch = session.Fork(snap);
-    fork_restore_ns_sum += Profiler::NowNs() - f0;
-    const BranchResult r = Finish(*branch);
-    fingerprints_match = fingerprints_match && r.fingerprint == cold.fingerprint &&
-                         r.events == cold.events;
+    out.fork_restore_ns += Profiler::NowNs() - f0;
+    out.result = Finish(*branch);
+    out.match = out.match && out.result.fingerprint == cold.fingerprint &&
+                out.result.events == cold.events;
   }
-  const uint64_t warm_ns = Profiler::NowNs() - warm_t0;
-  const uint64_t fork_latency_ns =
-      fork_restore_ns_sum / static_cast<uint64_t>(branches);
-  const double speedup =
-      warm_ns == 0 ? 0.0 : static_cast<double>(cold_ns) / static_cast<double>(warm_ns);
+  out.ns = Profiler::NowNs() - t0;
+  return out;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool quick = HasFlag(argc, argv, "--quick");
+  const int branches = quick ? 2 : 4;
+  constexpr int kRepetitions = 5;
+
+  std::printf("Fork sweep: %d branches sharing a %dms warm prefix of a %dms "
+              "horizon vs %d cold runs (k=%u fat tree, load %.1f), median of "
+              "%d alternating repetitions\n\n",
+              branches, kSnapMs, kHorizonMs, branches, kFatTreeK, kLoad,
+              kRepetitions);
+
+  // The first cold sweep also fixes the reference every fork must match.
+  const BranchResult reference = ColdSweep(1).result;
+  std::vector<double> cold_ns, warm_ns, speedups, snapshot_ns, fork_latency_ns;
+  bool fingerprints_match = true;
+  size_t snapshot_bytes = 0;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    Sweep cold;
+    Sweep warm;
+    if (rep % 2 == 0) {
+      cold = ColdSweep(branches);
+      warm = WarmSweep(branches, reference);
+    } else {
+      warm = WarmSweep(branches, reference);
+      cold = ColdSweep(branches);
+    }
+    fingerprints_match = fingerprints_match && warm.match &&
+                         cold.result.fingerprint == reference.fingerprint &&
+                         cold.result.events == reference.events;
+    snapshot_bytes = warm.snapshot_bytes;
+    cold_ns.push_back(static_cast<double>(cold.ns));
+    warm_ns.push_back(static_cast<double>(warm.ns));
+    speedups.push_back(warm.ns == 0 ? 0.0
+                                    : static_cast<double>(cold.ns) /
+                                          static_cast<double>(warm.ns));
+    snapshot_ns.push_back(static_cast<double>(warm.snapshot_ns));
+    fork_latency_ns.push_back(static_cast<double>(warm.fork_restore_ns) / branches);
+  }
+  const double speedup = Median(speedups);
+  const uint64_t cold_median_ns = static_cast<uint64_t>(Median(cold_ns));
+  const uint64_t warm_median_ns = static_cast<uint64_t>(Median(warm_ns));
+  const uint64_t snapshot_median_ns = static_cast<uint64_t>(Median(snapshot_ns));
+  const uint64_t fork_latency_median_ns =
+      static_cast<uint64_t>(Median(fork_latency_ns));
 
   Table table({"mode", "total ms", "per branch ms"});
-  table.Row({"cold x" + std::to_string(branches), Fmt("%.2f", cold_ns * 1e-6),
-             Fmt("%.2f", cold_ns * 1e-6 / branches)});
-  table.Row({"warm sweep", Fmt("%.2f", warm_ns * 1e-6),
-             Fmt("%.2f", warm_ns * 1e-6 / branches)});
+  table.Row({"cold x" + std::to_string(branches),
+             Fmt("%.2f", cold_median_ns * 1e-6),
+             Fmt("%.2f", cold_median_ns * 1e-6 / branches)});
+  table.Row({"warm sweep", Fmt("%.2f", warm_median_ns * 1e-6),
+             Fmt("%.2f", warm_median_ns * 1e-6 / branches)});
   table.Print();
 
   std::printf("\nsnapshot: %zu bytes, captured in %.2f ms; fork restore mean "
               "%.2f ms; fingerprints %s\n",
-              snap.size_bytes(), snapshot_ns * 1e-6, fork_latency_ns * 1e-6,
+              snapshot_bytes, snapshot_median_ns * 1e-6,
+              fork_latency_median_ns * 1e-6,
               fingerprints_match ? "match" : "MISMATCH");
 
-  const bool pass = fingerprints_match && snap.size_bytes() > 0 && speedup > 1.0;
+  const bool pass = fingerprints_match && snapshot_bytes > 0 && speedup > 1.0;
   std::printf("%s: sweep speedup %.2fx (shared prefix %d/%d of the horizon)\n",
               pass ? "PASS" : "FAIL", speedup, kSnapMs, kHorizonMs);
 
@@ -135,6 +186,7 @@ int main(int argc, char** argv) {
                  "  \"load\": %.2f,\n"
                  "  \"quick\": %s,\n"
                  "  \"branches\": %d,\n"
+                 "  \"repetitions\": %d,\n"
                  "  \"horizon_ms\": %d,\n"
                  "  \"snapshot_at_ms\": %d,\n"
                  "  \"cold_ns\": %llu,\n"
@@ -147,11 +199,12 @@ int main(int argc, char** argv) {
                  "  \"pass\": %s\n"
                  "}\n",
                  kFatTreeK, kLoad, quick ? "true" : "false", branches,
-                 kHorizonMs, kSnapMs, static_cast<unsigned long long>(cold_ns),
-                 static_cast<unsigned long long>(warm_ns),
-                 static_cast<unsigned long long>(snapshot_ns),
-                 static_cast<unsigned long long>(fork_latency_ns),
-                 snap.size_bytes(), speedup,
+                 kRepetitions, kHorizonMs, kSnapMs,
+                 static_cast<unsigned long long>(cold_median_ns),
+                 static_cast<unsigned long long>(warm_median_ns),
+                 static_cast<unsigned long long>(snapshot_median_ns),
+                 static_cast<unsigned long long>(fork_latency_median_ns),
+                 snapshot_bytes, speedup,
                  fingerprints_match ? "true" : "false", pass ? "true" : "false");
     std::fclose(out);
     std::printf("wrote BENCH_fork_sweep.json\n");

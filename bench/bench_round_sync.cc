@@ -220,12 +220,8 @@ int main(int argc, char** argv) {
       row.tree.mismatches += tree.mismatches;
       row.tree.parks += tree.parks;
     }
-    std::nth_element(flat_ns.begin(), flat_ns.begin() + kBatches / 2,
-                     flat_ns.end());
-    std::nth_element(tree_ns.begin(), tree_ns.begin() + kBatches / 2,
-                     tree_ns.end());
-    row.flat.ns_per_gen = flat_ns[kBatches / 2];
-    row.tree.ns_per_gen = tree_ns[kBatches / 2];
+    row.flat.ns_per_gen = Median(flat_ns);
+    row.tree.ns_per_gen = Median(tree_ns);
     mismatches += row.flat.mismatches + row.tree.mismatches;
     rows.push_back(row);
     if (parties > cores && row.flat.ns_per_gen > 0) {

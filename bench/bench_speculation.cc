@@ -17,7 +17,10 @@
 // fingerprints and event counts vs speculation=off for every horizon, at
 // least one observed miss + rollback (the inter-site bursts force them), and
 // wall clock no worse than conservative (the CI floor 0.9 absorbs runner
-// noise).
+// noise). It also reports how much of the window state each capture of the
+// incremental checkpoint store re-encoded (reencoded_share): the bytes
+// captured over windows 2..N, over the full reference encoder's size at the
+// same boundaries, taken in an untimed replay.
 //
 // Emits BENCH_speculation.json.
 #include <algorithm>
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/net/session.h"
 
 using namespace unison;
 using namespace unison::bench;
@@ -115,13 +119,16 @@ struct SpecRun {
   uint64_t rollback_ns = 0;
   uint64_t captures = 0;
   uint64_t restores = 0;
+  uint64_t capture_bytes = 0;    // Windows 2..N.
+  uint64_t reference_bytes = 0;  // Windows 2..N; a replay only.
 };
 
 // Runs the scenario sliced into fixed 50 us session windows (one checkpoint
 // and at most one rollback per window). horizon_ps == 0 is the conservative
 // baseline; both paths pay identical boundary overhead, so the measured gap
-// is the synchronization rounds alone.
-SpecRun RunOnce(int64_t horizon_ps, Time duration) {
+// is the synchronization rounds alone. A `replay` also sizes the full
+// reference encoding at every boundary, which its wall time then includes.
+SpecRun RunOnce(int64_t horizon_ps, Time duration, bool replay = false) {
   SimConfig cfg;
   cfg.kernel.type = KernelType::kUnison;
   cfg.kernel.threads = 2;
@@ -136,14 +143,22 @@ SpecRun RunOnce(int64_t horizon_ps, Time duration) {
 
   const int64_t slice_ps = Time::Microseconds(50).ps();
   SpecRun out;
+  std::vector<uint8_t> reference;
   const uint64_t t0 = Profiler::NowNs();
   for (int64_t t = slice_ps; t < duration.ps() + slice_ps; t += slice_ps) {
+    const bool first = t == slice_ps;
+    if (replay && !first && CaptureWindowCheckpoint(net, &reference)) {
+      out.reference_bytes += reference.size();
+    }
     net.Run(Time::Picoseconds(std::min(t, duration.ps())));
     const RunSummary& sum = net.kernel().run_summary();
     out.spec_rounds += sum.spec_rounds;
     out.spec_hits += sum.spec_hits;
     out.spec_misses += sum.spec_misses;
     out.rollback_ns += sum.rollback_ns;
+    if (!first) {
+      out.capture_bytes += sum.capture_bytes;
+    }
   }
   out.wall_ns = Profiler::NowNs() - t0;
   out.fingerprint = net.flow_monitor().Fingerprint();
@@ -179,6 +194,12 @@ int main(int argc, char** argv) {
     runs.push_back(RunOnce(h, duration));
   }
   const SpecRun& spec = runs[1];  // The 50 us default is what CI gates.
+  const SpecRun replay = RunOnce(horizons[1], duration, /*replay=*/true);
+  const double reencoded_share =
+      replay.reference_bytes == 0
+          ? 0.0
+          : static_cast<double>(spec.capture_bytes) /
+                static_cast<double>(replay.reference_bytes);
 
   bool fingerprint_match = true;
   Table table({"horizon us", "wall ms", "rounds", "spec rounds", "hits",
@@ -211,15 +232,20 @@ int main(int argc, char** argv) {
                 static_cast<double>(spec.windows);
   std::printf(
       "  speedup %.2fx (rounds %llu -> %llu), fingerprints %s, "
-      "miss rate %.2f/window, checkpoints %llu captured / %llu restored\n",
+      "miss rate %.2f/window, checkpoints %llu captured / %llu restored, "
+      "%.3f of the window state re-encoded per capture\n",
       speedup, static_cast<unsigned long long>(cons.rounds),
       static_cast<unsigned long long>(spec.rounds),
       fingerprint_match ? "match" : "DIVERGE", miss_rate,
       static_cast<unsigned long long>(spec.captures),
-      static_cast<unsigned long long>(spec.restores));
+      static_cast<unsigned long long>(spec.restores), reencoded_share);
 
-  const bool pass = fingerprint_match && spec.spec_misses >= 1 &&
-                    spec.spec_hits >= 1 && spec.restores >= 1;
+  const bool replay_match =
+      replay.fingerprint == cons.fingerprint && replay.events == cons.events &&
+      replay.capture_bytes == spec.capture_bytes;
+  const bool pass = fingerprint_match && replay_match &&
+                    spec.spec_misses >= 1 && spec.spec_hits >= 1 &&
+                    spec.restores >= 1;
 
   FILE* out = std::fopen("BENCH_speculation.json", "w");
   if (out != nullptr) {
@@ -232,7 +258,9 @@ int main(int argc, char** argv) {
         "  \"windows\": %u,\n  \"spec_rounds\": %u,\n  \"spec_hits\": %u,\n"
         "  \"spec_misses\": %u,\n  \"miss_rate_per_window\": %.4f,\n"
         "  \"rollback_ns\": %llu,\n  \"captures\": %llu,\n"
-        "  \"restores\": %llu,\n  \"events\": %llu,\n  \"pass\": %s\n}\n",
+        "  \"restores\": %llu,\n  \"events\": %llu,\n"
+        "  \"capture_bytes\": %llu,\n  \"reference_bytes\": %llu,\n"
+        "  \"reencoded_share\": %.4f,\n  \"pass\": %s\n}\n",
         quick ? "true" : "false",
         static_cast<unsigned long long>(cons.wall_ns),
         static_cast<unsigned long long>(spec.wall_ns), speedup,
@@ -243,7 +271,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(spec.rollback_ns),
         static_cast<unsigned long long>(spec.captures),
         static_cast<unsigned long long>(spec.restores),
-        static_cast<unsigned long long>(spec.events), pass ? "true" : "false");
+        static_cast<unsigned long long>(spec.events),
+        static_cast<unsigned long long>(spec.capture_bytes),
+        static_cast<unsigned long long>(replay.reference_bytes),
+        reencoded_share, pass ? "true" : "false");
     std::fclose(out);
     std::printf("wrote BENCH_speculation.json\n");
   }

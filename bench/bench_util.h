@@ -8,6 +8,7 @@
 #ifndef UNISON_BENCH_BENCH_UTIL_H_
 #define UNISON_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
@@ -167,6 +168,15 @@ inline TraceResult InstrumentedRun(SimConfig cfg,
     out.lp_neighbors[e.b].push_back(e.a);
   }
   return out;
+}
+
+// Median of `v` (the upper middle for an even count); 0 when empty.
+inline double Median(std::vector<double> v) {
+  if (v.empty()) {
+    return 0.0;
+  }
+  std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(v.size() / 2), v.end());
+  return v[v.size() / 2];
 }
 
 // Wall-clock sequential DES reference.

@@ -5,8 +5,9 @@ namespace unison {
 bool SpecCheckpoint::Capture() {
   valid_ = false;
   if (!installed()) return false;
-  buf_.clear();  // Keeps capacity: the pool.
-  if (!capture_(&buf_)) return false;
+  const std::optional<uint64_t> bytes = capture_();
+  if (!bytes) return false;
+  last_capture_bytes_ = *bytes;
   ++captures_;
   valid_ = true;
   return true;
@@ -14,7 +15,7 @@ bool SpecCheckpoint::Capture() {
 
 void SpecCheckpoint::Restore() {
   if (!valid_) return;
-  restore_(buf_);
+  restore_();
   ++restores_;
 }
 

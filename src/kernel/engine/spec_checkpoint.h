@@ -1,39 +1,35 @@
-// Pooled in-memory window checkpoint for speculative execution.
+// Window checkpoint policy for speculative execution.
 //
 // Speculation (DESIGN.md §3k) lets the round kernels run past the Eq. 2 LBTS
 // bound and roll back on a causality miss. The rollback target is the
-// window-state section of the USNP session snapshot, captured alone at the
-// window boundary: mutable model state only (link up/delay, LP clocks +
-// FELs, device/queue/TCP state, monitor counters, flow-source cursors),
-// without the snapshot's immutable header or its digest trailer. The byte
-// buffer is pooled — capture clears it but keeps its capacity, so
-// steady-state windows re-serialize into already-owned storage with no
-// allocation once the high-water mark is reached.
+// session's mutable window state at the window boundary. Its representation
+// — an incremental store that re-encodes only what changed since the last
+// capture — lives behind the session layer (src/net/session.h); the kernel
+// layer sees only the two hooks Network::Finalize installs, and keeps the
+// policy state here: whether a valid checkpoint exists, and the counters.
 //
-// The serialization itself lives in src/net/session.cc, where the snapshot
-// writes the same section through the same function; the kernel layer sees
-// only the two hooks installed by Network::Finalize. Capture may decline
-// (return false, buffer emptied) when the session holds state the format
-// cannot represent (lambda events such as progress tickers); the kernel then
-// falls back to conservative execution for that window — speculation is an
-// optimization, never a requirement.
+// Capture may decline (return nullopt) when the session holds state the
+// format cannot represent (lambda events such as progress tickers); the
+// kernel then falls back to conservative execution for that window —
+// speculation is an optimization, never a requirement.
 #ifndef UNISON_SRC_KERNEL_ENGINE_SPEC_CHECKPOINT_H_
 #define UNISON_SRC_KERNEL_ENGINE_SPEC_CHECKPOINT_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
-#include <vector>
 
 namespace unison {
 
 class SpecCheckpoint {
  public:
-  // Serializes the session's mutable window state into the pooled buffer;
-  // false = state not representable, caller must not speculate this window.
-  using CaptureFn = std::function<bool(std::vector<uint8_t>*)>;
-  // Restores the session, in place, to the captured state.
-  using RestoreFn = std::function<void(const std::vector<uint8_t>&)>;
+  // Brings the session's checkpoint up to the current window state; returns
+  // the bytes it re-encoded, or nullopt when the state is not representable
+  // (the caller must not speculate this window).
+  using CaptureFn = std::function<std::optional<uint64_t>()>;
+  // Restores the session, in place, to the last captured state.
+  using RestoreFn = std::function<void()>;
 
   void InstallHooks(CaptureFn capture, RestoreFn restore) {
     capture_ = std::move(capture);
@@ -54,16 +50,16 @@ class SpecCheckpoint {
   bool valid() const { return valid_; }
   uint64_t captures() const { return captures_; }
   uint64_t restores() const { return restores_; }
-  size_t buffer_size() const { return buf_.size(); }
-  size_t buffer_capacity() const { return buf_.capacity(); }
+  // Bytes the last successful capture re-encoded.
+  uint64_t last_capture_bytes() const { return last_capture_bytes_; }
 
  private:
   CaptureFn capture_;
   RestoreFn restore_;
-  std::vector<uint8_t> buf_;
   bool valid_ = false;
   uint64_t captures_ = 0;
   uint64_t restores_ = 0;
+  uint64_t last_capture_bytes_ = 0;
 };
 
 }  // namespace unison

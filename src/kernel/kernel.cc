@@ -212,27 +212,36 @@ Kernel::WindowTuning Kernel::SampleTuning(uint32_t default_parties,
   return t;
 }
 
+bool Kernel::MaySpeculate() const {
+  // Speculation re-executes a stretch after a rollback; without deterministic
+  // tie-breaking the re-run could legally diverge, voiding the transparency
+  // contract. Infinite lookahead means windows already extend to the global
+  // horizon (nothing to speculate past); it stays infinite, since link
+  // changes move cut-link delays but never create a cut link.
+  return RunsSpeculativeRounds() && config_.deterministic &&
+         !partition_.lookahead.IsMax();
+}
+
 bool Kernel::BeginSpeculativeWindow() {
   spec_rounds_win_ = 0;
   spec_hits_win_ = 0;
   spec_misses_win_ = 0;
   rollback_ns_win_ = 0;
-  if (tuning_.spec_horizon_ps <= 0 || !spec_ckpt_.installed()) {
+  capture_ns_win_ = 0;
+  capture_bytes_win_ = 0;
+  if (tuning_.spec_horizon_ps <= 0 || !spec_ckpt_.installed() || !MaySpeculate()) {
     return false;
   }
-  // Speculation re-executes a stretch after a rollback; without deterministic
-  // tie-breaking the re-run could legally diverge, voiding the transparency
-  // contract. Infinite lookahead means windows already extend to the global
-  // horizon (nothing to speculate past); non-positive lookahead would make
-  // the per-LP arrival check ambiguous at t=0 ties.
-  if (!config_.deterministic) {
+  // Non-positive lookahead would make the per-LP arrival check ambiguous at
+  // t=0 ties.
+  if (partition_.lookahead <= Time::Zero()) {
     return false;
   }
-  const Time la = partition_.lookahead;
-  if (la.IsMax() || la <= Time::Zero()) {
-    return false;
-  }
-  return spec_ckpt_.Capture();
+  const uint64_t t0 = Profiler::NowNs();
+  const bool captured = spec_ckpt_.Capture();
+  capture_ns_win_ = Profiler::NowNs() - t0;
+  capture_bytes_win_ = captured ? spec_ckpt_.last_capture_bytes() : 0;
+  return captured;
 }
 
 void Kernel::NoteSpecAttempt(uint32_t spec_rounds, bool miss) {
@@ -277,6 +286,8 @@ RunResult Kernel::FinishRun(const char* kernel_name, uint32_t executors,
   run_summary_.spec_hits = spec_hits_win_;
   run_summary_.spec_misses = spec_misses_win_;
   run_summary_.rollback_ns = rollback_ns_win_;
+  run_summary_.capture_ns = capture_ns_win_;
+  run_summary_.capture_bytes = capture_bytes_win_;
   if (profiler_ != nullptr && profiler_->enabled) {
     run_summary_.processing_ns = profiler_->TotalProcessingNs();
     run_summary_.synchronization_ns = profiler_->TotalSyncNs();

@@ -162,6 +162,10 @@ class Kernel {
   // no executor id at all — 1 is a safe upper bound.
   virtual uint32_t MaxExecutors() const { return 1; }
 
+  // True for the kernels whose Run() calls BeginSpeculativeWindow (the round
+  // kernels).
+  virtual bool RunsSpeculativeRounds() const { return false; }
+
   // Invoked at the end of every Run() window, after the final barrier
   // reduction has quiesced all executors — the single point where
   // per-executor state can be merged without synchronization. Installed by
@@ -266,16 +270,23 @@ class Kernel {
 
   // --- Speculative window execution (DESIGN.md §3k) ---
 
+  // Whether any window of this session may speculate: a kernel that runs
+  // speculative rounds, deterministic tie-breaking, and a partition with cut
+  // links (finite lookahead). Fixed from Setup on, so Network::Finalize
+  // installs the checkpoint hooks only when it holds; the horizon, the
+  // lookahead's sign and the capture itself are still decided per window.
+  bool MaySpeculate() const;
+
   // Installs the session-level capture/restore hooks the window checkpoint
-  // serializes through. Done by Network::Finalize under speculation=auto;
-  // kernels without hooks never speculate.
+  // serializes through. Done by Network::Finalize under speculation=auto
+  // when MaySpeculate(); kernels without hooks never speculate.
   void set_checkpoint_hooks(SpecCheckpoint::CaptureFn capture,
                             SpecCheckpoint::RestoreFn restore) {
     spec_ckpt_.InstallHooks(std::move(capture), std::move(restore));
   }
 
-  // Pool/counter introspection for tests and benches: how many checkpoints
-  // were captured/restored and whether the pooled buffer is being reused.
+  // Counter introspection for tests and benches: how many checkpoints were
+  // captured and restored.
   const SpecCheckpoint& spec_checkpoint() const { return spec_ckpt_; }
 
   // --- Live LP ownership (PR 9) ---
@@ -383,8 +394,9 @@ class Kernel {
   // Start-of-window speculation gate, called once per Run() by the opt-in
   // round kernels after tunables are sampled, migrations are applied, and the
   // session is quiescent. Resets the window's speculation stats, then decides
-  // eligibility (hooks installed, deterministic mode, finite positive
-  // lookahead, sampled spec_horizon_ps > 0) and captures the checkpoint.
+  // eligibility (hooks installed, MaySpeculate(), positive lookahead, sampled
+  // spec_horizon_ps > 0) and captures the checkpoint
+  // (timed into capture_ns, its re-encoded bytes into capture_bytes).
   // Returns true when this window may run speculative rounds.
   bool BeginSpeculativeWindow();
 
@@ -443,14 +455,17 @@ class Kernel {
   // Per-LP processing cost of the current window, reset by BeginWindow; the
   // rebalance rule's LPT input.
   std::vector<uint64_t> lp_window_cost_ns_;
-  // Speculation: the pooled window checkpoint and the current window's
-  // speculation stats (reset by BeginSpeculativeWindow, stamped by
-  // FinishRun). Kernels without checkpoint hooks leave them all zero.
+  // Speculation: the window checkpoint's policy and counters, and the
+  // current window's speculation stats (reset by BeginSpeculativeWindow,
+  // stamped by FinishRun). Kernels without checkpoint hooks leave them all
+  // zero.
   SpecCheckpoint spec_ckpt_;
   uint32_t spec_rounds_win_ = 0;
   uint32_t spec_hits_win_ = 0;
   uint32_t spec_misses_win_ = 0;
   uint64_t rollback_ns_win_ = 0;
+  uint64_t capture_ns_win_ = 0;
+  uint64_t capture_bytes_win_ = 0;
 };
 
 // Constructs the kernel named by `config.type`.

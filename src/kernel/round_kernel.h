@@ -68,6 +68,8 @@ class RoundKernel : public Kernel {
   // windows, but per-executor state sized at Finalize must cover every one.
   uint32_t MaxExecutors() const override { return groups_ * max_lanes_; }
 
+  bool RunsSpeculativeRounds() const override { return true; }
+
   ExecutorPool* executor_pool() override { return active_pool_; }
 
   // Barrier crossings completed since the barrier was built, at Setup or in

@@ -199,18 +199,18 @@ void Network::Finalize() {
   flow_monitor_.ConfigureShards(1 + kernel_->MaxExecutors());
   kernel_->set_window_end_hook([this] { flow_monitor_.MergeWindow(); });
 
-  if (config_.speculation == SpeculationMode::kAuto) {
+  if (config_.speculation == SpeculationMode::kAuto && !use_dv_ &&
+      kernel_->MaySpeculate()) {
     // Checkpoint hooks for speculative window execution. The kernel owns
     // the policy (when to capture, when to roll back); the session layer
-    // owns the representation. Capture may decline (lambda events, DV
-    // routing) — the kernel then runs that window conservatively.
-    kernel_->set_checkpoint_hooks(
-        [this](std::vector<uint8_t>* out) {
-          return CaptureWindowCheckpoint(*this, out);
-        },
-        [this](const std::vector<uint8_t>& buf) {
-          RestoreWindowCheckpoint(*this, buf);
-        });
+    // owns the representation, an incremental store. Sessions that could
+    // never capture (distance-vector routing state is not serializable) or
+    // never speculate get neither, so their nodes and endpoints mark nothing.
+    // Capture may still decline (lambda events) — the kernel then runs that
+    // window conservatively.
+    checkpoint_store_ = MakeCheckpointStore();
+    kernel_->set_checkpoint_hooks([this] { return CaptureCheckpointStore(*this); },
+                                  [this] { RollBackCheckpointStore(*this); });
   }
 
   if (use_dv_) {

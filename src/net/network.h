@@ -41,8 +41,15 @@
 
 namespace unison {
 
+class CheckpointStore;
 class ExecutorPool;
 class FlowSourceSet;
+
+// Deletes the speculation checkpoint store, a type src/net/session.cc alone
+// completes.
+struct CheckpointStoreDeleter {
+  void operator()(CheckpointStore* store) const;
+};
 
 enum class PartitionMode {
   kAuto,    // Fine-grained partition (Algorithm 1). Unison's default.
@@ -223,6 +230,11 @@ class Network {
   // The attached controller, or nullptr when tuning is kOff.
   Controller* controller() { return controller_.get(); }
   FlowMonitor& flow_monitor() { return flow_monitor_; }
+  // The speculation checkpoint store (src/net/session.h), present from
+  // Finalize under speculation=auto when the kernel may speculate
+  // (Kernel::MaySpeculate) and routing is global. While it is, nodes and TCP
+  // endpoints mark what they change for it.
+  CheckpointStore* checkpoint_store() const { return checkpoint_store_.get(); }
   Profiler& profiler() { return profiler_; }
   RunTrace& run_trace() { return run_trace_; }
   GlobalRouting& routing() { return routing_; }
@@ -306,6 +318,7 @@ class Network {
   std::unique_ptr<Controller> controller_;  // Present only under kAuto.
   Simulator sim_;
   FlowMonitor flow_monitor_;
+  std::unique_ptr<CheckpointStore, CheckpointStoreDeleter> checkpoint_store_;
   Profiler profiler_;
   RunTrace run_trace_;
   GlobalRouting routing_;

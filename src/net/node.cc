@@ -90,7 +90,19 @@ void Node::Deliver(Packet pkt) {
       }
       return;
     case PacketKind::kUdp:
-      // Datagrams need no endpoint object: account and done.
+      // Datagrams need no endpoint object: account and done. Under a
+      // checkpoint store, the record's first change since the store last
+      // encoded or restored it lists the flow here, as TCP endpoints queue
+      // themselves.
+      if (net_->checkpoint_store() != nullptr) {
+        FlowRecord& record = net_->flow_monitor().flow(pkt.flow_id);
+        if (!record.rx_marked) {
+          record.rx_marked = true;
+          record.rx_next = touched_udp_head_;
+          touched_udp_head_ = pkt.flow_id;
+          ++touched_udp_count_;
+        }
+      }
       net_->flow_monitor().AddRxBytes(pkt.flow_id, pkt.payload, net_->sim().Now());
       return;
     case PacketKind::kTcpAck: {
@@ -110,6 +122,9 @@ void Node::Deliver(Packet pkt) {
                  .emplace(pkt.flow_id,
                           std::make_unique<TcpReceiver>(net_, this, pkt.flow_id, pkt.src))
                  .first;
+        if (net_->checkpoint_store() != nullptr) {
+          QueueTouched(it->second.get());
+        }
       }
       it->second->OnData(pkt);
       return;
@@ -120,6 +135,9 @@ void Node::Deliver(Packet pkt) {
 TcpSender* Node::AddSender(uint32_t flow_id, std::unique_ptr<TcpSender> sender) {
   TcpSender* const raw = sender.get();
   senders_.emplace(flow_id, std::move(sender));
+  if (net_->checkpoint_store() != nullptr) {
+    QueueTouched(raw);
+  }
   return raw;
 }
 
@@ -131,7 +149,31 @@ TcpSender* Node::FindSender(uint32_t flow_id) {
 TcpReceiver* Node::AddReceiver(uint32_t flow_id, std::unique_ptr<TcpReceiver> receiver) {
   TcpReceiver* const raw = receiver.get();
   receivers_.emplace(flow_id, std::move(receiver));
+  if (net_->checkpoint_store() != nullptr) {
+    QueueTouched(raw);
+  }
   return raw;
+}
+
+TcpReceiver* Node::FindReceiver(uint32_t flow_id) {
+  auto it = receivers_.find(flow_id);
+  return it == receivers_.end() ? nullptr : it->second.get();
+}
+
+void Node::ClearTcpEndpoints() {
+  senders_.clear();
+  receivers_.clear();
+  ClearTouched();
+}
+
+void Node::QueueTouched(TcpSender* sender) {
+  sender->checkpoint_mark().next = touched_senders_;
+  touched_senders_ = sender;
+}
+
+void Node::QueueTouched(TcpReceiver* receiver) {
+  receiver->checkpoint_mark().next = touched_receivers_;
+  touched_receivers_ = receiver;
 }
 
 void Node::set_dv(std::unique_ptr<DvState> dv) { dv_ = std::move(dv); }

@@ -57,13 +57,16 @@ class Node {
   // Receivers normally instantiate lazily on the first data segment; a fork
   // pre-installs captured ones so their cumulative-ack state carries over.
   TcpReceiver* AddReceiver(uint32_t flow_id, std::unique_ptr<TcpReceiver> receiver);
-  // Drops every TCP endpoint. Used by the speculation rollback, which
-  // re-creates the captured endpoint set in place (endpoints hold no events —
-  // their RTOs live in the FELs, which the rollback restores separately).
-  void ClearTcpEndpoints() {
-    senders_.clear();
-    receivers_.clear();
-  }
+  TcpReceiver* FindReceiver(uint32_t flow_id);
+  // Drops every TCP endpoint and empties the touched lists. Used by a full
+  // window-state restore, which re-creates the captured endpoint set
+  // (endpoints hold no events — their RTOs live in the FELs, which the
+  // restore rebuilds separately).
+  void ClearTcpEndpoints();
+  // Drops one endpoint: a checkpoint rollback erases the ones created after
+  // the capture.
+  void EraseSender(uint32_t flow_id) { senders_.erase(flow_id); }
+  void EraseReceiver(uint32_t flow_id) { receivers_.erase(flow_id); }
 
   // Endpoint maps for snapshot capture. Iteration order is unspecified
   // (unordered_map) — serialization sorts by flow id.
@@ -72,6 +75,28 @@ class Node {
   }
   const std::unordered_map<uint32_t, std::unique_ptr<TcpReceiver>>& receivers() const {
     return receivers_;
+  }
+
+  // --- Checkpoint touch marks (DESIGN.md §3k) ---
+  // While a checkpoint store tracks the session, every endpoint created or
+  // changed since the store's last capture is on one of its node's touched
+  // lists (intrusive, through the endpoint's CheckpointMark), and every UDP
+  // flow whose record this node's deliveries changed is on its touched-UDP
+  // list (intrusive too, through FlowRecord::rx_next), so marking never
+  // allocates. Node-confined like the endpoints, so LPs mark without
+  // synchronization; the store drains the lists at window boundaries.
+  void QueueTouched(TcpSender* sender);
+  void QueueTouched(TcpReceiver* receiver);
+  TcpSender* touched_senders() const { return touched_senders_; }
+  TcpReceiver* touched_receivers() const { return touched_receivers_; }
+  // The touched-UDP list: its first flow id and its length.
+  uint32_t touched_udp_head() const { return touched_udp_head_; }
+  uint32_t touched_udp_count() const { return touched_udp_count_; }
+  // Empties the lists; the store resets each listed mark itself.
+  void ClearTouched() {
+    touched_senders_ = nullptr;
+    touched_receivers_ = nullptr;
+    touched_udp_count_ = 0;
   }
 
   // --- Distance-vector routing state (installed by DistanceVectorRouting) ---
@@ -93,6 +118,10 @@ class Node {
   std::unordered_map<uint32_t, std::unique_ptr<TcpReceiver>> receivers_;
   std::unique_ptr<DvState> dv_;
   NodeStats stats_;
+  TcpSender* touched_senders_ = nullptr;
+  TcpReceiver* touched_receivers_ = nullptr;
+  uint32_t touched_udp_head_ = 0;
+  uint32_t touched_udp_count_ = 0;
 };
 
 }  // namespace unison

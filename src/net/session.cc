@@ -29,7 +29,8 @@ namespace {
 //                 live tunables, LP ownership, the kernel's session
 //                 accumulators, and the flow-source specs with their CDFs;
 //   window state  everything a window can mutate (PutWindowState) — byte for
-//                 byte what the speculation checkpoint holds;
+//                 byte what CaptureWindowCheckpoint writes, and what the
+//                 speculation checkpoint store's slots assemble into;
 //   trailer       FNV-1a-64 over every preceding byte.
 // v2 added the live-tuning plane, v3 the LP-ownership map, v4 the
 // speculation plane; v5 split the buffer into header + window state +
@@ -56,8 +57,8 @@ uint64_t Fnv1a64(const uint8_t* p, size_t n) {
 class Writer {
  public:
   // Adopts `reuse`'s allocation (cleared, capacity kept) so a per-window
-  // capture into a recycled buffer never reallocates once the pool has
-  // warmed up.
+  // capture into a recycled buffer never reallocates once it has reached its
+  // high-water mark.
   explicit Writer(std::vector<uint8_t> reuse = {}) : buf_(std::move(reuse)) {
     buf_.clear();
   }
@@ -74,6 +75,9 @@ class Writer {
     U32(static_cast<uint32_t>(s.size()));
     Raw(s.data(), s.size());
   }
+  // Bytes another Writer already encoded, verbatim.
+  void Bytes(const std::vector<uint8_t>& b) { Raw(b.data(), b.size()); }
+  void Bytes(std::pair<const uint8_t*, size_t> b) { Raw(b.first, b.second); }
   void Trailer() { U64(Fnv1a64(buf_.data(), buf_.size())); }
 
   // Records why the state is not representable. Sticky: the first reason
@@ -104,6 +108,8 @@ class Writer {
 class Reader {
  public:
   Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+  explicit Reader(const std::vector<uint8_t>& buf)
+      : Reader(buf.data(), buf.size()) {}
 
   uint8_t U8() {
     Need(1);
@@ -123,8 +129,32 @@ class Reader {
     pos_ += n;
     return s;
   }
+  // A count of elements that each encode to at least `min_bytes`: rejected
+  // when the rest of the buffer cannot hold that many, before any caller
+  // reserves or allocates for it.
+  template <typename T>
+  T Count(size_t min_bytes) {
+    const T n = Get<T>();
+    if (n > remaining() / min_bytes) {
+      SnapshotFatal("element count exceeds the bytes left (corrupt buffer)");
+    }
+    return n;
+  }
+  // A one-byte enum, range-checked against its last enumerator.
+  template <typename E>
+  E Enum(E last) {
+    const uint8_t v = U8();
+    if (v > static_cast<uint8_t>(last)) {
+      SnapshotFatal("enum value out of range (corrupt buffer)");
+    }
+    return static_cast<E>(v);
+  }
 
   size_t remaining() const { return size_ - pos_; }
+  // The unread bytes.
+  std::pair<const uint8_t*, size_t> Rest() const {
+    return {data_ + pos_, remaining()};
+  }
 
  private:
   template <typename T>
@@ -145,6 +175,18 @@ class Reader {
   size_t pos_ = 0;
 };
 
+// Lower bounds on encoded sizes, for Reader::Count.
+constexpr size_t kEventMinBytes = 33;     // Key (28), node (4), tag (1).
+constexpr size_t kQueueEntryBytes = 72;   // Packet (64), enqueue time (8).
+constexpr size_t kSenderBytes = 194;      // Ids (16), config (34), image (144).
+constexpr size_t kReceiverMinBytes = 20;  // Ids (8), rcv_nxt (8), ranges (4).
+constexpr size_t kRangeBytes = 16;        // One out-of-order [start, end).
+constexpr size_t kFlowRecordBytes = 77;   // PutFlowRecord, a fixed size.
+constexpr size_t kNodeMinBytes = 4;       // Its partition entry.
+constexpr size_t kLinkMinBytes = 62;      // Header link record.
+constexpr size_t kU32Bytes = 4;           // Host ids, LP owners.
+constexpr size_t kCdfPointBytes = 16;
+
 // --- Config sections ---
 
 void PutQueueConfig(Writer& w, const QueueConfig& q) {
@@ -158,7 +200,7 @@ void PutQueueConfig(Writer& w, const QueueConfig& q) {
 
 QueueConfig GetQueueConfig(Reader& r) {
   QueueConfig q;
-  q.kind = static_cast<QueueConfig::Kind>(r.U8());
+  q.kind = r.Enum(QueueConfig::Kind::kDctcp);
   q.capacity_bytes = r.U32();
   q.red_min_th = r.F64();
   q.red_max_th = r.F64();
@@ -231,21 +273,21 @@ void PutSimConfig(Writer& w, const SimConfig& c) {
 
 SimConfig GetSimConfig(Reader& r) {
   SimConfig c;
-  c.kernel.type = static_cast<KernelType>(r.U8());
+  c.kernel.type = r.Enum(KernelType::kHybrid);
   c.kernel.threads = r.U32();
-  c.kernel.metric = static_cast<SchedulingMetric>(r.U8());
+  c.kernel.metric = r.Enum(SchedulingMetric::kByLastRoundTime);
   c.kernel.sched_period = r.U32();
   c.kernel.deterministic = r.Bool();
   c.kernel.ranks = r.U32();
-  c.kernel.affinity = static_cast<AffinityPolicy>(r.U8());
-  c.partition = static_cast<PartitionMode>(r.U8());
+  c.kernel.affinity = r.Enum(AffinityPolicy::kScatter);
+  c.partition = r.Enum(PartitionMode::kSingle);
   c.seed = r.U64();
   c.profile = r.Bool();
   c.profile_per_round = r.Bool();
   c.profile_per_lp = r.Bool();
   c.trace = r.Bool();
   c.trace_claim_order = r.Bool();
-  c.tuning = static_cast<TuningMode>(r.U8());
+  c.tuning = r.Enum(TuningMode::kAuto);
   c.tuning_config.drift_shrink = r.F64();
   c.tuning_config.drift_grow = r.F64();
   c.tuning_config.min_period = r.U32();
@@ -263,7 +305,7 @@ SimConfig GetSimConfig(Reader& r) {
   c.tuning_config.spec_horizon_initial_ps = r.I64();
   c.tuning_config.spec_horizon_min_ps = r.I64();
   c.tuning_config.spec_horizon_max_ps = r.I64();
-  c.speculation = static_cast<SpeculationMode>(r.U8());
+  c.speculation = r.Enum(SpeculationMode::kAuto);
   c.kernel.auto_checkpoint_every = r.U32();
   c.auto_checkpoint_path = r.Str();
   c.tcp = GetTcpConfig(r);
@@ -300,7 +342,7 @@ void PutPacket(Writer& w, const Packet& p) {
 
 Packet GetPacket(Reader& r) {
   Packet p;
-  p.kind = static_cast<PacketKind>(r.U8());
+  p.kind = r.Enum(PacketKind::kControl);
   p.flow_id = r.U32();
   p.src = r.U32();
   p.dst = r.U32();
@@ -516,6 +558,9 @@ TcpSender::Image GetSenderImage(Reader& r) {
   TcpSender::Image im;
   im.path_tag = r.U32();
   im.state = r.U8();
+  if (im.state >= TcpSender::kNumStates) {
+    SnapshotFatal("TCP sender state out of range (corrupt buffer)");
+  }
   im.snd_una = r.U64();
   im.snd_nxt = r.U64();
   im.high_tx = r.U64();
@@ -561,6 +606,9 @@ void GetLinks(Reader& r, Network& net) {
   for (uint32_t i = 0; i < net.links().size(); ++i) {
     const bool up = r.Bool();
     const Time delay = r.TimeVal();
+    if (delay < Time::Zero()) {
+      SnapshotFatal("window-state link delay is negative (corrupt buffer)");
+    }
     if (net.links()[i].up != up) {
       net.SetLinkUp(i, up);
     }
@@ -583,7 +631,7 @@ void GetLp(Reader& r, Network* net, Lp* lp) {
   const uint64_t seq = r.U64();
   const uint64_t arrival_seq = r.U64();
   lp->RestoreCounters(seq, arrival_seq);
-  const uint64_t count = r.U64();
+  const uint64_t count = r.Count<uint64_t>(kEventMinBytes);
   std::vector<Event> events;
   events.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -695,7 +743,7 @@ void GetDevices(Reader& r, Network& net) {
       ds.dropped_down = r.U64();
       dev->set_stats(ds);
       const QueueStats qs = GetQueueStats(r);
-      const uint32_t entries = r.U32();
+      const uint32_t entries = r.Count<uint32_t>(kQueueEntryBytes);
       std::vector<QueueEntry> q;
       q.reserve(entries);
       for (uint32_t e = 0; e < entries; ++e) {
@@ -723,112 +771,148 @@ void GetDevices(Reader& r, Network& net) {
   }
 }
 
-// TCP endpoints, sorted by flow id: the map iteration order is not
-// reproducible, and the sort makes save→load→save byte-stable.
+// One TCP sender: construction parameters, then its image.
+void PutSender(Writer& w, TcpSender& s) {
+  w.U32(s.flow_id());
+  w.U32(s.dst());
+  w.U64(s.size());
+  PutTcpConfig(w, s.config());
+  PutSenderImage(w, s.Save());
+}
+
+// Restores the sender in place when `node` has it (a rollback), and
+// constructs it otherwise (fork, restore).
+void GetSender(Reader& r, Network& net, Node& node) {
+  const uint32_t flow_id = r.U32();
+  const NodeId dst = r.U32();
+  const uint64_t bytes = r.U64();
+  const TcpConfig tcp = GetTcpConfig(r);
+  const TcpSender::Image im = GetSenderImage(r);
+  if (dst >= net.num_nodes()) {
+    SnapshotFatal("TCP sender destination is not a node (corrupt buffer)");
+  }
+  TcpSender* sender = node.FindSender(flow_id);
+  if (sender == nullptr) {
+    sender = node.AddSender(
+        flow_id, std::make_unique<TcpSender>(&net, &node, flow_id, dst, bytes, tcp));
+  }
+  sender->Restore(im);
+}
+
+void PutReceiver(Writer& w, TcpReceiver& recv) {
+  const TcpReceiver::Image im = recv.Save();
+  w.U32(recv.flow_id());
+  w.U32(recv.src());
+  w.U64(im.rcv_nxt);
+  w.U32(static_cast<uint32_t>(im.out_of_order.size()));
+  for (const auto& [start, end] : im.out_of_order) {
+    w.U64(start);
+    w.U64(end);
+  }
+}
+
+// In place or constructed, as GetSender.
+void GetReceiver(Reader& r, Network& net, Node& node) {
+  const uint32_t flow_id = r.U32();
+  const NodeId src = r.U32();
+  TcpReceiver::Image im;
+  im.rcv_nxt = r.U64();
+  const uint32_t ranges = r.Count<uint32_t>(kRangeBytes);
+  for (uint32_t i = 0; i < ranges; ++i) {
+    const uint64_t start = r.U64();
+    im.out_of_order[start] = r.U64();
+  }
+  if (src >= net.num_nodes()) {
+    SnapshotFatal("TCP receiver source is not a node (corrupt buffer)");
+  }
+  TcpReceiver* receiver = node.FindReceiver(flow_id);
+  if (receiver == nullptr) {
+    receiver = node.AddReceiver(
+        flow_id, std::make_unique<TcpReceiver>(&net, &node, flow_id, src));
+  }
+  receiver->Restore(im);
+}
+
+// An endpoint map's flow ids in ascending order: the map iteration order is
+// not reproducible, and the sort makes save→load→save byte-stable.
+template <typename Map>
+void SortedIds(const Map& endpoints, std::vector<uint32_t>* ids) {
+  ids->clear();
+  for (const auto& [id, endpoint] : endpoints) {
+    ids->push_back(id);
+  }
+  std::sort(ids->begin(), ids->end());
+}
+
+// TCP endpoints per node, each map sorted by flow id.
 void PutTcp(Writer& w, Network& net) {
+  std::vector<uint32_t> ids;
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
     Node& node = net.node(n);
-    std::vector<uint32_t> sender_ids;
-    for (const auto& [id, sender] : node.senders()) {
-      sender_ids.push_back(id);
+    SortedIds(node.senders(), &ids);
+    w.U32(static_cast<uint32_t>(ids.size()));
+    for (uint32_t id : ids) {
+      PutSender(w, *node.senders().at(id));
     }
-    std::sort(sender_ids.begin(), sender_ids.end());
-    w.U32(static_cast<uint32_t>(sender_ids.size()));
-    for (uint32_t id : sender_ids) {
-      const TcpSender& s = *node.senders().at(id);
-      w.U32(id);
-      w.U32(s.dst());
-      w.U64(s.size());
-      PutTcpConfig(w, s.config());
-      PutSenderImage(w, s.Save());
-    }
-    std::vector<uint32_t> receiver_ids;
-    for (const auto& [id, receiver] : node.receivers()) {
-      receiver_ids.push_back(id);
-    }
-    std::sort(receiver_ids.begin(), receiver_ids.end());
-    w.U32(static_cast<uint32_t>(receiver_ids.size()));
-    for (uint32_t id : receiver_ids) {
-      const TcpReceiver& recv = *node.receivers().at(id);
-      const TcpReceiver::Image im = recv.Save();
-      w.U32(id);
-      w.U32(recv.src());
-      w.U64(im.rcv_nxt);
-      w.U32(static_cast<uint32_t>(im.out_of_order.size()));
-      for (const auto& [start, end] : im.out_of_order) {
-        w.U64(start);
-        w.U64(end);
-      }
+    SortedIds(node.receivers(), &ids);
+    w.U32(static_cast<uint32_t>(ids.size()));
+    for (uint32_t id : ids) {
+      PutReceiver(w, *node.receivers().at(id));
     }
   }
 }
 
-// Drops the live endpoint set wholesale and re-creates the captured one:
-// speculative rounds may have created endpoints, completed flows or advanced
-// connection state, and re-creation covers all three at once.
+// Drops the live endpoint set wholesale and re-creates the captured one.
 void GetTcp(Reader& r, Network& net) {
   for (NodeId n = 0; n < net.num_nodes(); ++n) {
     Node& node = net.node(n);
     node.ClearTcpEndpoints();
-    const uint32_t senders = r.U32();
+    const uint32_t senders = r.Count<uint32_t>(kSenderBytes);
     for (uint32_t i = 0; i < senders; ++i) {
-      const uint32_t flow_id = r.U32();
-      const NodeId dst = r.U32();
-      const uint64_t bytes = r.U64();
-      const TcpConfig tcp = GetTcpConfig(r);
-      TcpSender* sender = node.AddSender(
-          flow_id,
-          std::make_unique<TcpSender>(&net, &node, flow_id, dst, bytes, tcp));
-      sender->Restore(GetSenderImage(r));
+      GetSender(r, net, node);
     }
-    const uint32_t receivers = r.U32();
+    const uint32_t receivers = r.Count<uint32_t>(kReceiverMinBytes);
     for (uint32_t i = 0; i < receivers; ++i) {
-      const uint32_t flow_id = r.U32();
-      const NodeId src = r.U32();
-      TcpReceiver::Image im;
-      im.rcv_nxt = r.U64();
-      const uint32_t ooo = r.U32();
-      for (uint32_t o = 0; o < ooo; ++o) {
-        const uint64_t start = r.U64();
-        im.out_of_order[start] = r.U64();
-      }
-      TcpReceiver* receiver = node.AddReceiver(
-          flow_id, std::make_unique<TcpReceiver>(&net, &node, flow_id, src));
-      receiver->Restore(im);
+      GetReceiver(r, net, node);
     }
   }
 }
 
-void PutMonitor(Writer& w, Network& net) {
-  const FlowMonitor::Image monitor = net.flow_monitor().SaveImage();
-  w.U32(monitor.shards);
-  for (uint32_t s = 0; s < monitor.shards; ++s) {
-    w.U32(static_cast<uint32_t>(monitor.records[s].size()));
-    for (const FlowRecord& rec : monitor.records[s]) {
-      PutFlowRecord(w, rec);
+// Per shard: its records in slot order and its pending window delta; then
+// the merged session totals.
+void PutMonitor(Writer& w, FlowMonitor& monitor) {
+  w.U32(monitor.num_shards());
+  for (uint32_t s = 0; s < monitor.num_shards(); ++s) {
+    w.U32(monitor.shard_flows(s));
+    for (uint32_t slot = 0; slot < monitor.shard_flows(s); ++slot) {
+      PutFlowRecord(w, monitor.record(s, slot));
     }
-    PutFlowCounters(w, monitor.deltas[s]);
+    PutFlowCounters(w, monitor.shard_delta(s));
   }
-  PutFlowCounters(w, monitor.merged);
-  w.U32(monitor.windows_merged);
+  PutFlowCounters(w, monitor.merged());
+  w.U32(monitor.windows_merged());
 }
 
-void GetMonitor(Reader& r, Network& net) {
-  FlowMonitor::Image monitor;
-  monitor.shards = r.U32();
-  monitor.records.resize(monitor.shards);
-  monitor.deltas.resize(monitor.shards);
-  for (uint32_t s = 0; s < monitor.shards; ++s) {
-    const uint32_t count = r.U32();
-    monitor.records[s].reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      monitor.records[s].push_back(GetFlowRecord(r));
-    }
-    monitor.deltas[s] = GetFlowCounters(r);
+// Valid on a fresh monitor (fork, restore) and on one whose live state is a
+// superset of the captured one. The shard count must match: flow ids embed
+// the shard/slot split, so a mismatched restore would corrupt every
+// outstanding id.
+void GetMonitor(Reader& r, FlowMonitor& monitor) {
+  if (r.U32() != monitor.num_shards()) {
+    SnapshotFatal(
+        "window-state monitor shard count diverged; the restored network must "
+        "run the snapshot source's executor count");
   }
-  monitor.merged = GetFlowCounters(r);
-  monitor.windows_merged = r.U32();
-  net.flow_monitor().RestoreImage(monitor);
+  for (uint32_t s = 0; s < monitor.num_shards(); ++s) {
+    const uint32_t count = r.Count<uint32_t>(kFlowRecordBytes);
+    monitor.ResizeShard(s, count);
+    for (uint32_t slot = 0; slot < count; ++slot) {
+      monitor.record(s, slot) = GetFlowRecord(r);
+    }
+    monitor.set_shard_delta(s, GetFlowCounters(r));
+  }
+  const FlowCounters merged = GetFlowCounters(r);
+  monitor.set_merged(merged, r.U32());
 }
 
 // Streaming flow sources: per-source RNG cursor, pending arrival and
@@ -894,7 +978,7 @@ void PutWindowState(Writer& w, Network& net) {
   if (w.error() != nullptr) return;
   PutDevices(w, net);
   PutTcp(w, net);
-  PutMonitor(w, net);
+  PutMonitor(w, net.flow_monitor());
   PutFlowSources(w, net);
 }
 
@@ -906,7 +990,7 @@ void GetWindowState(Reader& r, Network& net) {
   GetLps(r, net);
   GetDevices(r, net);
   GetTcp(r, net);
-  GetMonitor(r, net);
+  GetMonitor(r, net.flow_monitor());
   GetFlowSources(r, net);
 }
 
@@ -1055,6 +1139,415 @@ const char* WriteSnapshot(Network& net, std::vector<uint8_t>* out) {
 
 }  // namespace
 
+// --- The speculation checkpoint store ---
+
+namespace {
+
+// Slots for a component whose encoding has one fixed size (a sender, a flow
+// record), packed at that stride in slot order with no per-slot allocation.
+// The first slot stored sets the stride.
+class FixedSlots {
+ public:
+  uint32_t size() const {
+    return stride_ == 0 ? 0 : static_cast<uint32_t>(bytes_.size() / stride_);
+  }
+  void Reserve(size_t bytes) { bytes_.reserve(bytes); }
+  // Overwrites slot `slot`, or appends it when slot == size().
+  void Store(uint32_t slot, const std::vector<uint8_t>& enc) {
+    if (stride_ == 0) stride_ = enc.size();
+    if (slot == size()) {
+      bytes_.insert(bytes_.end(), enc.begin(), enc.end());
+    } else {
+      std::memcpy(bytes_.data() + slot * stride_, enc.data(), stride_);
+    }
+  }
+  Reader Read(uint32_t slot) const {
+    return Reader(bytes_.data() + slot * stride_, stride_);
+  }
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  size_t stride_ = 0;
+  std::vector<uint8_t> bytes_;
+};
+
+// Slots for a component whose encoding varies in size (a receiver, with its
+// out-of-order ranges), each allocated at its exact size.
+class VarSlots {
+ public:
+  uint32_t size() const { return static_cast<uint32_t>(slots_.size()); }
+  // Overwrites slot `slot`, or appends it when slot == size().
+  void Store(uint32_t slot, const std::vector<uint8_t>& enc) {
+    if (slot == size()) slots_.emplace_back();
+    slots_[slot].assign(enc.begin(), enc.end());
+  }
+  Reader Read(uint32_t slot) const { return Reader(slots_[slot]); }
+  const std::vector<uint8_t>& bytes(uint32_t slot) const { return slots_[slot]; }
+
+ private:
+  std::vector<std::vector<uint8_t>> slots_;
+};
+
+}  // namespace
+
+// The window-state section kept as slots, so a capture re-encodes only what
+// changed since the previous one (DESIGN.md §3k, session.h). Every slot
+// holds exactly the bytes the full section encodes for its component,
+// through the same Put/Get functions.
+class CheckpointStore {
+ public:
+  std::optional<uint64_t> Capture(Network& net);
+  void RollBack(Network& net);
+  std::vector<uint8_t> Assemble(Network& net) const;
+  // Forgets the slots: the endpoint set was rebuilt under them, so the next
+  // capture re-encodes everything.
+  void Reset() { primed_ = false; }
+  size_t Footprint() const;
+
+ private:
+  struct NodeSlots {
+    std::vector<uint32_t> senders;  // Indices into senders_.
+    VarSlots receivers;
+  };
+
+  bool EncodeLive(Network& net);
+  uint64_t CaptureAll(Network& net);
+  uint64_t CaptureTouched(Network& net);
+  template <typename Endpoint, typename Slots, typename PutFn>
+  uint64_t EncodeSlot(Endpoint* e, Slots* slots, PutFn put);
+  // EncodeSlot into senders_, listing a new slot under node `n`.
+  uint64_t EncodeSender(TcpSender* s, NodeId n);
+  uint64_t EncodeRecord(FlowMonitor& monitor, uint32_t s, uint32_t slot);
+  // Appends the flow ids on `node`'s touched-UDP list to touched_flows_.
+  void CollectTouchedUdp(const Node& node, const FlowMonitor& monitor);
+  // Rewinds every endpoint on `head`'s touched list to its slot, erasing the
+  // ones created since the capture; collects their flow ids.
+  template <typename Endpoint, typename Slots, typename GetFn, typename EraseFn>
+  void RollBackEndpoints(Endpoint* head, const Slots& slots, GetFn get,
+                         EraseFn erase);
+
+  bool primed_ = false;  // Slots match the last successful capture.
+  // Re-encoded at every capture.
+  std::vector<uint8_t> lead_;                 // Links, LPs, devices.
+  std::vector<std::vector<uint8_t>> deltas_;  // [shard] window delta.
+  std::vector<uint8_t> totals_;               // Merged counters, windows.
+  std::vector<uint8_t> sources_;              // Flow-source cursors.
+  // Delta-encoded. A sender's CheckpointMark::slot indexes senders_, a
+  // receiver's its node's slots, and a record's slot is its monitor slot.
+  FixedSlots senders_;
+  std::vector<NodeSlots> nodes_;
+  std::vector<FixedSlots> records_;  // [shard].
+  std::vector<uint8_t> scratch_;
+  std::vector<uint32_t> touched_flows_;
+};
+
+// Re-encodes the sections bounded by live state; false when the state is
+// not representable.
+bool CheckpointStore::EncodeLive(Network& net) {
+  Writer lead(std::move(lead_));
+  if (BeginCapture(net, lead)) {
+    PutLinks(lead, net);
+    PutLps(lead, net.kernel());
+    if (lead.error() == nullptr) PutDevices(lead, net);
+  }
+  if (lead.Finish(&lead_) != nullptr) return false;
+  FlowMonitor& monitor = net.flow_monitor();
+  deltas_.resize(monitor.num_shards());
+  for (uint32_t s = 0; s < monitor.num_shards(); ++s) {
+    Writer delta(std::move(deltas_[s]));
+    PutFlowCounters(delta, monitor.shard_delta(s));
+    delta.Finish(&deltas_[s]);
+  }
+  Writer totals(std::move(totals_));
+  PutFlowCounters(totals, monitor.merged());
+  totals.U32(monitor.windows_merged());
+  totals.Finish(&totals_);
+  Writer sources(std::move(sources_));
+  PutFlowSources(sources, net);
+  sources.Finish(&sources_);
+  return true;
+}
+
+std::optional<uint64_t> CheckpointStore::Capture(Network& net) {
+  // A declined capture leaves the slots and the touched lists as they were,
+  // so the next successful one still sees every change since this store's
+  // last capture.
+  if (!EncodeLive(net)) {
+    return std::nullopt;
+  }
+  uint64_t bytes = lead_.size() + totals_.size() + sources_.size();
+  for (const std::vector<uint8_t>& d : deltas_) {
+    bytes += d.size();
+  }
+  bytes += primed_ ? CaptureTouched(net) : CaptureAll(net);
+  primed_ = true;
+  return bytes;
+}
+
+template <typename Endpoint, typename Slots, typename PutFn>
+uint64_t CheckpointStore::EncodeSlot(Endpoint* e, Slots* slots, PutFn put) {
+  CheckpointMark<Endpoint>& mark = e->checkpoint_mark();
+  if (mark.slot == CheckpointMark<Endpoint>::kNoSlot) {
+    mark.slot = slots->size();
+  }
+  Writer w(std::move(scratch_));
+  put(w, *e);
+  w.Finish(&scratch_);
+  slots->Store(mark.slot, scratch_);
+  mark.clean = true;
+  mark.next = nullptr;
+  return scratch_.size();
+}
+
+uint64_t CheckpointStore::EncodeSender(TcpSender* s, NodeId n) {
+  if (s->checkpoint_mark().slot == CheckpointMark<TcpSender>::kNoSlot) {
+    nodes_[n].senders.push_back(senders_.size());
+  }
+  return EncodeSlot(s, &senders_, PutSender);
+}
+
+uint64_t CheckpointStore::EncodeRecord(FlowMonitor& monitor, uint32_t s,
+                                       uint32_t slot) {
+  FlowRecord& record = monitor.record(s, slot);
+  record.rx_marked = false;  // Its slot holds it now.
+  Writer w(std::move(scratch_));
+  PutFlowRecord(w, record);
+  w.Finish(&scratch_);
+  records_[s].Store(slot, scratch_);
+  return scratch_.size();
+}
+
+void CheckpointStore::CollectTouchedUdp(const Node& node,
+                                        const FlowMonitor& monitor) {
+  uint32_t id = node.touched_udp_head();
+  for (uint32_t i = 0; i < node.touched_udp_count(); ++i) {
+    touched_flows_.push_back(id);
+    id = monitor.flow(id).rx_next;
+  }
+}
+
+// The first capture of a store, or the first after Reset: every endpoint
+// and record.
+uint64_t CheckpointStore::CaptureAll(Network& net) {
+  uint64_t bytes = 0;
+  senders_ = FixedSlots{};
+  nodes_.assign(net.num_nodes(), NodeSlots{});
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    Node& node = net.node(n);
+    for (const auto& [id, sender] : node.senders()) {
+      sender->checkpoint_mark().slot = CheckpointMark<TcpSender>::kNoSlot;
+      bytes += EncodeSender(sender.get(), n);
+    }
+    for (const auto& [id, receiver] : node.receivers()) {
+      receiver->checkpoint_mark().slot = CheckpointMark<TcpReceiver>::kNoSlot;
+      bytes += EncodeSlot(receiver.get(), &nodes_[n].receivers, PutReceiver);
+    }
+    node.ClearTouched();
+  }
+  FlowMonitor& monitor = net.flow_monitor();
+  records_.assign(monitor.num_shards(), FixedSlots{});
+  for (uint32_t s = 0; s < monitor.num_shards(); ++s) {
+    records_[s].Reserve(size_t{monitor.shard_flows(s)} * kFlowRecordBytes);
+    for (uint32_t slot = 0; slot < monitor.shard_flows(s); ++slot) {
+      bytes += EncodeRecord(monitor, s, slot);
+    }
+  }
+  return bytes;
+}
+
+// Drains every node's touched lists into the slots, then re-encodes the
+// records of the touched flows and appends the records registered since the
+// last capture. Work is proportional to what was touched, plus one pass
+// over nodes and shards.
+uint64_t CheckpointStore::CaptureTouched(Network& net) {
+  FlowMonitor& monitor = net.flow_monitor();
+  uint64_t bytes = 0;
+  touched_flows_.clear();
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    Node& node = net.node(n);
+    for (TcpSender* s = node.touched_senders(); s != nullptr;) {
+      TcpSender* next = s->checkpoint_mark().next;
+      touched_flows_.push_back(s->flow_id());
+      bytes += EncodeSender(s, n);
+      s = next;
+    }
+    for (TcpReceiver* r = node.touched_receivers(); r != nullptr;) {
+      TcpReceiver* next = r->checkpoint_mark().next;
+      touched_flows_.push_back(r->flow_id());
+      bytes += EncodeSlot(r, &nodes_[n].receivers, PutReceiver);
+      r = next;
+    }
+    CollectTouchedUdp(node, monitor);
+    node.ClearTouched();
+  }
+  std::sort(touched_flows_.begin(), touched_flows_.end());
+  touched_flows_.erase(std::unique(touched_flows_.begin(), touched_flows_.end()),
+                       touched_flows_.end());
+  for (uint32_t id : touched_flows_) {
+    const uint32_t s = monitor.shard_of(id);
+    const uint32_t slot = monitor.slot_of(id);
+    if (slot < records_[s].size()) {
+      bytes += EncodeRecord(monitor, s, slot);
+    }
+  }
+  for (uint32_t s = 0; s < monitor.num_shards(); ++s) {
+    for (uint32_t slot = records_[s].size(); slot < monitor.shard_flows(s);
+         ++slot) {
+      bytes += EncodeRecord(monitor, s, slot);
+    }
+  }
+  return bytes;
+}
+
+template <typename Endpoint, typename Slots, typename GetFn, typename EraseFn>
+void CheckpointStore::RollBackEndpoints(Endpoint* head, const Slots& slots,
+                                        GetFn get, EraseFn erase) {
+  for (Endpoint* e = head; e != nullptr;) {
+    CheckpointMark<Endpoint>& mark = e->checkpoint_mark();
+    Endpoint* next = mark.next;
+    touched_flows_.push_back(e->flow_id());
+    if (mark.slot == CheckpointMark<Endpoint>::kNoSlot) {
+      erase(e->flow_id());  // Destroys `e`.
+    } else {
+      Reader r = slots.Read(mark.slot);
+      get(r);
+      mark.clean = true;
+      mark.next = nullptr;
+    }
+    e = next;
+  }
+}
+
+// Restores, in place, everything touched since the capture: endpoints with
+// a slot are rewound to it, endpoints created since are erased, touched
+// records are rewound and the records registered since are dropped. The
+// sections re-encoded at every capture are restored whole.
+void CheckpointStore::RollBack(Network& net) {
+  Reader lead(lead_);
+  GetLinks(lead, net);
+  GetLps(lead, net);
+  GetDevices(lead, net);
+  FlowMonitor& monitor = net.flow_monitor();
+  touched_flows_.clear();
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    Node& node = net.node(n);
+    RollBackEndpoints(
+        node.touched_senders(), senders_,
+        [&](Reader& r) { GetSender(r, net, node); },
+        [&node](uint32_t id) { node.EraseSender(id); });
+    RollBackEndpoints(
+        node.touched_receivers(), nodes_[n].receivers,
+        [&](Reader& r) { GetReceiver(r, net, node); },
+        [&node](uint32_t id) { node.EraseReceiver(id); });
+    CollectTouchedUdp(node, monitor);
+    node.ClearTouched();
+  }
+  for (uint32_t s = 0; s < monitor.num_shards(); ++s) {
+    monitor.ResizeShard(s, records_[s].size());
+    Reader d(deltas_[s]);
+    monitor.set_shard_delta(s, GetFlowCounters(d));
+  }
+  for (uint32_t id : touched_flows_) {
+    const uint32_t s = monitor.shard_of(id);
+    const uint32_t slot = monitor.slot_of(id);
+    if (slot < records_[s].size()) {
+      Reader r = records_[s].Read(slot);
+      monitor.record(s, slot) = GetFlowRecord(r);
+    }
+  }
+  Reader totals(totals_);
+  const FlowCounters merged = GetFlowCounters(totals);
+  monitor.set_merged(merged, totals.U32());
+  Reader sources(sources_);
+  GetFlowSources(sources, net);
+}
+
+// The slots in the full section's order: what CaptureWindowCheckpoint
+// returned at the last successful capture.
+std::vector<uint8_t> CheckpointStore::Assemble(Network& net) const {
+  Writer w;
+  w.Bytes(lead_);
+  // Each endpoint slot leads with its flow id; the section sorts by it.
+  std::vector<std::pair<uint32_t, Reader>> order;
+  auto add = [&order](Reader slot) {
+    order.emplace_back(Reader(slot).U32(), slot);
+  };
+  auto put_sorted = [&w, &order] {
+    std::sort(order.begin(), order.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    w.U32(static_cast<uint32_t>(order.size()));
+    for (auto& [id, slot] : order) {
+      w.Bytes(slot.Rest());
+    }
+    order.clear();
+  };
+  for (NodeId n = 0; n < net.num_nodes(); ++n) {
+    for (uint32_t slot : nodes_[n].senders) {
+      add(senders_.Read(slot));
+    }
+    put_sorted();
+    for (uint32_t slot = 0; slot < nodes_[n].receivers.size(); ++slot) {
+      add(nodes_[n].receivers.Read(slot));
+    }
+    put_sorted();
+  }
+  w.U32(static_cast<uint32_t>(records_.size()));
+  for (uint32_t s = 0; s < records_.size(); ++s) {
+    w.U32(records_[s].size());
+    w.Bytes(records_[s].bytes());
+    w.Bytes(deltas_[s]);
+  }
+  w.Bytes(totals_);
+  w.Bytes(sources_);
+  std::vector<uint8_t> out;
+  w.Finish(&out);
+  return out;
+}
+
+size_t CheckpointStore::Footprint() const {
+  size_t bytes = lead_.capacity() + totals_.capacity() + sources_.capacity() +
+                 scratch_.capacity() + touched_flows_.capacity() * sizeof(uint32_t);
+  for (const std::vector<uint8_t>& d : deltas_) {
+    bytes += d.capacity();
+  }
+  bytes += senders_.bytes().capacity();
+  for (const FixedSlots& r : records_) {
+    bytes += r.bytes().capacity();
+  }
+  for (const NodeSlots& node : nodes_) {
+    bytes += node.senders.capacity() * sizeof(uint32_t);
+    for (uint32_t i = 0; i < node.receivers.size(); ++i) {
+      bytes += node.receivers.bytes(i).capacity();
+    }
+  }
+  return bytes;
+}
+
+void CheckpointStoreDeleter::operator()(CheckpointStore* store) const {
+  delete store;
+}
+
+std::unique_ptr<CheckpointStore, CheckpointStoreDeleter> MakeCheckpointStore() {
+  return std::unique_ptr<CheckpointStore, CheckpointStoreDeleter>(
+      new CheckpointStore());
+}
+
+std::optional<uint64_t> CaptureCheckpointStore(Network& net) {
+  return net.checkpoint_store()->Capture(net);
+}
+
+void RollBackCheckpointStore(Network& net) {
+  net.checkpoint_store()->RollBack(net);
+}
+
+std::vector<uint8_t> AssembleCheckpointStore(Network& net) {
+  return net.checkpoint_store()->Assemble(net);
+}
+
+size_t CheckpointStoreFootprint(const Network& net) {
+  return net.checkpoint_store()->Footprint();
+}
+
 // --- SessionSnapshot ---
 
 uint64_t SessionSnapshot::Digest() const {
@@ -1141,10 +1634,13 @@ bool CaptureWindowCheckpoint(Network& net, std::vector<uint8_t>* out) {
 // --- Restore ---
 
 void RestoreWindowCheckpoint(Network& net, const std::vector<uint8_t>& buf) {
-  Reader r(buf.data(), buf.size());
+  Reader r(buf);
   GetWindowState(r, net);
   if (r.remaining() != 0) {
     SnapshotFatal("trailing bytes after the window state (corrupt buffer)");
+  }
+  if (net.checkpoint_store() != nullptr) {
+    net.checkpoint_store()->Reset();  // Every endpoint was re-created.
   }
 }
 
@@ -1168,6 +1664,17 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   }
 
   SimConfig cfg = GetSimConfig(r);
+  const std::string invalid = cfg.kernel.Validate();
+  if (!invalid.empty()) {
+    SnapshotFatal("snapshot holds an invalid kernel config: " + invalid);
+  }
+  // Finalize spawns the executors: a plausibility bound keeps a corrupt
+  // count from spawning them by the million.
+  constexpr uint64_t kMaxExecutors = 4096;
+  if (static_cast<uint64_t>(cfg.kernel.threads) * std::max(1u, cfg.kernel.ranks) >
+      kMaxExecutors) {
+    SnapshotFatal("snapshot holds an implausible executor count (corrupt buffer)");
+  }
   // Divergence knob: mutated queue disciplines apply to the rebuilt queues
   // from their first packet. The branch's own config records the mutation.
   if (opts.mutate_queue) {
@@ -1181,8 +1688,9 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   }
 
   auto net = std::make_unique<Network>(cfg);
-  net->AddNodes(r.U32());
-  const uint32_t num_links = r.U32();
+  const uint32_t num_nodes = r.Count<uint32_t>(kNodeMinBytes);
+  net->AddNodes(num_nodes);
+  const uint32_t num_links = r.Count<uint32_t>(kLinkMinBytes);
   for (uint32_t i = 0; i < num_links; ++i) {
     const NodeId a = r.U32();
     const NodeId b = r.U32();
@@ -1190,15 +1698,25 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
     const Time delay = r.TimeVal();
     const bool stateless = r.Bool();
     QueueConfig queue = GetQueueConfig(r);
+    if (a >= num_nodes || b >= num_nodes || bps == 0 || delay < Time::Zero()) {
+      SnapshotFatal("snapshot link " + std::to_string(i) +
+                    " is malformed (corrupt buffer)");
+    }
     if (opts.mutate_queue) {
       opts.mutate_queue(queue);
     }
     net->AddLink(a, b, bps, delay, queue, stateless);
   }
   const uint32_t num_lps = r.U32();
+  if (num_lps == 0 || num_lps > std::max(1u, num_nodes)) {
+    SnapshotFatal("snapshot LP count is implausible (corrupt buffer)");
+  }
   std::vector<LpId> lp_of_node(net->num_nodes());
   for (LpId& lp : lp_of_node) {
     lp = r.U32();
+    if (lp >= num_lps) {
+      SnapshotFatal("snapshot partition names an LP past its count (corrupt buffer)");
+    }
   }
   if (cfg.kernel.type != KernelType::kSequential) {
     net->SetManualPartition(num_lps, std::move(lp_of_node));
@@ -1222,7 +1740,7 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   Tunables tunables;
   tunables.sched_period = r.U32();
   tunables.parties = r.U32();
-  tunables.affinity = static_cast<AffinityPolicy>(r.U8());
+  tunables.affinity = r.Enum(AffinityPolicy::kScatter);
   tunables.max_window_ps = r.I64();
   tunables.spec_horizon_ps = r.I64();
   net->tunable_store().Restore(tunables, tuning_epoch);
@@ -1232,7 +1750,7 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   // deterministic mode; this preserves the parent's learned balance.
   const uint64_t ownership_epoch = r.U64();
   (void)r.U32();  // The capturing kernel's executor domain: informational.
-  const uint32_t ownership_lps = r.U32();
+  const uint32_t ownership_lps = r.Count<uint32_t>(kU32Bytes);
   std::vector<uint32_t> owners(ownership_lps);
   for (uint32_t& o : owners) {
     o = r.U32();
@@ -1249,14 +1767,20 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   session.session_windows = r.U32();
   kernel.RestoreSessionState(session);
 
-  const uint32_t num_sets = r.U32();
+  const uint32_t num_sets = r.Count<uint32_t>(kU32Bytes);
   for (uint32_t i = 0; i < num_sets; ++i) {
     TrafficSpec spec;
-    spec.hosts.resize(r.U32());
+    spec.hosts.resize(r.Count<uint32_t>(kU32Bytes));
     for (NodeId& h : spec.hosts) {
       h = r.U32();
+      if (h >= num_nodes) {
+        SnapshotFatal("snapshot flow-source host is not a node (corrupt buffer)");
+      }
     }
-    std::vector<EmpiricalCdf::Point> points(r.U32());
+    std::vector<EmpiricalCdf::Point> points(r.Count<uint32_t>(kCdfPointBytes));
+    if (points.empty()) {
+      SnapshotFatal("snapshot flow-source size CDF is empty (corrupt buffer)");
+    }
     for (EmpiricalCdf::Point& pt : points) {
       pt.bytes = r.F64();
       pt.cum_prob = r.F64();

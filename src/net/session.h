@@ -24,10 +24,10 @@
 // One state encoder serves both formats declared here. A USNP buffer (v5) is
 // an immutable header (SimConfig, topology, realized partition, tunables,
 // ownership, session accumulators, flow-source specs), then the window-state
-// section — byte for byte what the speculation checkpoint below holds — then
+// section — byte for byte what the window checkpoint below encodes — then
 // an FNV-1a-64 digest trailer that LoadFrom verifies. Fork and Restore
 // rebuild the network from the header and read the section through the same
-// function the checkpoint rollback uses.
+// per-component functions the checkpoint rollback uses.
 //
 // Forked branches reuse the parent's warm executor pool by default
 // (ForkOptions::share_executors): the child kernel borrows the pool at
@@ -133,22 +133,50 @@ class Session {
 // one Run() window — per-link up/delay (a global may flip a link
 // mid-window), LP clocks/counters/FELs, per-node device, queue, RED and TCP
 // endpoint state, the sharded FlowMonitor, and streaming flow-source RNG
-// cursors — restored *in place* on the same finalized Network. No header and
-// no trailer, which is what makes capture cheap enough to run at every
-// window boundary.
+// cursors. No header and no trailer.
 
-// Serializes the checkpoint into `out` (cleared, capacity kept — the pooled
-// buffer lives in SpecCheckpoint). Returns false, with `out` emptied and the
-// session untouched, when the state is not representable (lambda events
-// such as progress tickers, control-payload packets, DV routing) — the
-// kernel then runs the window conservatively.
+// The full reference encoder: serializes the section into `out` (cleared,
+// capacity kept). Returns false, with `out` emptied and the session
+// untouched, when the state is not representable (lambda events such as
+// progress tickers, control-payload packets, DV routing). The snapshot
+// writes its section through the same function.
 bool CaptureWindowCheckpoint(Network& net, std::vector<uint8_t>* out);
 
-// Rolls the live session back to the captured state. Requires the same
-// finalized Network the capture ran on, quiescent at a window boundary
-// (which a speculation abort guarantees: misses latch between rounds, after
-// all mailboxes drained).
+// Rolls the live session back to a section CaptureWindowCheckpoint wrote,
+// re-creating every TCP endpoint. Requires the same finalized Network the
+// capture ran on, quiescent at a window boundary.
 void RestoreWindowCheckpoint(Network& net, const std::vector<uint8_t>& buf);
+
+// The speculation checkpoint store: the same section kept as slots, so a
+// capture costs what the window changed rather than the run's history.
+// Links, LP clocks and FELs, devices, the monitor's window deltas and totals
+// and the flow-source cursors are re-encoded at every capture. Each TCP
+// endpoint and each flow record has a slot, re-encoded only when it was
+// touched since the last successful capture (nodes and endpoints mark their
+// touches while a store is installed; records registered since are found by
+// their shard counts). A rollback restores, in place, only what was touched
+// since the capture: touched endpoints from their slots, endpoints created
+// since erased, touched records rewound, shard counts truncated. A declined
+// capture keeps the slots and the touch marks, so nothing that changes
+// between captures is missed; a new store (fork, cold restore) and a
+// RestoreWindowCheckpoint start the next capture from scratch.
+//
+// Network::Finalize makes one under speculation=auto when the kernel may
+// speculate (Kernel::MaySpeculate) and routing is global, and installs
+// Capture / RollBack as the kernel's checkpoint hooks; a test may wrap them.
+std::unique_ptr<CheckpointStore, CheckpointStoreDeleter> MakeCheckpointStore();
+// Brings the store up to the current window boundary; returns the bytes it
+// re-encoded, or nullopt when the state is not representable.
+std::optional<uint64_t> CaptureCheckpointStore(Network& net);
+// Rolls the live session back to the store's last successful capture.
+void RollBackCheckpointStore(Network& net);
+
+// Test introspection of `net`'s store. The slots assembled in the full
+// section's order: byte for byte what CaptureWindowCheckpoint returned at
+// the last successful capture.
+std::vector<uint8_t> AssembleCheckpointStore(Network& net);
+// The bytes its buffers hold allocated.
+size_t CheckpointStoreFootprint(const Network& net);
 
 }  // namespace unison
 

@@ -188,49 +188,17 @@ FlowSummary FlowMonitor::Summarize() const {
   return s;
 }
 
-FlowMonitor::Image FlowMonitor::SaveImage() const {
-  Image image;
-  image.shards = num_shards();
-  image.records.resize(shards_.size());
-  image.deltas.resize(shards_.size());
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    image.records[s].reserve(shard.count);
-    for (uint32_t slot = 0; slot < shard.count; ++slot) {
-      image.records[s].push_back(
-          const_cast<FlowMonitor*>(this)->LocateSlot(const_cast<Shard&>(shard), slot));
+void FlowMonitor::ResizeShard(uint32_t s, uint32_t count) {
+  Shard& shard = *shards_[s];
+  // Slabs stay allocated past a shrink: the re-run re-registers into the
+  // same slots.
+  for (uint32_t seg = 0; seg < kMaxSegments && SegmentFirstSlot(seg) < count;
+       ++seg) {
+    if (shard.segments[seg] == nullptr) {
+      shard.segments[seg] = std::make_unique<FlowRecord[]>(SegmentSize(seg));
     }
-    image.deltas[s] = shard.delta;
   }
-  image.merged = merged_;
-  image.windows_merged = windows_merged_;
-  return image;
-}
-
-void FlowMonitor::RestoreImage(const Image& image) {
-  if (image.shards != shards_.size()) {
-    MonitorFatal(
-        "RestoreImage shard-count mismatch; the restored network must be "
-        "finalized with the same executor count as the snapshot source");
-  }
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    // Slots past the image's count were registered by the rounds being
-    // rolled back; truncating count abandons them (slabs stay allocated —
-    // the re-run re-registers into the same slots).
-    const std::vector<FlowRecord>& records = image.records[s];
-    for (uint32_t slot = 0; slot < records.size(); ++slot) {
-      const uint32_t seg = SegmentOf(slot);
-      if (shard.segments[seg] == nullptr) {
-        shard.segments[seg] = std::make_unique<FlowRecord[]>(SegmentSize(seg));
-      }
-      shard.segments[seg][slot - SegmentFirstSlot(seg)] = records[slot];
-    }
-    shard.count = static_cast<uint32_t>(records.size());
-    shard.delta = image.deltas[s];
-  }
-  merged_ = image.merged;
-  windows_merged_ = image.windows_merged;
+  shard.count = count;
 }
 
 uint64_t FlowMonitor::Fingerprint() const {

@@ -57,6 +57,12 @@ struct FlowRecord {
   // Receiver-side results.
   uint64_t rx_bytes = 0;
   Time last_rx;
+  // Receiver-side bookkeeping for the speculation checkpoint store, never
+  // serialized: while rx_marked, the flow is on its destination node's
+  // touched-UDP list (Node::Deliver), linked through rx_next. The store
+  // unmarks the record when it re-encodes or restores it.
+  bool rx_marked = false;
+  uint32_t rx_next = 0;
 };
 
 struct FlowSummary {
@@ -173,24 +179,26 @@ class FlowMonitor {
   // Records registered in shard `s` so far.
   uint32_t shard_flows(uint32_t s) const { return shards_[s]->count; }
 
-  // Full monitor state for session snapshots and speculation checkpoints:
-  // per-shard records (in slot order) and pending window deltas, plus the
-  // merged session totals. Save from a quiescent context.
-  struct Image {
-    uint32_t shards = 0;
-    std::vector<std::vector<FlowRecord>> records;  // [shard][slot].
-    std::vector<FlowCounters> deltas;              // [shard].
-    FlowCounters merged;
-    uint32_t windows_merged = 0;
-  };
-  Image SaveImage() const;
-  // Overwrites the image's slots and sets each shard's count to the image's.
-  // Valid on a fresh monitor (fork, restore) and on one whose live state is
-  // a superset of the image — which a rollback guarantees: speculative
-  // rounds can only have *appended* records (slots are never reused). The
-  // shard count must match (fatal otherwise — flow ids embed the shard/slot
-  // split, so a mismatched restore would corrupt every outstanding id).
-  void RestoreImage(const Image& image);
+  // --- Slot access for session snapshots and speculation checkpoints ---
+  // Quiescent contexts only, like size(). A flow id encodes its record's
+  // shard and slot.
+  uint32_t shard_of(uint32_t id) const { return id >> slot_bits_; }
+  uint32_t slot_of(uint32_t id) const { return id & slot_mask_; }
+  FlowRecord& record(uint32_t s, uint32_t slot) {
+    return LocateSlot(*shards_[s], slot);
+  }
+  // Sets shard `s`'s record count. Shrinking abandons the slots registered
+  // after a checkpoint (a rollback: slots are never reused, so speculative
+  // rounds can only have appended); growing allocates slabs for records a
+  // restore is about to write through record().
+  void ResizeShard(uint32_t s, uint32_t count);
+  void set_shard_delta(uint32_t s, const FlowCounters& delta) {
+    shards_[s]->delta = delta;
+  }
+  void set_merged(const FlowCounters& merged, uint32_t windows_merged) {
+    merged_ = merged;
+    windows_merged_ = windows_merged;
+  }
 
  private:
   // Records are stored in doubling segments: segment k holds kSegBase << k

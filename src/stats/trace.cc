@@ -117,6 +117,10 @@ std::string RunSummary::ToJson() const {
   AppendU64(&out, spec_misses);
   out += ",\"rollback_ns\":";
   AppendU64(&out, rollback_ns);
+  out += ",\"capture_ns\":";
+  AppendU64(&out, capture_ns);
+  out += ",\"capture_bytes\":";
+  AppendU64(&out, capture_bytes);
   out += '}';
   return out;
 }
@@ -229,6 +233,8 @@ RunSummary RunTrace::Cumulative() const {
   total.spec_hits = 0;
   total.spec_misses = 0;
   total.rollback_ns = 0;
+  total.capture_ns = 0;
+  total.capture_bytes = 0;
   for (const WindowTraceSegment& seg : segments_) {
     total.rounds += seg.summary.rounds;
     total.events += seg.summary.events;
@@ -240,6 +246,8 @@ RunSummary RunTrace::Cumulative() const {
     total.spec_hits += seg.summary.spec_hits;
     total.spec_misses += seg.summary.spec_misses;
     total.rollback_ns += seg.summary.rollback_ns;
+    total.capture_ns += seg.summary.capture_ns;
+    total.capture_bytes += seg.summary.capture_bytes;
   }
   total.window_start_ps = segments_.front().summary.window_start_ps;
   return total;
@@ -354,6 +362,10 @@ void AppendCsvRows(std::string* out, uint32_t window, const RunSummary& summary,
     AppendU64(out, summary.spec_misses);
     *out += ',';
     AppendU64(out, summary.rollback_ns);
+    *out += ',';
+    AppendU64(out, summary.capture_ns);
+    *out += ',';
+    AppendU64(out, summary.capture_bytes);
     *out += '\n';
   }
 }
@@ -390,7 +402,7 @@ std::string RunTrace::ToCsv() const {
   out.reserve(64 + records_.size() * 64);
   out += "window,round,lbts_ps,window_ps,events_before,resorted,p_total_ns,"
          "s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,migrations,"
-         "spec_rounds,spec_hits,spec_misses,rollback_ns\n";
+         "spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,capture_bytes\n";
   if (segments_.empty()) {
     // Export mid-window (EndRun not yet reached): show the live records.
     AppendCsvRows(&out, 0, summary_, records_, round_p_, round_s_, round_m_);

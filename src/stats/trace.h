@@ -76,6 +76,11 @@ struct RunSummary {
   uint32_t spec_hits = 0;
   uint32_t spec_misses = 0;
   uint64_t rollback_ns = 0;
+  // The window's checkpoint capture: wall time (a declined capture counts)
+  // and the bytes it re-encoded (0 when declined). Zero in windows that did
+  // not try to speculate.
+  uint64_t capture_ns = 0;
+  uint64_t capture_bytes = 0;
 
   std::string ToJson() const;
 };
@@ -161,8 +166,8 @@ class RunTrace {
   // Flat per-round table across every window of the session:
   // window,round,lbts_ps,window_ps,events_before,resorted,
   // p_total_ns,s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,
-  // migrations,spec_rounds,spec_hits,spec_misses,rollback_ns (the last five
-  // are window-level, repeated per row).
+  // migrations,spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,
+  // capture_bytes (the last seven are window-level, repeated per row).
   std::string ToCsv() const;
   bool WriteJsonFile(const std::string& path) const;
   bool WriteCsvFile(const std::string& path) const;

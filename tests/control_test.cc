@@ -204,6 +204,23 @@ TEST(Controller, OversubscribedDefaultThresholdSplitsParkingFromSpinning) {
   }
 }
 
+// With one executor per CPU every wait parks at once by policy (3 crossings
+// x 3 waiters = 9 parks per round), not because a peer was descheduled: no
+// decision.
+TEST(Controller, PartiesEqualToTheCpuCountParkByPolicy) {
+  TunableStore store;
+  ControllerConfig cfg = TestConfig();
+  cfg.cpu_limit = 4;
+  Controller ctl(cfg, &store);
+  SegmentSpec spec;
+  spec.executors = 4;
+  spec.parties = 4;
+  spec.parked_per_round = 9;
+  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
+  EXPECT_TRUE(ctl.decisions().empty());
+  EXPECT_EQ(store.epoch(), 0u);  // Nothing published.
+}
+
 TEST(Controller, AffinityFallbackAtThePartyFloor) {
   TunableStore store;
   Tunables seed;
@@ -738,6 +755,37 @@ TEST(TuningPlane, SyncBoundRunThatFitsIsNotOversubscribed) {
         << "window " << d.window << ": " << d.rule;
   }
   EXPECT_EQ(net.kernel().window_tuning().parties, 2u);
+}
+
+// The same at network scale: a k=4 fat-tree under web-search load on 4
+// threads with tuning=auto. Where exactly 4 CPUs are allowed, the waiters
+// park by policy and the run must keep its 4 parties; with more CPUs they
+// spin, and parks stay rare.
+TEST(TuningPlane, RunWithOnePartyPerCpuIsNotOversubscribed) {
+  if (ProcessCpuCount() < 4) {
+    GTEST_SKIP() << "needs 4 allowed CPUs";
+  }
+  SimConfig cfg;
+  cfg.kernel.type = KernelType::kUnison;
+  cfg.kernel.threads = 4;
+  cfg.tuning = TuningMode::kAuto;
+  Network net(cfg);
+  FatTreeTopo topo =
+      BuildFatTree(net, 4, 10'000'000'000ULL, Time::Microseconds(3));
+  net.Finalize();
+  TrafficSpec traffic;
+  traffic.hosts = topo.hosts;
+  traffic.bisection_bps = topo.bisection_bps;
+  traffic.load = 0.5;
+  traffic.duration = Time::Milliseconds(2);
+  InstallFlowSources(net, traffic);
+  net.Run(Time::Milliseconds(2));
+
+  ASSERT_NE(net.controller(), nullptr);
+  for (const Controller::Decision& d : net.controller()->decisions()) {
+    EXPECT_EQ(d.rule.find("oversubscribed"), std::string::npos)
+        << "window " << d.window << ": " << d.rule;
+  }
 }
 
 }  // namespace

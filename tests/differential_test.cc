@@ -4,7 +4,9 @@
 // thread count, window split, speculation, staged migrations at every window
 // boundary, and a snapshot/fork at one of the window stops — and the
 // sequential kernel is the oracle: the fingerprint and the digest must match
-// it exactly (deterministic total ordering makes any other outcome a bug). A
+// it exactly (deterministic total ordering makes any other outcome a bug).
+// Draws with speculation also check the incremental checkpoint store against
+// the full reference encoder after every window that captured. A
 // failure prints a one-line reproducer holding the seed and every drawn axis
 // value.
 #include <gtest/gtest.h>
@@ -139,9 +141,26 @@ RunDigest RunScenario(const KernelConfig& kernel, PartitionMode partition,
     net.Run(Time::Milliseconds(kSimMs));
     return DigestOf(net);
   }
+  // The speculation checkpoint store must hold, after every window whose
+  // capture succeeded, exactly what the reference encoder returned at that
+  // window's boundary. The reference is taken inside the kernel's capture
+  // hook, so draws that never capture run exactly as without the check.
+  std::vector<uint8_t> reference;
+  auto check_store = [&reference](Network* n) {
+    if (n->checkpoint_store() == nullptr) {
+      return;
+    }
+    n->kernel().set_checkpoint_hooks(
+        [n, &reference] {
+          CaptureWindowCheckpoint(*n, &reference);
+          return CaptureCheckpointStore(*n);
+        },
+        [n] { RollBackCheckpointStore(*n); });
+  };
   std::mt19937_64 moves_rng(a->seed ^ 0x9e3779b97f4a7c15ULL);
   std::unique_ptr<Network> fork;
   Network* live = &net;
+  check_store(live);
   for (int64_t stop_ps : a->stops_ps) {
     Kernel& k = live->kernel();
     const uint32_t domain = k.partition_map().num_executors();
@@ -153,11 +172,18 @@ RunDigest RunScenario(const KernelConfig& kernel, PartitionMode partition,
       }
     }
     k.StageMigrations(moves);
+    const uint64_t captures = k.spec_checkpoint().captures();
     live->Run(Time::Picoseconds(stop_ps));
+    if (k.spec_checkpoint().captures() > captures) {
+      EXPECT_TRUE(AssembleCheckpointStore(*live) == reference)
+          << "store differs at the window ending " << stop_ps << " ps; "
+          << Reproducer(*a);
+    }
     if (stop_ps == a->fork_at_ps) {
       Session session(&net);
       fork = session.Fork(session.Snapshot());
       live = fork.get();
+      check_store(live);
     }
   }
   return DigestOf(*live);

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "src/kernel/engine/phase_accountant.h"
 #include "src/kernel/engine/spec_checkpoint.h"
 #include "src/kernel/kernel.h"
+#include "src/net/session.h"
 #include "src/partition/manual.h"
 #include "tests/test_util.h"
 
@@ -431,29 +433,26 @@ TEST(SpecCheckpoint, CaptureRestoreCountersAndDeclines) {
   EXPECT_FALSE(ck.Capture());  // No hooks: refuse, never speculate.
   EXPECT_FALSE(ck.valid());
 
-  std::vector<uint8_t> restored;
+  int restored = 0;
   bool refuse = false;
+  uint64_t reencoded = 1000;
   ck.InstallHooks(
-      [&refuse](std::vector<uint8_t>* out) {
+      [&refuse, &reencoded]() -> std::optional<uint64_t> {
         if (refuse) {
-          return false;
+          return std::nullopt;
         }
-        out->assign(1000, 0xAB);
-        return true;
+        return reencoded;
       },
-      [&restored](const std::vector<uint8_t>& buf) { restored = buf; });
+      [&restored] { ++restored; });
   EXPECT_TRUE(ck.installed());
   ASSERT_TRUE(ck.Capture());
   EXPECT_TRUE(ck.valid());
   EXPECT_EQ(ck.captures(), 1u);
-  EXPECT_EQ(ck.buffer_size(), 1000u);
-  const size_t cap = ck.buffer_capacity();
-  EXPECT_GE(cap, 1000u);
+  EXPECT_EQ(ck.last_capture_bytes(), 1000u);
 
   ck.Restore();
   EXPECT_EQ(ck.restores(), 1u);
-  ASSERT_EQ(restored.size(), 1000u);
-  EXPECT_EQ(restored[0], 0xAB);
+  EXPECT_EQ(restored, 1);
   EXPECT_TRUE(ck.valid());  // A restore keeps the checkpoint.
 
   // A declined capture invalidates the prior checkpoint, and Restore
@@ -461,21 +460,21 @@ TEST(SpecCheckpoint, CaptureRestoreCountersAndDeclines) {
   refuse = true;
   EXPECT_FALSE(ck.Capture());
   EXPECT_FALSE(ck.valid());
-  restored.clear();
+  EXPECT_EQ(ck.captures(), 1u);
   ck.Restore();
   EXPECT_EQ(ck.restores(), 1u);
-  EXPECT_TRUE(restored.empty());
+  EXPECT_EQ(restored, 1);
 
-  // The pooled buffer keeps its capacity across captures: a smaller window
-  // re-serializes into already-owned storage.
+  // Each capture reports what it re-encoded: a quieter window less.
   refuse = false;
+  reencoded = 40;
   ASSERT_TRUE(ck.Capture());
   EXPECT_EQ(ck.captures(), 2u);
-  EXPECT_EQ(ck.buffer_capacity(), cap);
+  EXPECT_EQ(ck.last_capture_bytes(), 40u);
 }
 
 // A live speculative session: one checkpoint per eligible window, rollbacks
-// on forced misses, the pooled buffer settling at its high-water mark, and —
+// on forced misses, the checkpoint store settling at its high-water mark, and —
 // the engine's core reuse promise — zero OS threads spawned across
 // speculative windows and their conservative re-runs.
 TEST(SpecCheckpoint, SpeculativeWindowsReuseBufferAndSpawnNoThreads) {
@@ -501,7 +500,7 @@ TEST(SpecCheckpoint, SpeculativeWindowsReuseBufferAndSpawnNoThreads) {
     }
     net.Run(Time::Milliseconds(w));
     if (w == 3) {
-      cap_mid = net.kernel().spec_checkpoint().buffer_capacity();
+      cap_mid = CheckpointStoreFootprint(net);
     }
   }
   EXPECT_EQ(ExecutorPool::TotalThreadsSpawned() - spawned_before, 0u);
@@ -509,10 +508,10 @@ TEST(SpecCheckpoint, SpeculativeWindowsReuseBufferAndSpawnNoThreads) {
   const SpecCheckpoint& ck = net.kernel().spec_checkpoint();
   EXPECT_EQ(ck.captures(), windows);  // Every boundary captured exactly once.
   EXPECT_GE(ck.restores(), 1u);       // The overshooting window rolled back.
-  // The permutation drains inside window 1, so the buffer's high-water mark
+  // The permutation drains inside window 1, so the store's high-water mark
   // is set early and later captures reuse it — no regrowth.
-  EXPECT_EQ(ck.buffer_capacity(), cap_mid);
-  EXPECT_LE(ck.buffer_size(), ck.buffer_capacity());
+  EXPECT_EQ(CheckpointStoreFootprint(net), cap_mid);
+  EXPECT_LE(ck.last_capture_bytes(), CheckpointStoreFootprint(net));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllParallelKernels, EngineReuseTest,

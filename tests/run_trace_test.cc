@@ -194,7 +194,8 @@ TEST(RunTraceExport, CsvHasHeaderAndOneLinePerRound) {
   EXPECT_EQ(run.csv.rfind("window,round,lbts_ps,window_ps,events_before,"
                           "resorted,p_total_ns,s_total_ns,m_total_ns,"
                           "barrier_ns,parked,tuning_epoch,migrations,"
-                          "spec_rounds,spec_hits,spec_misses,rollback_ns\n",
+                          "spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,"
+                          "capture_bytes\n",
                           0),
             0u);
   // Single-window session: every row belongs to window 0.

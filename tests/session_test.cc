@@ -5,9 +5,12 @@
 // session accumulators, per-window trace segments, incremental traffic
 // injection, and KernelConfig validation.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +21,7 @@
 
 #include "src/kernel/engine/executor_pool.h"
 #include "src/net/session.h"
+#include "src/net/udp.h"
 #include "tests/test_util.h"
 
 namespace unison {
@@ -450,6 +454,91 @@ TEST(SessionSnapshotIoDeathTest, CorruptFilesAreRejected) {
     }
   }
   std::remove(path.c_str());
+}
+
+// Restores `bytes` in this (death-test child) process and reports a clean
+// return; a rejection dies inside Restore with its "Session:" diagnostic.
+[[noreturn]] void RestoreAndExit(const std::vector<uint8_t>& bytes) {
+  Session::Restore(SessionSnapshot(bytes));
+  std::fprintf(stderr, "restore returned\n");
+  std::_Exit(0);
+}
+
+// Overwrites the digest trailer so the parser, not the checksum, has to
+// judge the mutated body.
+void Retrail(std::vector<uint8_t>* bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i + sizeof h < bytes->size(); ++i) {
+    h ^= (*bytes)[i];
+    h *= 0x100000001b3ULL;
+  }
+  std::memcpy(bytes->data() + bytes->size() - sizeof h, &h, sizeof h);
+}
+
+// Seeded mutations of a valid snapshot, each with a consistent trailer:
+// huge values over count fields (the first LP's event count, the link and
+// LP counts) and at random offsets, single-bit flips anywhere, and
+// truncation at field boundaries. Restore must either return or die with a
+// Session: diagnostic — never an uncaught allocation exception, a fatal from
+// another layer, or a crash.
+TEST(SessionSnapshotIoDeathTest, MutatedBuffersRestoreOrFailCleanly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  KernelConfig k;
+  k.type = KernelType::kSequential;
+  FatTreeScenario parent = BuildFatTreeScenarioStreaming(k, PartitionMode::kSingle);
+  parent.net->Run(Time::Microseconds(100));
+  const std::vector<uint8_t> good = Session(parent.net.get()).Snapshot().bytes();
+  std::vector<uint8_t> section;
+  ASSERT_TRUE(CaptureWindowCheckpoint(*parent.net, &section));
+  const size_t body = good.size() - sizeof(uint64_t);
+  const size_t header = body - section.size();
+  // The section opens with the link count and one (up, delay) per link, then
+  // the LP count and the first LP's clock, two counters and event count.
+  const size_t lp_count_at = header + 4 + parent.net->links().size() * 9;
+  const size_t first_events_at = lp_count_at + 4 + 3 * 8;
+
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> mutants;
+  auto overwrite = [&](const std::string& what, size_t at, const void* v,
+                       size_t n) {
+    std::vector<uint8_t> m(good.begin(), good.end());
+    std::memcpy(m.data() + at, v, n);
+    mutants.emplace_back(what + " at " + std::to_string(at), std::move(m));
+  };
+  for (const uint64_t huge : {uint64_t{1} << 40, uint64_t{1} << 62, ~uint64_t{0}}) {
+    overwrite("huge event count", first_events_at, &huge, sizeof huge);
+  }
+  const uint32_t huge32 = 0xffffffffu;
+  overwrite("huge link count", header, &huge32, sizeof huge32);
+  overwrite("huge LP count", lp_count_at, &huge32, sizeof huge32);
+  std::mt19937_64 rng(16);
+  for (int i = 0; i < 10; ++i) {
+    const uint32_t v = i % 2 == 0 ? huge32 : 0x7fffffffu;
+    overwrite("huge u32", rng() % (body - sizeof v), &v, sizeof v);
+  }
+  for (int i = 0; i < 16; ++i) {
+    std::vector<uint8_t> m(good.begin(), good.end());
+    const size_t at = rng() % body;
+    m[at] ^= static_cast<uint8_t>(1u << (rng() % 8));
+    mutants.emplace_back("bit flip at " + std::to_string(at), std::move(m));
+  }
+  for (const size_t keep :
+       {size_t{8}, header, header + 4, lp_count_at, lp_count_at + 4,
+        first_events_at, first_events_at + 8, header + section.size() / 2}) {
+    std::vector<uint8_t> m(good.begin(), good.begin() + keep);
+    m.resize(keep + sizeof(uint64_t));  // Room for the trailer.
+    mutants.emplace_back("truncated to " + std::to_string(keep), std::move(m));
+  }
+  ASSERT_GE(mutants.size(), 32u);
+  for (auto& [what, bytes] : mutants) {
+    SCOPED_TRACE(what);
+    Retrail(&bytes);
+    EXPECT_EXIT(RestoreAndExit(bytes),
+                [](int status) {
+                  return (WIFEXITED(status) && WEXITSTATUS(status) == 0) ||
+                         (WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT);
+                },
+                "Session: |restore returned");
+  }
 }
 
 // The version check still rejects an older layout: a buffer re-stamped as
@@ -896,6 +985,191 @@ TEST(SpeculationRollback, ForcedMissRollsBackAndStaysBitIdentical) {
   EXPECT_EQ(net.flow_monitor().Fingerprint(), off_out.fingerprint);
   EXPECT_EQ(net.kernel().session_events(), off_out.events);
   EXPECT_TRUE(spec_digest == off_digest);
+}
+
+// --- The speculation checkpoint store ---
+
+struct WanStoreRun {
+  uint64_t fingerprint = 0;
+  RunDigest digest;
+  uint32_t rollbacks = 0;  // Rollbacks verified against the boundary bytes.
+  uint32_t checked = 0;    // Windows whose store matched the reference.
+  uint32_t declined = 0;   // Windows whose capture declined.
+};
+
+// A 4-site WAN ring (one LP per site, 100 ns cut links) run in 50 us windows
+// with every kind of change a window can make: TCP flows inside and across
+// sites, streaming flow sources, a cross-site UDP flow installed mid-session
+// (its sender is a lambda, so captures decline while it runs, and its last
+// datagrams land after a capture succeeds again), a mid-session
+// InjectTraffic, and a progress ticker pending in the last window. Under
+// speculation, the kernel's checkpoint hooks are wrapped to take the
+// reference encoder's bytes at each capture: after every rollback the
+// reference encoder must read back those boundary bytes, and after every
+// window whose capture succeeded the store's slots must assemble into them.
+WanStoreRun RunWanStoreScenario(uint32_t threads, bool speculate) {
+  constexpr uint32_t kSites = 4;
+  constexpr uint32_t kHostsPerSite = 4;
+  constexpr uint64_t kBps = 10'000'000'000ULL;
+  constexpr int kWindows = 48;
+  const Time window = Time::Microseconds(50);
+  SimConfig cfg;
+  cfg.kernel.type = KernelType::kUnison;
+  cfg.kernel.threads = threads;
+  cfg.partition = PartitionMode::kManual;
+  cfg.seed = 7;
+  if (speculate) {
+    cfg.speculation = SpeculationMode::kAuto;
+    cfg.tuning_config.spec_horizon_initial_ps = window.ps();
+  }
+  Network net(cfg);
+  std::vector<NodeId> routers;
+  std::vector<std::vector<NodeId>> hosts(kSites);
+  std::vector<NodeId> all_hosts;
+  std::vector<LpId> lp_of_node;
+  for (uint32_t s = 0; s < kSites; ++s) {
+    routers.push_back(net.AddNode());
+    lp_of_node.push_back(s);
+    for (uint32_t h = 0; h < kHostsPerSite; ++h) {
+      hosts[s].push_back(net.AddNode());
+      all_hosts.push_back(hosts[s].back());
+      lp_of_node.push_back(s);
+      net.AddLink(hosts[s][h], routers[s], kBps, Time::Microseconds(1));
+    }
+  }
+  for (uint32_t s = 0; s < kSites; ++s) {
+    net.AddLink(routers[s], routers[(s + 1) % kSites], kBps,
+                Time::Nanoseconds(100));
+  }
+  net.SetManualPartition(kSites, std::move(lp_of_node));
+  net.Finalize();
+
+  FlowSpec flow;
+  for (int64_t t = 0; t < kWindows * window.ps(); t += Time::Microseconds(150).ps()) {
+    for (uint32_t s = 0; s < kSites; ++s) {
+      for (uint32_t h = 0; h < kHostsPerSite; ++h) {
+        flow.src = hosts[s][h];
+        flow.dst = h == 0 ? hosts[(s + 1) % kSites][1]
+                          : hosts[s][(h + 1) % kHostsPerSite];
+        flow.bytes = 16 * 1024 + 4096 * h;
+        flow.start = Time::Picoseconds(t + 7000 * (s * kHostsPerSite + h));
+        InstallFlow(net, flow);
+      }
+    }
+  }
+  TrafficSpec streaming;
+  streaming.hosts = all_hosts;
+  streaming.bisection_bps = kBps;
+  streaming.load = 0.2;
+  streaming.duration = window * kWindows;
+  InstallFlowSources(net, streaming);
+
+  WanStoreRun out;
+  std::vector<uint8_t> boundary;
+  if (speculate) {
+    net.kernel().set_checkpoint_hooks(
+        [&net, &boundary] {
+          CaptureWindowCheckpoint(net, &boundary);
+          return CaptureCheckpointStore(net);
+        },
+        [&net, &boundary, &out] {
+          RollBackCheckpointStore(net);
+          std::vector<uint8_t> rolled_back;
+          EXPECT_TRUE(CaptureWindowCheckpoint(net, &rolled_back));
+          EXPECT_TRUE(rolled_back == boundary)
+              << "rollback " << out.rollbacks << " left " << rolled_back.size()
+              << " bytes, the boundary held " << boundary.size();
+          ++out.rollbacks;
+        });
+  }
+  for (int w = 1; w <= kWindows; ++w) {
+    const Time start = window * (w - 1);
+    if (w == 6) {
+      OnOffSpec udp;
+      udp.src = hosts[0][2];
+      udp.dst = hosts[2][3];
+      udp.rate_bps = 5'000'000'000ULL;
+      udp.on = Time::Microseconds(20);
+      udp.off = Time::Microseconds(10);
+      udp.start = start + Time::Microseconds(5);
+      udp.stop = start + window * 4 - Time::Microseconds(2);
+      InstallOnOffFlow(net, udp);
+    }
+    if (w == 20) {
+      TrafficSpec burst = streaming;
+      burst.load = 0.3;
+      burst.duration = window * 6;
+      burst.rng_stream = 900;
+      InjectTraffic(net, burst);
+    }
+    if (w == kWindows) {
+      net.EnableProgressReport(Time::Milliseconds(10), [](Time, uint64_t) {});
+    }
+    const uint64_t captures = net.kernel().spec_checkpoint().captures();
+    net.Run(window * w);
+    if (!speculate) {
+      continue;
+    }
+    if (net.kernel().spec_checkpoint().captures() == captures) {
+      ++out.declined;
+      continue;
+    }
+    EXPECT_TRUE(AssembleCheckpointStore(net) == boundary) << "window " << w;
+    ++out.checked;
+  }
+  out.fingerprint = net.flow_monitor().Fingerprint();
+  out.digest = DigestOf(net);
+  return out;
+}
+
+class CheckpointStoreWan : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(CheckpointStoreWan, SlotsMatchTheReferenceAndRollbacksRestoreTheBoundary) {
+  const WanStoreRun off = RunWanStoreScenario(GetParam(), false);
+  const WanStoreRun spec = RunWanStoreScenario(GetParam(), true);
+  EXPECT_GE(spec.rollbacks, 1u);
+  EXPECT_GE(spec.checked, 30u);
+  EXPECT_GE(spec.declined, 2u);  // The UDP sender's windows and the ticker's.
+  EXPECT_EQ(spec.fingerprint, off.fingerprint);
+  EXPECT_TRUE(spec.digest == off.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, CheckpointStoreWan, ::testing::Values(1u, 2u),
+                         [](const ::testing::TestParamInfo<uint32_t>& info) {
+                           return "t" + std::to_string(info.param);
+                         });
+
+// Under speculation=auto, only a session some window of which could capture
+// and speculate gets a store (and with it, touch marking): a round kernel in
+// deterministic mode, a partition with cut links, and global routing.
+TEST(CheckpointStoreGate, InstalledOnlyWhereAWindowCanSpeculate) {
+  auto has_store = [](KernelType type, PartitionMode partition,
+                      bool deterministic, bool dv) {
+    SimConfig cfg;
+    cfg.kernel.type = type;
+    cfg.kernel.threads = 2;
+    cfg.kernel.deterministic = deterministic;
+    cfg.partition = partition;
+    cfg.speculation = SpeculationMode::kAuto;
+    Network net(cfg);
+    FatTreeTopo topo = BuildFatTree(net, 4, 10'000'000'000ULL, Time::Microseconds(3));
+    if (partition == PartitionMode::kManual) {
+      net.SetManualPartition(4, FatTreePodPartition(topo, net.num_nodes()));
+    }
+    if (dv) {
+      net.EnableDistanceVector(Time::Milliseconds(1));
+    }
+    net.Finalize();
+    return net.checkpoint_store() != nullptr;
+  };
+  EXPECT_TRUE(has_store(KernelType::kUnison, PartitionMode::kAuto, true, false));
+  EXPECT_TRUE(has_store(KernelType::kHybrid, PartitionMode::kAuto, true, false));
+  EXPECT_TRUE(has_store(KernelType::kBarrier, PartitionMode::kManual, true, false));
+  EXPECT_FALSE(has_store(KernelType::kSequential, PartitionMode::kAuto, true, false));
+  EXPECT_FALSE(has_store(KernelType::kNullMessage, PartitionMode::kManual, true, false));
+  EXPECT_FALSE(has_store(KernelType::kUnison, PartitionMode::kSingle, true, false));
+  EXPECT_FALSE(has_store(KernelType::kUnison, PartitionMode::kAuto, false, false));
+  EXPECT_FALSE(has_store(KernelType::kUnison, PartitionMode::kAuto, true, true));
 }
 
 // --- Automatic resume checkpoints ---
