@@ -2,10 +2,11 @@
 // order cost, as a function of the re-sort period?
 //
 // An instrumented single-worker Unison run on the recurring fat-tree scenario
-// records the true per-(round, LP) costs. ReplayClaimOrderDrift then replays
-// that matrix through LPT list scheduling twice per staleness k — the
-// clairvoyant oracle re-sorts every round on the true costs, the kernel
-// policy re-sorts every k rounds on the *previous* round's costs — and
+// records the true per-(round, LP) costs. ReplayClaimOrderDrift
+// (bench/claim_drift.h) then replays that matrix through the parallel cost
+// model's Unison schedule once per staleness k — the kernel policy re-sorts
+// every k rounds on the *previous* round's costs, the model's per-round ideal
+// is the clairvoyant oracle re-sorted every round on the true costs — and
 // reports the mean makespan inflation. The resulting payoff curve is where
 // ControllerConfig's drift_shrink/drift_grow defaults come from, and
 // RecommendPeriod's pick is compared against the paper's static
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/control/drift_replay.h"
+#include "bench/claim_drift.h"
 
 using namespace unison;
 using namespace unison::bench;

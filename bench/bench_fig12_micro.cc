@@ -140,7 +140,6 @@ void PartB(bool full) {
     cfg.kernel.type = KernelType::kUnison;
     cfg.kernel.threads = 1;
     cfg.partition = scheme == 0 ? PartitionMode::kAuto : PartitionMode::kManual;
-    cfg.profile = true;
     cfg.profile_per_lp = true;
 
     CacheConfig cache_cfg;
@@ -154,7 +153,7 @@ void PartB(bool full) {
     net.Run(sim);
     CacheSim::Uninstall();
 
-    ParallelCostModel model(net.profiler().MergedLpRounds(), net.kernel().num_lps());
+    ParallelCostModel model(net.run_trace().lp_rounds(), net.kernel().num_lps());
     const double modeled =
         static_cast<double>(model
                                 .Unison(4, SchedulingMetric::kByLastRoundTime, 0,

@@ -139,7 +139,6 @@ inline TraceResult InstrumentedRun(SimConfig cfg,
                                    Time stop) {
   cfg.kernel.type = KernelType::kUnison;
   cfg.kernel.threads = 1;
-  cfg.profile = true;
   cfg.profile_per_lp = true;
   cfg.trace = !g_trace_path.empty();
   Network net(cfg);
@@ -158,7 +157,7 @@ inline TraceResult InstrumentedRun(SimConfig cfg,
   }
   TraceResult out;
   out.wall_seconds = static_cast<double>(Profiler::NowNs() - t0) * 1e-9;
-  out.trace = net.profiler().MergedLpRounds();
+  out.trace = net.run_trace().lp_rounds();
   out.num_lps = net.kernel().num_lps();
   out.events = net.kernel().processed_events();
   out.rounds = net.kernel().rounds();

@@ -6,10 +6,13 @@
 // This demo advances the same fat-tree workload in four 2.5ms windows,
 // injecting extra traffic into the live session between windows 2 and 3,
 // then replays the whole thing as one monolithic run (with the same
-// injection installed up front) and checks the digests match.
+// injection installed up front) and checks the digests match. With
+// --trace=PATH the windowed session is recorded and its run trace — one
+// segment per window — is written to PATH as JSON.
 //
-//   $ ./examples/session_windows
+//   $ ./examples/session_windows [--trace=PATH]
 #include <cstdio>
+#include <string>
 
 #include "src/unison.h"
 
@@ -52,10 +55,18 @@ unison::SimConfig Config() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::string trace_path;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--trace=", 0) == 0) {
+      trace_path = arg.substr(8);
+    }
+  }
   std::printf("Advancing one session in %u windows...\n\n", kWindows);
 
   unison::SimConfig cfg = Config();
+  cfg.trace = !trace_path.empty();
   unison::Network net(cfg);
   const unison::FatTreeTopo topo = Build(net);
 
@@ -76,6 +87,14 @@ int main() {
       std::printf("  -- injected %zu burst flows into the live session --\n",
                   extra.flow_ids.size());
     }
+  }
+  if (cfg.trace) {
+    if (!net.run_trace().WriteJsonFile(trace_path)) {
+      std::printf("ERROR: cannot write %s\n", trace_path.c_str());
+      return 1;
+    }
+    std::printf("  -- wrote the run trace (%zu windows) to %s --\n",
+                net.run_trace().segments().size(), trace_path.c_str());
   }
   const unison::RunDigest windowed = unison::DigestOf(net);
   std::printf("\n  windowed  : %10lu events, mean FCT %.3f ms, fingerprint %016lx\n",

@@ -13,31 +13,11 @@ namespace {
 // config leaves max_window_ps at 0: one second of simulated time.
 constexpr int64_t kDefaultHorizonCapPs = 1'000'000'000'000LL;
 
-// Imbalance of one round's per-executor processing times: the busiest
-// executor's share over the ideal 1/W share, minus one (0 = perfectly
-// balanced). Undefined (false) for rounds without usable rows.
-bool RoundImbalance(const std::vector<std::vector<uint64_t>>& round_p,
-                    uint32_t round, double* out) {
-  if (round >= round_p.size()) {
-    return false;
-  }
-  const std::vector<uint64_t>& row = round_p[round];
-  if (row.size() < 2) {
-    return false;
-  }
-  uint64_t sum = 0;
-  uint64_t max = 0;
-  for (uint64_t v : row) {
-    sum += v;
-    max = std::max(max, v);
-  }
-  if (sum == 0) {
-    return false;
-  }
-  *out = static_cast<double>(max) * static_cast<double>(row.size()) /
-             static_cast<double>(sum) -
-         1.0;
-  return true;
+// RoundImbalance (src/stats/trace.h) of the window's round `round`; false
+// when the round has no usable row.
+bool ImbalanceAt(const WindowTraceSegment& segment, uint32_t round, double* out) {
+  return round < segment.round_p.size() &&
+         RoundImbalance(segment.round_p[round], out);
 }
 
 // Hysteresis helper: `signal` observed this window extends the streak (and
@@ -85,8 +65,8 @@ double Controller::ResortDrift(const WindowTraceSegment& segment) {
     if (j - i >= 2) {
       double first = 0.0;
       double last = 0.0;
-      if (RoundImbalance(segment.round_p, records[i].round, &first) &&
-          RoundImbalance(segment.round_p, records[j - 1].round, &last)) {
+      if (ImbalanceAt(segment, records[i].round, &first) &&
+          ImbalanceAt(segment, records[j - 1].round, &last)) {
         total += last - first;
         ++stretches;
       }
@@ -97,16 +77,7 @@ double Controller::ResortDrift(const WindowTraceSegment& segment) {
 }
 
 double Controller::MeanRoundImbalance(const WindowTraceSegment& segment) {
-  double total = 0.0;
-  uint32_t usable = 0;
-  for (const RoundTraceRecord& rec : segment.records) {
-    double imb = 0.0;
-    if (RoundImbalance(segment.round_p, rec.round, &imb)) {
-      total += imb;
-      ++usable;
-    }
-  }
-  return usable == 0 ? 0.0 : total / usable;
+  return unison::MeanRoundImbalance(segment.round_p);
 }
 
 bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
@@ -280,20 +251,21 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
       }
       if (cost.size() == owner.size() && total_cost > 0) {
         std::vector<uint32_t> assign;
-        const uint64_t makespan = ListScheduleMakespan(
-            cost, SortByCostDescending(cost), view.num_executors, &assign);
+        ListScheduleMakespan(cost, SortByCostDescending(cost),
+                             view.num_executors, &assign);
         std::vector<LpMove> moves;
+        std::vector<uint64_t> load(view.num_executors, 0);
         for (uint32_t lp = 0; lp < owner.size(); ++lp) {
+          load[assign[lp]] += cost[lp];
           if (assign[lp] != owner[lp]) {
             moves.push_back(LpMove{lp, assign[lp]});
           }
         }
         if (!moves.empty()) {
           observed_imbalance = imb;
-          predicted_imbalance = static_cast<double>(makespan) *
-                                    static_cast<double>(view.num_executors) /
-                                    static_cast<double>(total_cost) -
-                                1.0;
+          // The post-move placement's imbalance, as one round of the LPT
+          // loads would show it.
+          RoundImbalance(load, &predicted_imbalance);
           next.moves = std::move(moves);
           next.rebalance_seq = store_->Get().rebalance_seq + 1;
           fire("rebalance");

@@ -156,7 +156,8 @@ class Controller {
     Tunables tunables;
     // Rebalance decisions only: the observed mean round imbalance that
     // triggered the move set, and the imbalance the LPT assignment predicts
-    // for the post-move placement (makespan * W / total - 1).
+    // for the post-move placement (RoundImbalance of its per-executor loads,
+    // i.e. makespan * W / total - 1).
     double observed_imbalance = 0.0;
     double predicted_imbalance = 0.0;
   };
@@ -173,8 +174,9 @@ class Controller {
   // re-sort stretches; exposed for tests and the trace tooling.
   static double ResortDrift(const WindowTraceSegment& segment);
 
-  // Mean per-round processing imbalance (max share over the ideal share,
-  // minus one) over the window's usable rounds; the rebalance rule's signal.
+  // The window's mean per-round processing imbalance (the stats layer's
+  // MeanRoundImbalance over its rows) — the rebalance rule's signal, and the
+  // value a recorded segment's summary carries.
   static double MeanRoundImbalance(const WindowTraceSegment& segment);
 
  private:

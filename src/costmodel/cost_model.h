@@ -53,7 +53,7 @@ struct ModelResult {
 
 class ParallelCostModel {
  public:
-  // `trace` comes from Profiler::MergedLpRounds() of an instrumented run.
+  // `trace` comes from RunTrace::lp_rounds() of an instrumented run.
   ParallelCostModel(const std::vector<LpRoundCost>& trace, uint32_t num_lps);
 
   uint32_t rounds() const { return static_cast<uint32_t>(cost_.size()); }

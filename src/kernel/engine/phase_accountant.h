@@ -3,7 +3,7 @@
 // PhaseAccountant owns the wall-clock cursor each kernel used to hand-roll
 // around every phase boundary: an interval is opened at the cursor, and each
 // Close* call routes the elapsed time into exactly one of the P/S/M buckets —
-// the executor-local total and the per-round profiler row are written in the
+// the executor-local total and the window's per-round row are written in the
 // same call, with the same delta. The accounting invariant the profiler tests
 // rely on ("per-round rows sum exactly to executor totals") therefore holds
 // by construction: there is no code path that adds time to a total without
@@ -11,9 +11,9 @@
 // (the worker-0 P undercount and the unmeasured phase-2 gap) were instances
 // of exactly that divergence, hand-duplicated per kernel.
 //
-// The destructor publishes the totals into the profiler's executor slot
+// The destructor publishes the totals into the window's executor slot
 // (RAII), so a kernel cannot forget the end-of-run flush either. All state is
-// executor-private: the profiler's executor-major matrices are only ever
+// executor-private: the window's executor-major matrices are only ever
 // written on this executor's own rows, keyed by the worker-local round index
 // the kernel mirrors via BeginRound (see profiler.h on why that is safe).
 #ifndef UNISON_SRC_KERNEL_ENGINE_PHASE_ACCOUNTANT_H_
@@ -27,14 +27,13 @@ namespace unison {
 
 class PhaseAccountant {
  public:
-  // `timing` enables the clock reads: profiling, or a scheduling metric that
-  // needs per-round measurements. `profiler` routes per-round rows and the
-  // final totals; it is ignored unless attached and enabled (timing can be on
-  // purely for scheduling). When `timing` is false every call is a no-op.
-  PhaseAccountant(uint32_t executor, bool timing, Profiler* profiler)
-      : executor_(executor),
-        timing_(timing),
-        profiler_(profiler != nullptr && profiler->enabled ? profiler : nullptr) {}
+  // `timing` enables the clock reads: recording, or a scheduling metric that
+  // needs per-round measurements. `rows` is the recorder's live window
+  // (RunTrace::rows()) and receives the per-round rows and the final totals;
+  // nullptr when recording is off (timing can be on purely for scheduling).
+  // When `timing` is false every call is a no-op.
+  PhaseAccountant(uint32_t executor, bool timing, Profiler* rows)
+      : executor_(executor), timing_(timing), rows_(rows) {}
 
   ~PhaseAccountant() { Flush(); }
 
@@ -54,7 +53,7 @@ class PhaseAccountant {
   }
 
   // Keys subsequent per-round rows. Executors mirror the coordinator's round
-  // index locally so their profiler writes stay private between barriers.
+  // index locally so their row writes stay private between barriers.
   void BeginRound(uint32_t round) { round_ = round; }
 
   // Close the open interval into one bucket and re-open it at "now".
@@ -72,11 +71,11 @@ class PhaseAccountant {
   void set_events(uint64_t events) { local_.events = events; }
   const ExecutorPhaseStats& local() const { return local_; }
 
-  // Publishes the totals into the profiler's executor slot; idempotent, and
+  // Publishes the totals into the window's executor slot; idempotent, and
   // invoked by the destructor so the flush cannot be forgotten.
   void Flush() {
-    if (profiler_ != nullptr) {
-      profiler_->executor(executor_) = local_;
+    if (rows_ != nullptr) {
+      rows_->executor(executor_) = local_;
     }
   }
 
@@ -90,15 +89,15 @@ class PhaseAccountant {
     const uint64_t ns = now - cursor_;
     cursor_ = now;
     *bucket += ns;
-    if (profiler_ != nullptr) {
-      (profiler_->*add_row)(executor_, round_, ns);
+    if (rows_ != nullptr) {
+      (rows_->*add_row)(executor_, round_, ns);
     }
     return ns;
   }
 
   const uint32_t executor_;
   const bool timing_;
-  Profiler* const profiler_;
+  Profiler* const rows_;
   ExecutorPhaseStats local_{};
   uint64_t cursor_ = 0;
   uint32_t round_ = 0;

@@ -8,7 +8,8 @@
 namespace unison {
 
 void RoundSync::BeginRun(const char* kernel_name, uint32_t executors, Time stop) {
-  kernel_->BeginWindow();
+  kernel_->BeginWindow(kernel_name, executors);
+  recording_ = kernel_->recorder() != nullptr;
   stop_ = stop;
   lbts_ = Time::Zero();
   window_ = Time::Zero();
@@ -26,16 +27,6 @@ void RoundSync::BeginRun(const char* kernel_name, uint32_t executors, Time stop)
   spec_horizon_ps_ = 0;
   spec_rounds_ = 0;
   covered_ = Time::Zero();
-  Profiler* const profiler = kernel_->profiler();
-  RunTrace* const trace = kernel_->trace();
-  profiling_ = profiler != nullptr && profiler->enabled;
-  tracing_ = trace != nullptr && trace->enabled;
-  if (profiling_) {
-    profiler->BeginRun(executors);
-  }
-  if (tracing_) {
-    trace->BeginRun(kernel_name, executors, kernel_->num_lps());
-  }
 }
 
 void RoundSync::SeedMinFromLps() {
@@ -131,28 +122,25 @@ bool RoundSync::SpecAllowsGlobals() const {
 }
 
 void RoundSync::CommitRound(uint64_t events_before) {
-  if (profiling_) {
-    kernel_->profiler()->BeginRound();
-  }
-  if (tracing_) {
-    kernel_->trace()->BeginRound(round_index_, lbts_, window_, events_before);
+  if (recording_) {
+    kernel_->trace_->BeginRound(round_index_, lbts_, window_, events_before);
   }
   ++round_index_;
 }
 
 void RoundSync::RecordClaimOrder(const std::vector<uint32_t>& order) {
-  if (tracing_) {
-    kernel_->trace()->RecordClaimOrder(order);
+  if (recording_) {
+    kernel_->trace_->RecordClaimOrder(order);
   }
 }
 
 void RoundSync::RecordBarrierWait(uint64_t barrier_ns, uint64_t parks_cumulative) {
-  if (!tracing_) {
+  if (!recording_) {
     return;
   }
   const uint64_t parked = parks_cumulative - parks_baseline_;
   parks_baseline_ = parks_cumulative;
-  kernel_->trace()->RecordBarrier(barrier_ns, parked);
+  kernel_->trace_->RecordBarrier(barrier_ns, parked);
 }
 
 }  // namespace unison

@@ -3,11 +3,9 @@
 // RoundSync holds the start-of-round logic of the one round loop
 // (round_kernel.h) that the barrier, Unison, and hybrid presets share: fold
 // the workers' min-reduction into the Eq. 2 LBTS, run the stop/termination
-// check, and open the profiler/trace round, parameterized by kernel name —
-// the cross-kernel time-composition comparisons (Figs. 5b/9b/13) are only
-// trustworthy because every preset runs this one audited copy. The
-// null-message kernel keeps its channel-local windows (it has no global
-// rounds) but uses BeginRun for the same run-level bookkeeping.
+// check, and open the recorded round, parameterized by kernel name — the
+// cross-kernel time-composition comparisons (Figs. 5b/9b/13) are only
+// trustworthy because every preset runs this one audited copy.
 //
 // The reduction inputs no longer arrive through a shared CAS line: workers
 // contribute their partial {min, event count, stop flag} to the
@@ -26,16 +24,21 @@
 
 namespace unison {
 
-class RoundSync {
+// Cache-line aligned: worker 0 rewrites this state every round (prologue,
+// Absorb) while the other workers read it, so no neighbouring member of the
+// round kernel may share its lines — a layout that put the kernel's barrier_
+// pointer, read at every crossing, on RoundSync's last line measured ~5%
+// slower on the sync-bound WAN ring.
+class alignas(64) RoundSync {
  public:
   explicit RoundSync(Kernel* kernel) : kernel_(kernel) {}
 
   RoundSync(const RoundSync&) = delete;
   RoundSync& operator=(const RoundSync&) = delete;
 
-  // Once per Run window: caches the profiling/tracing flags, begins the
-  // profiler and trace runs under `kernel_name`, clears any stale stop
-  // request (Kernel::BeginWindow), and resets the round/termination state.
+  // Once per Run window (and per speculative retry): opens the window under
+  // `kernel_name` (Kernel::BeginWindow — stale stop request, recorder),
+  // caches the recording gate, and resets the round/termination state.
   // Session state — LP clocks, FELs, mailboxes — is deliberately untouched:
   // a window continues the session, it does not restart it.
   void BeginRun(const char* kernel_name, uint32_t executors, Time stop);
@@ -96,8 +99,8 @@ class RoundSync {
   // Rounds of this attempt whose bound extended past the conservative LBTS.
   uint32_t spec_rounds() const { return spec_rounds_; }
 
-  // Opens round round_index(): begins the profiler and trace rounds, then
-  // advances the index. `events_before` is the kernel's live event count.
+  // Opens round round_index(): records it when recording, then advances the
+  // index. `events_before` is the kernel's live event count.
   void CommitRound(uint64_t events_before);
 
   // Attaches a re-sorted scheduler claim order to the round just committed.
@@ -106,7 +109,7 @@ class RoundSync {
   // Trace hook for the reduction barrier: the coordinator's observed
   // arrive-to-release latency plus the barrier's cumulative park counter
   // (converted to a per-round delta here). Attaches to the round most
-  // recently committed; gated on tracing().
+  // recently committed; gated on recording().
   void RecordBarrierWait(uint64_t barrier_ns, uint64_t parks_cumulative);
   // Baselines the park-delta accounting; call once after BeginRun with the
   // barrier's current cumulative count.
@@ -114,8 +117,8 @@ class RoundSync {
     parks_baseline_ = parks_cumulative;
   }
 
-  bool profiling() const { return profiling_; }
-  bool tracing() const { return tracing_; }
+  // Whether this window is recorded (Kernel::recorder()), cached at BeginRun.
+  bool recording() const { return recording_; }
   bool done() const { return done_; }
   // Why done() latched; meaningful only once it has.
   RunReason reason() const { return reason_; }
@@ -141,8 +144,7 @@ class RoundSync {
   // the next barrier; the barrier's acquire/release ordering publishes it.
   bool done_ = false;
   RunReason reason_ = RunReason::kExhausted;
-  bool profiling_ = false;
-  bool tracing_ = false;
+  bool recording_ = false;
   uint32_t round_index_ = 0;
   // Last absorbed reduction (coordinator-only).
   int64_t reduced_min_ps_ = INT64_MAX;

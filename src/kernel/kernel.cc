@@ -77,9 +77,12 @@ void Kernel::Setup(const TopoGraph& graph, const Partition& partition) {
   WireMailboxes();
 }
 
-void Kernel::BeginWindow() {
+void Kernel::BeginWindow(const char* kernel_name, uint32_t executors) {
   stop_requested_.store(false, std::memory_order_relaxed);
   lp_window_cost_ns_.assign(num_lps(), 0);
+  if (RunTrace* const rec = recorder()) {
+    rec->BeginRun(kernel_name, executors, num_lps());
+  }
 }
 
 void Kernel::ApplyPendingMigrations() {
@@ -156,18 +159,6 @@ void Kernel::WireMailboxes() {
       }
     }
   }
-}
-
-Time Kernel::ComputeLbts() const {
-  Time min_next = Time::Max();
-  for (const auto& lp : lps_) {
-    min_next = std::min(min_next, lp->fel().NextTimestamp());
-  }
-  const Time npub = public_lp_->fel().NextTimestamp();
-  if (min_next.IsMax() || partition_.lookahead.IsMax()) {
-    return npub;
-  }
-  return std::min(npub, min_next + partition_.lookahead);
 }
 
 uint64_t Kernel::RunGlobalEvents(Time upto, Time stop) {
@@ -288,10 +279,8 @@ RunResult Kernel::FinishRun(const char* kernel_name, uint32_t executors,
   run_summary_.rollback_ns = rollback_ns_win_;
   run_summary_.capture_ns = capture_ns_win_;
   run_summary_.capture_bytes = capture_bytes_win_;
-  if (profiler_ != nullptr && profiler_->enabled) {
-    run_summary_.processing_ns = profiler_->TotalProcessingNs();
-    run_summary_.synchronization_ns = profiler_->TotalSyncNs();
-    run_summary_.messaging_ns = profiler_->TotalMessagingNs();
+  if (RunTrace* const rec = recorder()) {
+    rec->EndRun(&run_summary_);
   }
 
   // Roll the window into the session. An early stop leaves events below
@@ -306,10 +295,6 @@ RunResult Kernel::FinishRun(const char* kernel_name, uint32_t executors,
   } else {
     session_now_ = std::max(session_now_, stop);
     resume_floor_ = session_now_;
-  }
-
-  if (trace_ != nullptr && trace_->enabled) {
-    trace_->EndRun(run_summary_, profiler_);
   }
   return RunResult{reason, session_now_, processed_events_, rounds_};
 }

@@ -325,14 +325,14 @@ class Kernel {
     OnOwnershipChanged();
   }
 
-  void set_profiler(Profiler* profiler) { profiler_ = profiler; }
-  Profiler* profiler() { return profiler_; }
-
+  // Attaches the session's run recorder (src/stats/trace.h), the only one a
+  // kernel writes into. While its gate is on, every window is recorded into
+  // it once: round records, per-round P/S/M rows and totals, per-LP costs.
   void set_trace(RunTrace* trace) { trace_ = trace; }
-  RunTrace* trace() { return trace_; }
 
   // End-of-run aggregate, refreshed by every kernel at the end of Run()
-  // whether or not profiling/tracing is enabled.
+  // whether or not recording is on; with recording on it also carries the
+  // window's P/S/M totals and imbalance, the value its segment archives.
   const RunSummary& run_summary() const { return run_summary_; }
 
  protected:
@@ -345,19 +345,29 @@ class Kernel {
   // barrier preset wires nothing, so all its sends take the overflow box.
   virtual void WireMailboxes();
 
-  // LBTS per Eq. 2: min(N_pub, min_i N_i + lookahead). Returns Time::Max()
-  // when no events remain anywhere.
-  Time ComputeLbts() const;
-
   // Executes public-LP events with ts <= `upto` (but < `stop`). Returns the
   // number of global events run.
   uint64_t RunGlobalEvents(Time upto, Time stop);
 
   // Start-of-window bookkeeping shared by every kernel: clears a stale stop
-  // request (a stop ends one window, not the session) and records the window
-  // start for the summary. RoundSync::BeginRun calls it for the engine
-  // kernels; the sequential kernel calls it directly.
-  void BeginWindow();
+  // request (a stop ends one window, not the session), resets the window's
+  // per-LP costs, and — when recording — opens the recorder's live window
+  // under `kernel_name` with `executors` row slots. The one place a window's
+  // recording opens; RoundSync::BeginRun calls it for the round kernel (once
+  // per speculative attempt), the other kernels call it directly.
+  void BeginWindow(const char* kernel_name, uint32_t executors);
+
+  // The recorder while its gate is on, else nullptr: the one recording
+  // switch every kernel checks.
+  RunTrace* recorder() const {
+    return trace_ != nullptr && trace_->enabled ? trace_ : nullptr;
+  }
+  // The live window's executor-private rows (PhaseAccountant's target), or
+  // nullptr when recording is off.
+  Profiler* window_rows() const {
+    RunTrace* const rec = recorder();
+    return rec != nullptr ? &rec->rows() : nullptr;
+  }
 
   // Window-boundary migration point, called once per Run() after the window's
   // tunables are sampled and before any worker is released: merges the
@@ -379,10 +389,10 @@ class Kernel {
   // and rounds are barrier-separated, so writes to one index never race.
   void AddLpWindowCost(LpId lp, uint64_t ns) { lp_window_cost_ns_[lp] += ns; }
 
-  // Fills run_summary_ from processed_events_/rounds_ and the profiler's
-  // totals (when attached and enabled), rolls the window into the session
-  // aggregates, and hands the completed window to the trace recorder. Every
-  // kernel calls this at the end of Run(); the return value is Run()'s.
+  // Fills run_summary_ from processed_events_/rounds_ — and, when recording,
+  // from the window's rows via RunTrace::EndRun, which archives the window
+  // with that summary — and rolls the window into the session aggregates.
+  // Every kernel calls this at the end of Run(); the return value is Run()'s.
   RunResult FinishRun(const char* kernel_name, uint32_t executors,
                       uint64_t wall_ns, Time stop, RunReason reason);
 
@@ -423,7 +433,6 @@ class Kernel {
   Partition partition_;
   std::vector<std::unique_ptr<Lp>> lps_;
   std::unique_ptr<Lp> public_lp_;
-  Profiler* profiler_ = nullptr;
   RunTrace* trace_ = nullptr;
   RunSummary run_summary_;
   uint64_t processed_events_ = 0;

@@ -91,7 +91,6 @@ class Lp {
 
   // Inboxes: outboxes of other LPs that target this LP.
   void AddInbox(Outbox* box) { inboxes_.push_back(box); }
-  void ClearInboxes() { inboxes_.clear(); }
 
   // Receiving phase: moves all mailbox events into the FEL via bulk PushAll
   // (one reserve + one sift pass per inbox instead of per-event pushes).
@@ -116,12 +115,10 @@ class Lp {
   // The LP currently executing on this thread (nullptr during setup and in
   // the global-event phase when attributed to the public LP).
   static Lp* Current() { return current_; }
-  static void SetCurrent(Lp* lp) { current_ = lp; }
 
   // Node attribution of the event currently executing; inherited by events
   // scheduled with Simulator::Schedule so that cache traces stay accurate.
   static NodeId CurrentNode() { return current_node_; }
-  static void SetCurrentNode(NodeId n) { current_node_ = n; }
 
   static void SetTraceHook(EventTraceFn fn, void* ctx) {
     trace_hook_ = fn;

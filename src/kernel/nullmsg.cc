@@ -117,10 +117,9 @@ RunResult NullMessageKernel::Run(Time stop_time) {
     pool_.ApplyPlacement(tuning_.affinity);
   }
   active_pool_->Ensure(num_lps());
-  // No shared synchronization rounds in this algorithm: BeginRun covers the
-  // run-level profiler/trace bookkeeping; the trace carries the summary and
-  // per-executor P/S/M only.
-  sync_.BeginRun("nullmsg", num_lps(), stop_time);
+  // No shared synchronization rounds in this algorithm: the recorded window
+  // carries the summary and per-executor P/S/M only.
+  BeginWindow("nullmsg", num_lps());
   const uint64_t run_t0 = Profiler::NowNs();
   exec_events_.assign(num_lps(), 0);
   // Reset channel promises so consecutive windows start conservative: the
@@ -148,7 +147,9 @@ RunResult NullMessageKernel::Run(Time stop_time) {
     c->nulls = 0;
   }
 
-  active_pool_->Run([this](uint32_t ex) { ExecLoop(ex); });
+  Profiler* const rows = window_rows();
+  active_pool_->Run(
+      [this, stop_time, rows](uint32_t ex) { ExecLoop(ex, stop_time, rows); });
 
   processed_events_ = 0;
   for (uint64_t n : exec_events_) {
@@ -178,19 +179,18 @@ RunResult NullMessageKernel::Run(Time stop_time) {
                    reason);
 }
 
-void NullMessageKernel::ExecLoop(uint32_t ex) {
+void NullMessageKernel::ExecLoop(uint32_t ex, Time stop, Profiler* rows) {
   // The LP set this executor serves for the whole window; ownership only
   // changes between windows. An executor whose LPs all migrated away returns
   // immediately — nothing can ever signal it.
   const std::vector<uint32_t>& owned = pmap_.owned(ex);
   ExecCtl& ctl = *ctl_[ex];
-  const Time stop = sync_.stop();
   uint64_t events = 0;
   uint64_t rounds = 0;
   // "Rounds" are executor-local sweeps here; they still key executor-private
   // per-round rows so the rows-sum-to-totals invariant holds for this kernel
   // too, even though iteration counts differ per executor.
-  PhaseAccountant acct(ex, sync_.profiling(), profiler_);
+  PhaseAccountant acct(ex, rows != nullptr, rows);
 
   // An LP is done once everything below the stop time has been processed and
   // its final promises sent; the sweep skips it from then on.
@@ -285,7 +285,7 @@ void NullMessageKernel::ExecLoop(uint32_t ex) {
   if (ex == 0) {
     rounds_ = rounds;
   }
-  acct.set_events(events);  // Destructor flushes the totals to the profiler.
+  acct.set_events(events);  // Destructor flushes the totals to the window.
 }
 
 }  // namespace unison

@@ -14,8 +14,7 @@
 // its whole owned set per wake-up. Runtime global events are not supported
 // (the paper's §4.2 makes the same observation about existing PDES). There
 // are no shared rounds, so only the engine's ExecutorPool and
-// PhaseAccountant apply; RoundSync is used for its run-level profiler/trace
-// bookkeeping.
+// PhaseAccountant apply.
 #ifndef UNISON_SRC_KERNEL_NULLMSG_H_
 #define UNISON_SRC_KERNEL_NULLMSG_H_
 
@@ -25,7 +24,6 @@
 #include <unordered_map>
 
 #include "src/kernel/engine/executor_pool.h"
-#include "src/kernel/engine/round_sync.h"
 #include "src/kernel/kernel.h"
 
 namespace unison {
@@ -89,13 +87,14 @@ class NullMessageKernel : public Kernel {
   }
 
   void Signal(LpId target);
-  void ExecLoop(uint32_t ex);
+  // Serves executor `ex`'s owned LPs up to `stop`; `rows` is the recorder's
+  // live window, or nullptr when recording is off.
+  void ExecLoop(uint32_t ex, Time stop, Profiler* rows);
 
   ExecutorPool pool_;    // Threads spawned once at Setup, reused across runs.
   // The pool Run() actually uses: the borrowed external pool when one was
   // lent (Session::Fork), else pool_. Set at Setup.
   ExecutorPool* active_pool_ = nullptr;
-  RoundSync sync_{this};
   std::vector<std::unique_ptr<Channel>> channels_;
   // Directed pair → channel; built at Setup, reused by ScheduleRemote so the
   // send path is one hash probe instead of a scan over the sender's fan-out.

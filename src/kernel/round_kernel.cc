@@ -137,7 +137,7 @@ RunResult RoundKernel::Run(Time stop_time) {
       sync_.EnableSpeculation(tuning_.spec_horizon_ps);
     }
     sync_.SetParkBaseline(barrier_->parks());
-    timing_ = sync_.profiling() ||
+    timing_ = sync_.recording() ||
               claim_metric_ == SchedulingMetric::kByLastRoundTime;
     worker_events_.assign(workers, 0);
     // Seed the min-reduction for the first prologue: workers contribute
@@ -229,7 +229,8 @@ void RoundKernel::RoundLoop(uint32_t worker) {
   // Ownership and the layout only change between windows, so the list stays
   // valid and no worker ever observes a mid-window move.
   const std::vector<uint32_t>& mine = lists_[worker];
-  const bool record = sync_.profiling() && profiler_->per_lp;
+  Profiler* const rows = window_rows();
+  const bool record = rows != nullptr && rows->per_lp;
   uint64_t events = 0;
   // Worker-local round index: every worker executes the same loop iterations,
   // so this mirrors sync_.round_index() without reading shared state. It keys
@@ -237,7 +238,7 @@ void RoundKernel::RoundLoop(uint32_t worker) {
   // wait — including the end-of-round barrier, which overlaps worker 0's next
   // prologue — be attributed to its round without data races.
   uint32_t round = 0;
-  PhaseAccountant acct(worker, timing_, profiler_);
+  PhaseAccountant acct(worker, timing_, rows);
 
   for (;;) {
     if (worker == 0) {
@@ -276,7 +277,7 @@ void RoundKernel::RoundLoop(uint32_t worker) {
         last_round_ns_[lp_id] = lp_ns;
         AddLpWindowCost(lp_id, lp_ns);
         if (record) {
-          profiler_->AddLpRound(worker,
+          rows->AddLpRound(worker,
                                 LpRoundCost{round, lp_id,
                                             static_cast<uint32_t>(n), pending, lp_ns});
         }
@@ -337,11 +338,11 @@ void RoundKernel::RoundLoop(uint32_t worker) {
     // End-of-round barrier: releases with the reduced {min, count, flags}
     // already published, which worker 0 absorbs for the next prologue.
     const uint64_t barrier_t0 =
-        worker == 0 && sync_.tracing() ? Profiler::NowNs() : 0;
+        worker == 0 && sync_.recording() ? Profiler::NowNs() : 0;
     barrier_->Arrive(worker, local_min_ps, events, flags);
     if (worker == 0) {
       sync_.Absorb(*barrier_);
-      if (sync_.tracing()) {
+      if (sync_.recording()) {
         sync_.RecordBarrierWait(Profiler::NowNs() - barrier_t0,
                                 barrier_->parks());
       }
@@ -351,7 +352,7 @@ void RoundKernel::RoundLoop(uint32_t worker) {
   }
 
   worker_events_[worker] = events;
-  acct.set_events(events);  // Destructor flushes the totals to the profiler.
+  acct.set_events(events);  // Destructor flushes the totals to the window.
 }
 
 }  // namespace unison

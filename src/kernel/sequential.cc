@@ -15,14 +15,7 @@ RunResult SequentialKernel::Run(Time stop_time) {
   // provenance fields (migrations, ownership epoch) uniform across kernels.
   tuning_ = SampleTuning(1, /*parties_tunable=*/false);
   ApplyPendingMigrations();
-  BeginWindow();
-  const bool profiling = profiler_ != nullptr && profiler_->enabled;
-  if (profiling) {
-    profiler_->BeginRun(1);
-  }
-  if (trace_ != nullptr && trace_->enabled) {
-    trace_->BeginRun("sequential", 1, num_lps());
-  }
+  BeginWindow("sequential", 1);
   const uint64_t t0 = Profiler::NowNs();
 
   processed_events_ = 0;
@@ -47,13 +40,12 @@ RunResult SequentialKernel::Run(Time stop_time) {
       processed_events_ += lp->ProcessUntil(std::min(npub, stop_time));
     }
   }
-  const uint64_t count = processed_events_;
 
   const uint64_t wall_ns = Profiler::NowNs() - t0;
-  if (profiling) {
-    auto& stats = profiler_->executor(0);
-    stats.processing_ns = wall_ns;
-    stats.events = count;
+  if (Profiler* const rows = window_rows()) {
+    // One executor that only processes: the whole window is P.
+    rows->executor(0).processing_ns = wall_ns;
+    rows->executor(0).events = processed_events_;
   }
   return FinishRun("sequential", 1, wall_ns, stop_time, reason);
 }

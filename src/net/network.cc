@@ -15,16 +15,12 @@
 namespace unison {
 
 Network::Network(SimConfig config) : config_(std::move(config)) {
-  // Tracing rides on the profiler gate: a trace without the per-round P/S
-  // matrices would be hollow, so cfg.trace implies profile + per-round. The
-  // controller consumes trace segments, so kAuto implies the same machinery —
-  // minus claim-order rows (O(#LP) each), which only a user trace keeps.
-  const bool auto_tuning = config_.tuning == TuningMode::kAuto;
-  profiler_.enabled = config_.profile || config_.trace || auto_tuning;
-  profiler_.per_round = config_.profile_per_round || config_.trace || auto_tuning;
-  profiler_.per_lp = config_.profile_per_lp;
-  run_trace_.enabled = config_.trace || auto_tuning;
+  // One recording gate: an export, the per-LP costs and the controller (which
+  // consumes the segments) each need the recorded windows.
+  run_trace_.enabled = config_.trace || config_.profile_per_lp ||
+                       config_.tuning == TuningMode::kAuto;
   run_trace_.record_claim_order = config_.trace && config_.trace_claim_order;
+  run_trace_.rows().per_lp = config_.profile_per_lp;
 }
 
 Network::~Network() = default;
@@ -158,7 +154,6 @@ void Network::Finalize() {
   }
 
   kernel_ = MakeKernel(config_.kernel);
-  kernel_->set_profiler(&profiler_);
   kernel_->set_trace(&run_trace_);
   // Two-tier config split: the mutable knobs move into the tunable store,
   // seeded from the KernelConfig. Every kernel samples the store per window,

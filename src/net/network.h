@@ -36,7 +36,6 @@
 #include "src/net/tcp.h"
 #include "src/partition/graph.h"
 #include "src/stats/flow_monitor.h"
-#include "src/stats/profiler.h"
 #include "src/stats/trace.h"
 
 namespace unison {
@@ -96,17 +95,19 @@ struct SimConfig {
   KernelConfig kernel;
   PartitionMode partition = PartitionMode::kAuto;
   uint64_t seed = 1;
-  bool profile = false;
-  bool profile_per_round = false;
+  // The run recorder (src/stats/trace.h) is on when any of `trace`,
+  // `profile_per_lp` or tuning=kAuto is set; a recorded window always keeps
+  // its round records and per-round P/S/M rows.
+  //
+  // Per-(round, LP) costs for the cost model and heatmaps; O(rounds x LPs).
   bool profile_per_lp = false;
-  // Structured run trace (src/stats/trace.h). Implies profile + per-round so
-  // the exported trace carries the P/S matrices.
+  // Structured run trace for export (JSON/CSV).
   bool trace = false;
-  bool trace_claim_order = true;  // Record claim orders on re-sort rounds.
-  // Closed-loop tuning (src/control/). kAuto implies the trace machinery
-  // (profile + per-round + segment archiving) since that is the controller's
-  // input — but not claim-order recording, whose O(#LP) rows are only kept
-  // when the user asked for a trace themselves.
+  // Record claim orders on re-sort rounds (O(#LP) each); only a user trace
+  // keeps them.
+  bool trace_claim_order = true;
+  // Closed-loop tuning (src/control/). kAuto records every window, since the
+  // segments are the controller's input.
   TuningMode tuning = TuningMode::kOff;
   ControllerConfig tuning_config;
   // Speculative window execution; kAuto seeds the live spec-horizon tunable
@@ -235,7 +236,6 @@ class Network {
   // (Kernel::MaySpeculate) and routing is global. While it is, nodes and TCP
   // endpoints mark what they change for it.
   CheckpointStore* checkpoint_store() const { return checkpoint_store_.get(); }
-  Profiler& profiler() { return profiler_; }
   RunTrace& run_trace() { return run_trace_; }
   GlobalRouting& routing() { return routing_; }
   DistanceVectorRouting* dv_routing() { return dv_routing_.get(); }
@@ -319,7 +319,6 @@ class Network {
   Simulator sim_;
   FlowMonitor flow_monitor_;
   std::unique_ptr<CheckpointStore, CheckpointStoreDeleter> checkpoint_store_;
-  Profiler profiler_;
   RunTrace run_trace_;
   GlobalRouting routing_;
   std::unique_ptr<DistanceVectorRouting> dv_routing_;

@@ -21,7 +21,7 @@
 namespace unison {
 namespace {
 
-// USNP v5: little-endian, field-by-field, no alignment padding. The version
+// USNP v6: little-endian, field-by-field, no alignment padding. The version
 // gates the whole buffer — any layout change bumps it; there is no partial
 // compatibility. A buffer has three parts:
 //   header        what no window can change: magic, version, SimConfig,
@@ -34,9 +34,10 @@ namespace {
 //   trailer       FNV-1a-64 over every preceding byte.
 // v2 added the live-tuning plane, v3 the LP-ownership map, v4 the
 // speculation plane; v5 split the buffer into header + window state +
-// trailer, so the snapshot and the checkpoint share one state encoder.
+// trailer, so the snapshot and the checkpoint share one state encoder; v6
+// dropped the two profiler switches and writes every ControllerConfig field.
 constexpr uint8_t kMagic[4] = {'U', 'S', 'N', 'P'};
-constexpr uint32_t kVersion = 5;
+constexpr uint32_t kVersion = 6;
 constexpr size_t kTrailerBytes = sizeof(uint64_t);
 
 [[noreturn]] void SnapshotFatal(const std::string& message) {
@@ -241,8 +242,6 @@ void PutSimConfig(Writer& w, const SimConfig& c) {
   w.U8(static_cast<uint8_t>(c.kernel.affinity));
   w.U8(static_cast<uint8_t>(c.partition));
   w.U64(c.seed);
-  w.Bool(c.profile);
-  w.Bool(c.profile_per_round);
   w.Bool(c.profile_per_lp);
   w.Bool(c.trace);
   w.Bool(c.trace_claim_order);
@@ -260,6 +259,10 @@ void PutSimConfig(Writer& w, const SimConfig& c) {
   w.U32(c.tuning_config.min_parties);
   w.U32(c.tuning_config.cpu_limit);
   w.U32(c.tuning_config.min_rounds);
+  w.U32(c.tuning_config.rule_patience);
+  w.F64(c.tuning_config.rebalance_imbalance_high);
+  w.U32(c.tuning_config.rebalance_patience);
+  w.U32(c.tuning_config.rebalance_cooldown);
   w.F64(c.tuning_config.cost_ewma_alpha);
   w.I64(c.tuning_config.spec_horizon_initial_ps);
   w.I64(c.tuning_config.spec_horizon_min_ps);
@@ -282,8 +285,6 @@ SimConfig GetSimConfig(Reader& r) {
   c.kernel.affinity = r.Enum(AffinityPolicy::kScatter);
   c.partition = r.Enum(PartitionMode::kSingle);
   c.seed = r.U64();
-  c.profile = r.Bool();
-  c.profile_per_round = r.Bool();
   c.profile_per_lp = r.Bool();
   c.trace = r.Bool();
   c.trace_claim_order = r.Bool();
@@ -301,6 +302,10 @@ SimConfig GetSimConfig(Reader& r) {
   c.tuning_config.min_parties = r.U32();
   c.tuning_config.cpu_limit = r.U32();
   c.tuning_config.min_rounds = r.U32();
+  c.tuning_config.rule_patience = r.U32();
+  c.tuning_config.rebalance_imbalance_high = r.F64();
+  c.tuning_config.rebalance_patience = r.U32();
+  c.tuning_config.rebalance_cooldown = r.U32();
   c.tuning_config.cost_ewma_alpha = r.F64();
   c.tuning_config.spec_horizon_initial_ps = r.I64();
   c.tuning_config.spec_horizon_min_ps = r.I64();

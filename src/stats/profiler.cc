@@ -14,43 +14,11 @@ void Profiler::BeginRun(uint32_t num_executors) {
   rounds_begun_ = 0;
 }
 
-void Profiler::BeginRound() {
-  if (per_round) {
-    ++rounds_begun_;
+void Profiler::AddRow(std::vector<uint64_t>* row, uint32_t round, uint64_t ns) {
+  if (row->size() <= round) {
+    row->resize(round + 1, 0);
   }
-}
-
-void Profiler::AddRoundProcessing(uint32_t executor, uint32_t round, uint64_t ns) {
-  if (!per_round) {
-    return;
-  }
-  auto& row = exec_round_p_[executor];
-  if (row.size() <= round) {
-    row.resize(round + 1, 0);
-  }
-  row[round] += ns;
-}
-
-void Profiler::AddRoundSync(uint32_t executor, uint32_t round, uint64_t ns) {
-  if (!per_round) {
-    return;
-  }
-  auto& row = exec_round_s_[executor];
-  if (row.size() <= round) {
-    row.resize(round + 1, 0);
-  }
-  row[round] += ns;
-}
-
-void Profiler::AddRoundMessaging(uint32_t executor, uint32_t round, uint64_t ns) {
-  if (!per_round) {
-    return;
-  }
-  auto& row = exec_round_m_[executor];
-  if (row.size() <= round) {
-    row.resize(round + 1, 0);
-  }
-  row[round] += ns;
+  (*row)[round] += ns;
 }
 
 uint32_t Profiler::rounds() const {

@@ -1,11 +1,14 @@
-// Time-composition profiling (§3.2 of the paper).
+// Time-composition rows of one window (§3.2 of the paper).
 //
 // The total running time of an executor (an LP pinned to a rank for the
 // baselines, a worker thread for Unison) is split into processing time P,
-// synchronization time S, and messaging time M. Kernels accumulate these into
-// per-executor slots; optional per-round and per-(round, LP) records feed the
-// Fig. 5b/9b/13 benches, the parallel cost model, and the run-trace
-// observability layer (src/stats/trace.h).
+// synchronization time S, and messaging time M. A Profiler holds the window
+// being recorded: per-executor P/S/M totals, per-round P/S/M rows and, with
+// per_lp, per-(round, LP) costs for the Fig. 13 heatmaps and the parallel
+// cost model. It is not a recorder of its own: the run recorder
+// (src/stats/trace.h) owns the one instance, kernels write into it only
+// while recording is on, and RunTrace::EndRun moves its contents into the
+// window's segment.
 //
 // All writes go to executor-private slots between barriers, so no locking is
 // needed; readers only inspect the data after Run() returns. The per-round
@@ -13,8 +16,8 @@
 // appends to its own row vector with an explicit round index, so every
 // accounted nanosecond — including waits at the end-of-round barrier, which
 // overlap the coordinator's next prologue — can be attributed to its round
-// without sharing a row across threads. The round-major views used by benches
-// are built on demand after the run.
+// without sharing a row across threads. The round-major views are built on
+// demand after the run.
 #ifndef UNISON_SRC_STATS_PROFILER_H_
 #define UNISON_SRC_STATS_PROFILER_H_
 
@@ -45,12 +48,9 @@ struct LpRoundCost {
 
 class Profiler {
  public:
-  // Profiling is opt-in: timing calls are skipped entirely when disabled so
-  // that production runs pay nothing.
-  bool enabled = false;
-  bool per_round = false;  // Record per-round P/S/M for each executor.
-  bool per_lp = false;     // Record per-(round, LP) costs.
+  bool per_lp = false;  // Record per-(round, LP) costs; O(rounds x LPs).
 
+  // Opens a window of `num_executors` zeroed slots, dropping the last one's.
   void BeginRun(uint32_t num_executors);
 
   ExecutorPhaseStats& executor(uint32_t i) { return executors_[i]; }
@@ -60,10 +60,16 @@ class Profiler {
   // executors track it locally so their writes stay private (see file
   // comment). BeginRound is called by the coordinating thread once per round
   // and only maintains the round count.
-  void BeginRound();
-  void AddRoundProcessing(uint32_t executor, uint32_t round, uint64_t ns);
-  void AddRoundSync(uint32_t executor, uint32_t round, uint64_t ns);
-  void AddRoundMessaging(uint32_t executor, uint32_t round, uint64_t ns);
+  void BeginRound() { ++rounds_begun_; }
+  void AddRoundProcessing(uint32_t executor, uint32_t round, uint64_t ns) {
+    AddRow(&exec_round_p_[executor], round, ns);
+  }
+  void AddRoundSync(uint32_t executor, uint32_t round, uint64_t ns) {
+    AddRow(&exec_round_s_[executor], round, ns);
+  }
+  void AddRoundMessaging(uint32_t executor, uint32_t round, uint64_t ns) {
+    AddRow(&exec_round_m_[executor], round, ns);
+  }
 
   // Round-major [round][executor] views, built on demand; rows are padded
   // with zeros up to rounds(). Intended for post-run consumers only.
@@ -89,6 +95,7 @@ class Profiler {
   }
 
  private:
+  static void AddRow(std::vector<uint64_t>* row, uint32_t round, uint64_t ns);
   std::vector<std::vector<uint64_t>> Transposed(
       const std::vector<std::vector<uint64_t>>& exec_major) const;
 

@@ -125,18 +125,51 @@ std::string RunSummary::ToJson() const {
   return out;
 }
 
-void RunTrace::BeginSession() { segments_.clear(); }
+bool RoundImbalance(const std::vector<uint64_t>& row, double* out) {
+  if (row.size() < 2) {
+    return false;
+  }
+  uint64_t sum = 0;
+  uint64_t max = 0;
+  for (uint64_t v : row) {
+    sum += v;
+    max = std::max(max, v);
+  }
+  if (sum == 0) {
+    return false;
+  }
+  *out = static_cast<double>(max) * static_cast<double>(row.size()) /
+             static_cast<double>(sum) -
+         1.0;
+  return true;
+}
+
+double MeanRoundImbalance(const std::vector<std::vector<uint64_t>>& round_p) {
+  double total = 0.0;
+  uint32_t usable = 0;
+  for (const std::vector<uint64_t>& row : round_p) {
+    double imb = 0.0;
+    if (RoundImbalance(row, &imb)) {
+      total += imb;
+      ++usable;
+    }
+  }
+  return usable == 0 ? 0.0 : total / usable;
+}
+
+void RunTrace::BeginSession() {
+  segments_.clear();
+  live_ = WindowTraceSegment{};
+  running_ = false;
+}
 
 void RunTrace::BeginRun(std::string kernel, uint32_t executors, uint32_t lps) {
-  summary_ = RunSummary{};
-  summary_.kernel = std::move(kernel);
-  summary_.executors = executors;
-  summary_.lps = lps;
-  records_.clear();
-  executors_.clear();
-  round_p_.clear();
-  round_s_.clear();
-  round_m_.clear();
+  live_ = WindowTraceSegment{};
+  live_.summary.kernel = std::move(kernel);
+  live_.summary.executors = executors;
+  live_.summary.lps = lps;
+  rows_.BeginRun(executors);
+  running_ = true;
 }
 
 void RunTrace::BeginRound(uint32_t round, Time lbts, Time window,
@@ -146,81 +179,49 @@ void RunTrace::BeginRound(uint32_t round, Time lbts, Time window,
   rec.lbts_ps = lbts.ps();
   rec.window_ps = window.ps();
   rec.events_before = events_before;
-  records_.push_back(std::move(rec));
+  live_.records.push_back(std::move(rec));
+  rows_.BeginRound();
 }
 
 void RunTrace::RecordClaimOrder(const std::vector<uint32_t>& order) {
-  if (records_.empty()) {
+  if (live_.records.empty()) {
     return;
   }
-  records_.back().resorted = true;
+  live_.records.back().resorted = true;
   if (record_claim_order) {
-    records_.back().claim_order = order;
+    live_.records.back().claim_order = order;
   }
 }
 
 void RunTrace::RecordBarrier(uint64_t barrier_ns, uint64_t parked) {
-  if (records_.empty()) {
+  if (live_.records.empty()) {
     return;
   }
-  records_.back().barrier_ns = barrier_ns;
-  records_.back().parked = parked;
+  live_.records.back().barrier_ns = barrier_ns;
+  live_.records.back().parked = parked;
 }
 
-void RunTrace::EndRun(const RunSummary& summary, const Profiler* profiler) {
-  // Keep the kernel identity from BeginRun if the caller left it empty.
-  const std::string kernel =
-      summary.kernel.empty() ? summary_.kernel : summary.kernel;
-  summary_ = summary;
-  summary_.kernel = kernel;
-  if (profiler != nullptr && profiler->enabled) {
-    executors_ = profiler->executors();
-    if (profiler->per_round) {
-      round_p_ = profiler->round_processing_ns();
-      round_s_ = profiler->round_sync_ns();
-      round_m_ = profiler->round_messaging_ns();
-    }
-  }
-  // Mean per-round processing imbalance (busiest executor's share over the
-  // ideal 1/W share, minus one) — the observability half of the rebalance
-  // rule: a post-move window should show this dropping.
-  {
-    double total = 0.0;
-    uint32_t usable = 0;
-    for (const std::vector<uint64_t>& row : round_p_) {
-      if (row.size() < 2) {
-        continue;
-      }
-      uint64_t sum = 0;
-      uint64_t max = 0;
-      for (uint64_t v : row) {
-        sum += v;
-        max = std::max(max, v);
-      }
-      if (sum == 0) {
-        continue;
-      }
-      total += static_cast<double>(max) * static_cast<double>(row.size()) /
-                   static_cast<double>(sum) -
-               1.0;
-      ++usable;
-    }
-    summary_.imbalance = usable == 0 ? 0.0 : total / usable;
-  }
-  // Archive this window so a later Run() on the same session cannot erase it.
-  WindowTraceSegment seg;
-  seg.summary = summary_;
-  seg.records = records_;
-  seg.executors = executors_;
-  seg.round_p = round_p_;
-  seg.round_s = round_s_;
-  seg.round_m = round_m_;
-  segments_.push_back(std::move(seg));
+void RunTrace::EndRun(RunSummary* summary) {
+  summary->processing_ns = rows_.TotalProcessingNs();
+  summary->synchronization_ns = rows_.TotalSyncNs();
+  summary->messaging_ns = rows_.TotalMessagingNs();
+  live_.executors = rows_.executors();
+  live_.round_p = rows_.round_processing_ns();
+  live_.round_s = rows_.round_sync_ns();
+  live_.round_m = rows_.round_messaging_ns();
+  live_.lp_rounds = rows_.MergedLpRounds();
+  rows_.BeginRun(0);  // The segment now holds the window's only copy.
+  // The observability half of the rebalance rule: a post-move window should
+  // show this dropping.
+  summary->imbalance = MeanRoundImbalance(live_.round_p);
+  live_.summary = *summary;
+  segments_.push_back(std::move(live_));
+  running_ = false;
 }
 
 RunSummary RunTrace::Cumulative() const {
   if (segments_.empty()) {
-    return summary_;
+    return live_.summary;
   }
   RunSummary total = segments_.back().summary;
   total.rounds = 0;
@@ -256,33 +257,28 @@ RunSummary RunTrace::Cumulative() const {
 namespace {
 
 // Serializes one window's body — "summary", "per_executor", "rounds" — shared
-// by the top-level (latest-window) view and each archived segment.
-void AppendTraceBody(std::string* out, const RunSummary& summary,
-                     const std::vector<RoundTraceRecord>& records,
-                     const std::vector<ExecutorPhaseStats>& executors,
-                     const std::vector<std::vector<uint64_t>>& round_p,
-                     const std::vector<std::vector<uint64_t>>& round_s,
-                     const std::vector<std::vector<uint64_t>>& round_m) {
+// by the top-level (last-window) view and each archived segment.
+void AppendTraceBody(std::string* out, const WindowTraceSegment& seg) {
   *out += "\"summary\":";
-  *out += summary.ToJson();
+  *out += seg.summary.ToJson();
   *out += ",\"per_executor\":[";
-  for (size_t i = 0; i < executors.size(); ++i) {
+  for (size_t i = 0; i < seg.executors.size(); ++i) {
     if (i > 0) {
       *out += ',';
     }
     *out += "{\"processing_ns\":";
-    AppendU64(out, executors[i].processing_ns);
+    AppendU64(out, seg.executors[i].processing_ns);
     *out += ",\"synchronization_ns\":";
-    AppendU64(out, executors[i].synchronization_ns);
+    AppendU64(out, seg.executors[i].synchronization_ns);
     *out += ",\"messaging_ns\":";
-    AppendU64(out, executors[i].messaging_ns);
+    AppendU64(out, seg.executors[i].messaging_ns);
     *out += ",\"events\":";
-    AppendU64(out, executors[i].events);
+    AppendU64(out, seg.executors[i].events);
     *out += '}';
   }
   *out += "],\"rounds\":[";
-  for (size_t i = 0; i < records.size(); ++i) {
-    const RoundTraceRecord& r = records[i];
+  for (size_t i = 0; i < seg.records.size(); ++i) {
+    const RoundTraceRecord& r = seg.records[i];
     if (i > 0) {
       *out += ',';
     }
@@ -304,29 +300,26 @@ void AppendTraceBody(std::string* out, const RunSummary& summary,
       *out += ",\"claim_order\":";
       AppendU32Array(out, r.claim_order);
     }
-    if (r.round < round_p.size()) {
+    if (r.round < seg.round_p.size()) {
       *out += ",\"p_ns\":";
-      AppendU64Array(out, round_p[r.round]);
+      AppendU64Array(out, seg.round_p[r.round]);
     }
-    if (r.round < round_s.size()) {
+    if (r.round < seg.round_s.size()) {
       *out += ",\"s_ns\":";
-      AppendU64Array(out, round_s[r.round]);
+      AppendU64Array(out, seg.round_s[r.round]);
     }
-    if (r.round < round_m.size()) {
+    if (r.round < seg.round_m.size()) {
       *out += ",\"m_ns\":";
-      AppendU64Array(out, round_m[r.round]);
+      AppendU64Array(out, seg.round_m[r.round]);
     }
     *out += '}';
   }
   *out += ']';
 }
 
-void AppendCsvRows(std::string* out, uint32_t window, const RunSummary& summary,
-                   const std::vector<RoundTraceRecord>& records,
-                   const std::vector<std::vector<uint64_t>>& round_p,
-                   const std::vector<std::vector<uint64_t>>& round_s,
-                   const std::vector<std::vector<uint64_t>>& round_m) {
-  for (const RoundTraceRecord& r : records) {
+void AppendCsvRows(std::string* out, uint32_t window,
+                   const WindowTraceSegment& seg) {
+  for (const RoundTraceRecord& r : seg.records) {
     AppendU64(out, window);
     *out += ',';
     AppendU64(out, r.round);
@@ -339,33 +332,33 @@ void AppendCsvRows(std::string* out, uint32_t window, const RunSummary& summary,
     *out += ',';
     *out += r.resorted ? '1' : '0';
     *out += ',';
-    AppendU64(out, RowSum(round_p, r.round));
+    AppendU64(out, RowSum(seg.round_p, r.round));
     *out += ',';
-    AppendU64(out, RowSum(round_s, r.round));
+    AppendU64(out, RowSum(seg.round_s, r.round));
     *out += ',';
-    AppendU64(out, RowSum(round_m, r.round));
+    AppendU64(out, RowSum(seg.round_m, r.round));
     *out += ',';
     AppendU64(out, r.barrier_ns);
     *out += ',';
     AppendU64(out, r.parked);
     *out += ',';
-    AppendU64(out, summary.tuning_epoch);
+    AppendU64(out, seg.summary.tuning_epoch);
     *out += ',';
-    AppendU64(out, summary.migrations);
+    AppendU64(out, seg.summary.migrations);
     *out += ',';
     // Window-level speculation stats, repeated on each of the window's rows
     // (the flat table has no window-level rows to hang them on).
-    AppendU64(out, summary.spec_rounds);
+    AppendU64(out, seg.summary.spec_rounds);
     *out += ',';
-    AppendU64(out, summary.spec_hits);
+    AppendU64(out, seg.summary.spec_hits);
     *out += ',';
-    AppendU64(out, summary.spec_misses);
+    AppendU64(out, seg.summary.spec_misses);
     *out += ',';
-    AppendU64(out, summary.rollback_ns);
+    AppendU64(out, seg.summary.rollback_ns);
     *out += ',';
-    AppendU64(out, summary.capture_ns);
+    AppendU64(out, seg.summary.capture_ns);
     *out += ',';
-    AppendU64(out, summary.capture_bytes);
+    AppendU64(out, seg.summary.capture_bytes);
     *out += '\n';
   }
 }
@@ -374,10 +367,9 @@ void AppendCsvRows(std::string* out, uint32_t window, const RunSummary& summary,
 
 std::string RunTrace::ToJson() const {
   std::string out;
-  out.reserve(4096 + records_.size() * 96);
+  out.reserve(4096 + current().records.size() * 96);
   out += '{';
-  AppendTraceBody(&out, summary_, records_, executors_, round_p_, round_s_,
-                  round_m_);
+  AppendTraceBody(&out, current());
   out += ",\"windows\":";
   AppendU64(&out, segments_.size());
   out += ",\"cumulative\":";
@@ -387,10 +379,8 @@ std::string RunTrace::ToJson() const {
     if (i > 0) {
       out += ',';
     }
-    const WindowTraceSegment& seg = segments_[i];
     out += '{';
-    AppendTraceBody(&out, seg.summary, seg.records, seg.executors, seg.round_p,
-                    seg.round_s, seg.round_m);
+    AppendTraceBody(&out, segments_[i]);
     out += '}';
   }
   out += "]}";
@@ -399,18 +389,17 @@ std::string RunTrace::ToJson() const {
 
 std::string RunTrace::ToCsv() const {
   std::string out;
-  out.reserve(64 + records_.size() * 64);
+  out.reserve(64 + current().records.size() * 64);
   out += "window,round,lbts_ps,window_ps,events_before,resorted,p_total_ns,"
          "s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,migrations,"
          "spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,capture_bytes\n";
   if (segments_.empty()) {
     // Export mid-window (EndRun not yet reached): show the live records.
-    AppendCsvRows(&out, 0, summary_, records_, round_p_, round_s_, round_m_);
+    AppendCsvRows(&out, 0, live_);
     return out;
   }
   for (const WindowTraceSegment& seg : segments_) {
-    AppendCsvRows(&out, seg.summary.window_index, seg.summary, seg.records,
-                  seg.round_p, seg.round_s, seg.round_m);
+    AppendCsvRows(&out, seg.summary.window_index, seg);
   }
   return out;
 }

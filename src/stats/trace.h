@@ -1,20 +1,22 @@
-// Run-trace observability layer: structured per-round records of a kernel
-// run, plus a RunSummary aggregate emitted by every kernel.
+// The run recorder: structured per-round records of a kernel run, the
+// window's P/S/M rows, and a RunSummary aggregate emitted by every kernel.
 //
 // The paper's entire evaluation rests on the P/S/M time composition
 // (Figs. 5b, 9b, 13); this layer makes that measurement a first-class,
 // machine-readable artifact instead of numbers scraped from bench stdout.
-// The coordinating thread records one RoundTraceRecord per synchronization
-// round (round index, LBTS, window, cumulative events, and — on re-sort
-// rounds — the scheduler's claimed LP order); after the run, the per-round
-// P/S matrices are folded in from the Profiler and the whole trace can be
-// exported as JSON or CSV.
+// RunTrace is the only recorder a kernel writes into, behind one gate
+// (`enabled`). While a window runs, the coordinating thread records one
+// RoundTraceRecord per synchronization round (round index, LBTS, window,
+// cumulative events, and — on re-sort rounds — the scheduler's claimed LP
+// order), and each executor writes its own P/S/M rows and totals into the
+// window's Profiler. EndRun then moves the whole window into one
+// WindowTraceSegment, which is the only place a finished window lives; the
+// trace exports the segments as JSON or CSV.
 //
-// Cost discipline mirrors the profiler: everything here is gated on
-// `enabled`, kernels check a cached `tracing_` flag next to the existing
-// `profiling_` gate, and a disabled trace costs nothing on the hot path.
-// Recording itself is coordinator-only (worker 0 / rank 0 between barriers),
-// so no locking is needed.
+// With the gate off a kernel reads neither the gate's data nor any clock it
+// would not read anyway, so an untraced run costs nothing here. Round
+// recording is coordinator-only (worker 0 / rank 0 between barriers), and the
+// rows are executor-private, so no locking is needed.
 #ifndef UNISON_SRC_STATS_TRACE_H_
 #define UNISON_SRC_STATS_TRACE_H_
 
@@ -28,8 +30,8 @@
 namespace unison {
 
 // End-of-run aggregate; every kernel fills one via Kernel::FinishRun, whether
-// or not tracing/profiling is enabled (the P/S/M fields are zero unless a
-// profiler was attached).
+// or not recording is on (the P/S/M fields and `imbalance` are zero unless
+// it is).
 struct RunSummary {
   std::string kernel;             // "sequential", "barrier", "nullmsg", ...
   uint32_t executors = 0;         // Worker threads / ranks.
@@ -37,7 +39,7 @@ struct RunSummary {
   uint64_t rounds = 0;
   uint64_t events = 0;
   uint64_t wall_ns = 0;           // Wall time of Run() itself.
-  uint64_t processing_ns = 0;     // Sums over executors (profiler-provided).
+  uint64_t processing_ns = 0;     // Sums over executors (recorded windows).
   uint64_t synchronization_ns = 0;
   uint64_t messaging_ns = 0;
   // Windowed-session placement: which Run() window of the session this
@@ -62,10 +64,9 @@ struct RunSummary {
   // (0 = the setup-time placement, never migrated).
   uint32_t migrations = 0;
   uint64_t ownership_epoch = 0;
-  // Mean per-round processing imbalance of the window (busiest executor's
-  // share over the ideal 1/W share, minus one); 0 when the profiler recorded
-  // no usable per-round matrices. Filled by RunTrace::EndRun — the post-move
-  // balance observability for the rebalance rule.
+  // Mean per-round processing imbalance of the window (MeanRoundImbalance);
+  // 0 when no usable per-round rows were recorded. Filled by RunTrace::EndRun
+  // — the post-move balance observability for the rebalance rule.
   double imbalance = 0.0;
   // Speculative window execution (DESIGN.md §3k): rounds this window ran
   // past the conservative Eq. 2 bound, how many of those committed (hits) or
@@ -101,20 +102,35 @@ struct RoundTraceRecord {
                                       // only (it is unchanged in between).
 };
 
-// One completed Run() window of a session, archived verbatim by EndRun so a
-// multi-window session exports every window, not just the last one.
+// One Run() window of a session: everything recorded about it, held once.
+// A finished window's segment is archived by EndRun so a multi-window session
+// exports every window, not just the last one.
 struct WindowTraceSegment {
   RunSummary summary;
   std::vector<RoundTraceRecord> records;
   std::vector<ExecutorPhaseStats> executors;
+  // [round][executor] P/S/M rows; they sum to `executors` column by column.
   std::vector<std::vector<uint64_t>> round_p;
   std::vector<std::vector<uint64_t>> round_s;
   std::vector<std::vector<uint64_t>> round_m;
+  // Per-(round, LP) costs sorted by (round, LP); empty unless per_lp is set.
+  std::vector<LpRoundCost> lp_rounds;
 };
+
+// Processing imbalance of one round's [executor] row: the busiest executor's
+// share over the ideal 1/W share, minus one (0 = perfectly balanced). False
+// for rows without a usable value (fewer than two executors, or no time).
+bool RoundImbalance(const std::vector<uint64_t>& row, double* out);
+
+// Mean RoundImbalance over the usable rows of a [round][executor] matrix; 0
+// when none is usable. RunSummary::imbalance and the controller's rebalance
+// signal are both this value.
+double MeanRoundImbalance(const std::vector<std::vector<uint64_t>>& round_p);
 
 class RunTrace {
  public:
-  // Opt-in, like Profiler::enabled. Kernels skip every Record* call when off.
+  // The recording gate. While it is off kernels record nothing: no round, no
+  // row, and no clock read made only for recording.
   bool enabled = false;
   // Claim orders cost O(#LP) per re-sort round; disable to bound trace memory
   // on very large runs while keeping the scalar per-round fields.
@@ -126,6 +142,7 @@ class RunTrace {
   // session starts with an empty trace; Run()-level BeginRun only clears the
   // *current* window's state and leaves prior segments intact.
   void BeginSession();
+  // Opens the live window (again, when a speculative attempt re-runs it).
   void BeginRun(std::string kernel, uint32_t executors, uint32_t lps);
   void BeginRound(uint32_t round, Time lbts, Time window, uint64_t events_before);
   // Attaches the scheduler order to the most recent round record.
@@ -133,35 +150,48 @@ class RunTrace {
   // Attaches the reduction-barrier latency and park count to the most recent
   // round record (the coordinator measures them at the round's end barrier).
   void RecordBarrier(uint64_t barrier_ns, uint64_t parked);
-  // Folds in the final summary and, when the profiler recorded per-round
-  // matrices, copies them so the exported trace is self-contained.
-  void EndRun(const RunSummary& summary, const Profiler* profiler);
+  // The live window's executor-private P/S/M rows and totals; each executor
+  // writes only its own slots (PhaseAccountant). Set rows().per_lp to keep
+  // per-(round, LP) costs as well.
+  Profiler& rows() { return rows_; }
+  // Closes the live window: completes `summary` with the P/S/M totals and
+  // the imbalance of the recorded rows, then moves the records, rows, totals
+  // and that summary into a new segment.
+  void EndRun(RunSummary* summary);
 
   // --- Post-run inspection ---
 
-  // Latest window's summary/rounds (the pre-session accessors; a single-window
-  // run sees exactly the old behaviour).
-  const RunSummary& summary() const { return summary_; }
-  const std::vector<RoundTraceRecord>& records() const { return records_; }
+  // The last window's summary and rounds, or the live window's while a run
+  // is in progress.
+  const RunSummary& summary() const { return current().summary; }
+  const std::vector<RoundTraceRecord>& records() const { return current().records; }
   // Completed windows of the session, in Run() order.
   const std::vector<WindowTraceSegment>& segments() const { return segments_; }
   // Session-wide aggregate: rounds/events/wall/P/S/M summed over all archived
   // segments, bounds spanning first window start to last window stop.
   RunSummary Cumulative() const;
-  // [round][executor]; empty unless the profiler ran with per_round.
+  // The last window's rows: per-executor totals, [round][executor] P/S/M, and
+  // per-(round, LP) costs. Empty while a window is still being recorded.
+  const std::vector<ExecutorPhaseStats>& executors() const {
+    return current().executors;
+  }
   const std::vector<std::vector<uint64_t>>& round_processing_ns() const {
-    return round_p_;
+    return current().round_p;
   }
-  const std::vector<std::vector<uint64_t>>& round_sync_ns() const { return round_s_; }
+  const std::vector<std::vector<uint64_t>>& round_sync_ns() const {
+    return current().round_s;
+  }
   const std::vector<std::vector<uint64_t>>& round_messaging_ns() const {
-    return round_m_;
+    return current().round_m;
   }
+  const std::vector<LpRoundCost>& lp_rounds() const { return current().lp_rounds; }
 
   // --- Exporters ---
 
-  // Full structured trace: latest-window summary, per-executor P/S/M, one
-  // object per round — plus session keys: "windows" (count), "cumulative"
-  // (session aggregate), and "segments" (one full trace object per window).
+  // Full structured trace: the last window's summary, per-executor P/S/M,
+  // one object per round — plus session keys: "windows" (count),
+  // "cumulative" (session aggregate), and "segments" (one full trace object
+  // per window).
   std::string ToJson() const;
   // Flat per-round table across every window of the session:
   // window,round,lbts_ps,window_ps,events_before,resorted,
@@ -173,12 +203,17 @@ class RunTrace {
   bool WriteCsvFile(const std::string& path) const;
 
  private:
-  RunSummary summary_;
-  std::vector<RoundTraceRecord> records_;
-  std::vector<ExecutorPhaseStats> executors_;
-  std::vector<std::vector<uint64_t>> round_p_;
-  std::vector<std::vector<uint64_t>> round_s_;
-  std::vector<std::vector<uint64_t>> round_m_;
+  // The live window while a run is in progress, else the last segment (the
+  // empty live window before the first one).
+  const WindowTraceSegment& current() const {
+    return running_ || segments_.empty() ? live_ : segments_.back();
+  }
+
+  bool running_ = false;
+  // The window being recorded: identity and round records here, P/S/M rows
+  // in rows_ until EndRun moves both into segments_.
+  WindowTraceSegment live_;
+  Profiler rows_;
   std::vector<WindowTraceSegment> segments_;
 };
 

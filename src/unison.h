@@ -20,7 +20,6 @@
 #include "src/sched/lpt.h"
 #include "src/stats/digest.h"
 #include "src/stats/flow_monitor.h"
-#include "src/stats/histogram.h"
 #include "src/stats/profiler.h"
 #include "src/stats/trace.h"
 #include "src/topo/bcube.h"

@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/claim_drift.h"
 #include "src/control/controller.h"
-#include "src/control/drift_replay.h"
 #include "src/control/tunables.h"
 #include "src/net/app.h"
 #include "src/net/network.h"

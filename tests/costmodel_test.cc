@@ -94,7 +94,6 @@ TEST(CostModel, IntegratesWithInstrumentedRun) {
   k.threads = 1;
   SimConfig cfg;
   cfg.kernel = k;
-  cfg.profile = true;
   cfg.profile_per_lp = true;
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
@@ -102,7 +101,7 @@ TEST(CostModel, IntegratesWithInstrumentedRun) {
   GeneratePermutation(net, topo.hosts, 100000, Time::Zero());
   net.Run(Time::Milliseconds(5));
 
-  const auto trace = net.profiler().MergedLpRounds();
+  const auto trace = net.run_trace().lp_rounds();
   ASSERT_FALSE(trace.empty());
   ParallelCostModel m(trace, net.kernel().num_lps());
   EXPECT_GT(m.rounds(), 0u);

@@ -248,8 +248,6 @@ TEST(CpuTopology, PolicyNamesRoundTrip) {
 
 TEST(PhaseAccountant, EveryIntervalLandsInExactlyOneBucket) {
   Profiler prof;
-  prof.enabled = true;
-  prof.per_round = true;
   prof.BeginRun(1);
   uint64_t s0 = 0, p0 = 0, m1 = 0;
   {
@@ -285,8 +283,6 @@ TEST(PhaseAccountant, EveryIntervalLandsInExactlyOneBucket) {
 
 TEST(PhaseAccountant, OpenIntervalDiscardsUnattributedTime) {
   Profiler prof;
-  prof.enabled = true;
-  prof.per_round = true;
   prof.BeginRun(1);
   {
     PhaseAccountant acct(0, true, &prof);
@@ -305,8 +301,6 @@ TEST(PhaseAccountant, OpenIntervalDiscardsUnattributedTime) {
 
 TEST(PhaseAccountant, DisabledTimingIsFreeOfSideEffects) {
   Profiler prof;
-  prof.enabled = true;
-  prof.per_round = true;
   prof.BeginRun(1);
   {
     PhaseAccountant acct(0, /*timing=*/false, &prof);

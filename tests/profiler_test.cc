@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/stats/profiler.h"
+#include "src/stats/trace.h"
 #include "tests/test_util.h"
 
 namespace unison {
@@ -9,7 +10,6 @@ namespace {
 
 TEST(Profiler, AccumulatesExecutorPhases) {
   Profiler p;
-  p.enabled = true;
   p.BeginRun(3);
   p.executor(0).processing_ns = 100;
   p.executor(1).synchronization_ns = 50;
@@ -21,8 +21,6 @@ TEST(Profiler, AccumulatesExecutorPhases) {
 
 TEST(Profiler, RoundRecordsGrowPerRound) {
   Profiler p;
-  p.enabled = true;
-  p.per_round = true;
   p.BeginRun(2);
   p.BeginRound();
   p.AddRoundProcessing(0, 0, 10);
@@ -44,8 +42,6 @@ TEST(Profiler, RoundWritesAccumulateIntoSameSlot) {
   // Executors add several deltas against the same (executor, round) key —
   // e.g. the three barrier waits of one Unison round — and the slot sums them.
   Profiler p;
-  p.enabled = true;
-  p.per_round = true;
   p.BeginRun(1);
   p.BeginRound();
   p.AddRoundSync(0, 0, 5);
@@ -58,7 +54,6 @@ TEST(Profiler, RoundWritesAccumulateIntoSameSlot) {
 
 TEST(Profiler, MergedLpRoundsSortedByRoundThenLp) {
   Profiler p;
-  p.enabled = true;
   p.per_lp = true;
   p.BeginRun(2);
   p.AddLpRound(0, {2, 1, 5, 5, 500});
@@ -79,8 +74,6 @@ TEST(Profiler, UnisonRunPopulatesAllPhases) {
   k.threads = 2;
   SimConfig cfg;
   cfg.kernel = k;
-  cfg.profile = true;
-  cfg.profile_per_round = true;
   cfg.profile_per_lp = true;
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
@@ -88,13 +81,13 @@ TEST(Profiler, UnisonRunPopulatesAllPhases) {
   GeneratePermutation(net, topo.hosts, 50000, Time::Zero());
   net.Run(Time::Milliseconds(5));
 
-  Profiler& p = net.profiler();
+  const RunTrace& p = net.run_trace();
   ASSERT_EQ(p.executors().size(), 2u);
-  EXPECT_GT(p.TotalProcessingNs(), 0u);
-  EXPECT_GT(p.TotalSyncNs(), 0u);
-  EXPECT_GT(p.rounds(), 0u);
-  EXPECT_EQ(p.rounds(), net.kernel().rounds());
-  const auto merged = p.MergedLpRounds();
+  EXPECT_GT(p.summary().processing_ns, 0u);
+  EXPECT_GT(p.summary().synchronization_ns, 0u);
+  EXPECT_GT(p.round_processing_ns().size(), 0u);
+  EXPECT_EQ(p.round_processing_ns().size(), net.kernel().rounds());
+  const auto merged = p.lp_rounds();
   EXPECT_FALSE(merged.empty());
   uint64_t trace_events = 0;
   for (const auto& c : merged) {
@@ -112,13 +105,12 @@ TEST(Profiler, UnisonRunPopulatesAllPhases) {
 // equality — by construction, for every kernel on the engine. A regression
 // here means a phase's time stopped reaching the per-round matrix (the old
 // worker-0 phase-2 undercount) or is counted twice.
-void CheckRoundRowsSumToTotals(const Profiler& p, uint32_t executors) {
+void CheckRoundRowsSumToTotals(const RunTrace& p, uint32_t executors) {
   const auto rp = p.round_processing_ns();
   const auto rs = p.round_sync_ns();
   const auto rm = p.round_messaging_ns();
-  ASSERT_EQ(rp.size(), p.rounds());
-  ASSERT_EQ(rs.size(), p.rounds());
-  ASSERT_EQ(rm.size(), p.rounds());
+  ASSERT_EQ(rs.size(), rp.size());
+  ASSERT_EQ(rm.size(), rp.size());
   std::vector<uint64_t> p_sum(executors, 0);
   std::vector<uint64_t> s_sum(executors, 0);
   std::vector<uint64_t> m_sum(executors, 0);
@@ -146,13 +138,15 @@ void CheckRoundRowsSumToTotals(const Profiler& p, uint32_t executors) {
   }
 }
 
+// `recording_switch` is the SimConfig switch that turns the recorder on: a
+// trace export, or per-LP costs alone. Either way the window keeps its rows.
 void RunAndCheckRoundRows(const KernelConfig& k, PartitionMode partition,
-                          uint32_t executors) {
+                          uint32_t executors, bool SimConfig::*recording_switch) {
+  SCOPED_TRACE(recording_switch == &SimConfig::trace ? "trace" : "profile_per_lp");
   SimConfig cfg;
   cfg.kernel = k;
   cfg.partition = partition;
-  cfg.profile = true;
-  cfg.profile_per_round = true;
+  cfg.*recording_switch = true;
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
   if (partition == PartitionMode::kManual) {
@@ -161,15 +155,20 @@ void RunAndCheckRoundRows(const KernelConfig& k, PartitionMode partition,
   net.Finalize();
   GeneratePermutation(net, topo.hosts, 50000, Time::Zero());
   net.Run(Time::Milliseconds(5));
-  ASSERT_EQ(net.profiler().executors().size(), executors);
-  CheckRoundRowsSumToTotals(net.profiler(), executors);
+  ASSERT_EQ(net.run_trace().executors().size(), executors);
+  CheckRoundRowsSumToTotals(net.run_trace(), executors);
 }
+
+constexpr bool SimConfig::*kRecordingSwitches[] = {&SimConfig::trace,
+                                                   &SimConfig::profile_per_lp};
 
 TEST(Profiler, UnisonRoundRowsSumToExecutorTotals) {
   KernelConfig k;
   k.type = KernelType::kUnison;
   k.threads = 2;
-  RunAndCheckRoundRows(k, PartitionMode::kAuto, 2);
+  for (bool SimConfig::*sw : kRecordingSwitches) {
+    RunAndCheckRoundRows(k, PartitionMode::kAuto, 2, sw);
+  }
 }
 
 TEST(Profiler, HybridRoundRowsSumToExecutorTotals) {
@@ -177,14 +176,18 @@ TEST(Profiler, HybridRoundRowsSumToExecutorTotals) {
   k.type = KernelType::kHybrid;
   k.ranks = 2;
   k.threads = 2;  // 2 ranks x 2 lanes = 4 executors.
-  RunAndCheckRoundRows(k, PartitionMode::kAuto, 4);
+  for (bool SimConfig::*sw : kRecordingSwitches) {
+    RunAndCheckRoundRows(k, PartitionMode::kAuto, 4, sw);
+  }
 }
 
 TEST(Profiler, BarrierRoundRowsSumToExecutorTotals) {
   KernelConfig k;
   k.type = KernelType::kBarrier;
   k.deterministic = true;
-  RunAndCheckRoundRows(k, PartitionMode::kManual, 4);  // One rank per pod.
+  for (bool SimConfig::*sw : kRecordingSwitches) {
+    RunAndCheckRoundRows(k, PartitionMode::kManual, 4, sw);  // One rank per pod.
+  }
 }
 
 TEST(Profiler, NullMessageRoundRowsSumToExecutorTotals) {
@@ -193,7 +196,9 @@ TEST(Profiler, NullMessageRoundRowsSumToExecutorTotals) {
   KernelConfig k;
   k.type = KernelType::kNullMessage;
   k.deterministic = true;
-  RunAndCheckRoundRows(k, PartitionMode::kManual, 4);
+  for (bool SimConfig::*sw : kRecordingSwitches) {
+    RunAndCheckRoundRows(k, PartitionMode::kManual, 4, sw);
+  }
 }
 
 TEST(Profiler, PhaseTimesBoundedByWallTime) {
@@ -205,8 +210,7 @@ TEST(Profiler, PhaseTimesBoundedByWallTime) {
   k.threads = 2;
   SimConfig cfg;
   cfg.kernel = k;
-  cfg.profile = true;
-  cfg.profile_per_round = true;
+  cfg.trace = true;
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
   net.Finalize();
@@ -216,7 +220,7 @@ TEST(Profiler, PhaseTimesBoundedByWallTime) {
   const RunSummary& summary = net.kernel().run_summary();
   ASSERT_GT(summary.wall_ns, 0u);
   const uint64_t slack = summary.wall_ns / 20 + 1000000;  // 5% + 1ms
-  for (const ExecutorPhaseStats& e : net.profiler().executors()) {
+  for (const ExecutorPhaseStats& e : net.run_trace().executors()) {
     EXPECT_LE(e.processing_ns + e.synchronization_ns + e.messaging_ns,
               summary.wall_ns + slack);
   }
@@ -227,14 +231,14 @@ TEST(Profiler, SequentialRunAccountsAllEventsToWorkerZero) {
   k.type = KernelType::kSequential;
   SimConfig cfg;
   cfg.kernel = k;
-  cfg.profile = true;
+  cfg.trace = true;
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
   net.Finalize();
   GeneratePermutation(net, topo.hosts, 50000, Time::Zero());
   net.Run(Time::Milliseconds(5));
-  EXPECT_EQ(net.profiler().executor(0).events, net.kernel().processed_events());
-  EXPECT_GT(net.profiler().executor(0).processing_ns, 0u);
+  EXPECT_EQ(net.run_trace().executors()[0].events, net.kernel().processed_events());
+  EXPECT_GT(net.run_trace().executors()[0].processing_ns, 0u);
 }
 
 }  // namespace

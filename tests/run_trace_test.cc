@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <string>
 
+#include "src/control/controller.h"
 #include "src/stats/trace.h"
 #include "tests/test_util.h"
 
@@ -22,16 +23,12 @@ struct TracedRun {
 
 // RunFatTreeScenario with tracing on, returning the trace artifacts.
 TracedRun RunTraced(const KernelConfig& kcfg, PartitionMode partition,
-                    bool profile_per_round = false, uint64_t seed = 1) {
+                    uint64_t seed = 1) {
   SimConfig cfg;
   cfg.kernel = kcfg;
   cfg.partition = partition;
   cfg.seed = seed;
   cfg.trace = true;
-  if (profile_per_round) {
-    cfg.profile = true;
-    cfg.profile_per_round = true;
-  }
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
   if (partition == PartitionMode::kManual) {
@@ -145,7 +142,7 @@ TEST(RunTraceExport, JsonIsBalancedAndCarriesSections) {
   KernelConfig k;
   k.type = KernelType::kUnison;
   k.threads = 2;
-  const TracedRun run = RunTraced(k, PartitionMode::kAuto, /*profile_per_round=*/true);
+  const TracedRun run = RunTraced(k, PartitionMode::kAuto);
 
   const std::string& json = run.json;
   ASSERT_FALSE(json.empty());
@@ -168,7 +165,8 @@ TEST(RunTraceExport, JsonIsBalancedAndCarriesSections) {
   // Round records carry the combining-barrier wait/park telemetry.
   EXPECT_NE(json.find("\"barrier_ns\":"), std::string::npos);
   EXPECT_NE(json.find("\"parked\":"), std::string::npos);
-  // per_round profiling was on, so round records embed P/S/M vectors.
+  // Recorded windows always keep per-round rows, so round records embed
+  // P/S/M vectors.
   EXPECT_NE(json.find("\"p_ns\":["), std::string::npos);
   EXPECT_NE(json.find("\"s_ns\":["), std::string::npos);
   EXPECT_NE(json.find("\"m_ns\":["), std::string::npos);
@@ -288,6 +286,95 @@ TEST(RunTraceConfig, ClaimOrderRecordingCanBeDisabled) {
     resorted += r.resorted ? 1 : 0;
   }
   EXPECT_GT(resorted, 0u);  // The resorted flag still records scheduler activity.
+}
+
+// --- The recorder's contract ---
+
+// A 2-thread Unison fat-tree session of 4 MiB permutation flows, which keep
+// every host busy past 3 ms, advanced in 1 ms Run() windows; `observe` sees
+// the network after each window.
+template <typename Observe>
+void RunUnisonSession(SimConfig cfg, uint32_t windows, Observe observe) {
+  cfg.kernel.type = KernelType::kUnison;
+  cfg.kernel.threads = 2;
+  Network net(cfg);
+  FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
+  net.Finalize();
+  GeneratePermutation(net, topo.hosts, 4 << 20, Time::Zero());
+  for (uint32_t w = 1; w <= windows; ++w) {
+    net.Run(Time::Milliseconds(w));
+    observe(net, w - 1);
+  }
+}
+
+// Untraced runs — the benchmark's end-to-end path — leave the recorder
+// closed: with trace, tuning and profile_per_lp all off, no window is
+// archived, no row exists, and the kernel's summary carries no P/S/M.
+TEST(RunTraceConfig, NothingIsRecordedWhenOff) {
+  SimConfig cfg;
+  ASSERT_FALSE(cfg.trace);
+  ASSERT_FALSE(cfg.profile_per_lp);
+  ASSERT_EQ(cfg.tuning, TuningMode::kOff);
+  RunUnisonSession(cfg, 3, [](Network& net, uint32_t w) {
+    SCOPED_TRACE(w);
+    EXPECT_GT(net.kernel().rounds(), 0u);
+    const RunTrace& trace = net.run_trace();
+    EXPECT_FALSE(trace.enabled);
+    EXPECT_TRUE(trace.segments().empty());
+    EXPECT_TRUE(trace.records().empty());
+    EXPECT_TRUE(trace.executors().empty());
+    EXPECT_TRUE(trace.round_processing_ns().empty());
+    EXPECT_TRUE(trace.round_sync_ns().empty());
+    EXPECT_TRUE(trace.round_messaging_ns().empty());
+    EXPECT_TRUE(trace.lp_rounds().empty());
+    const RunSummary& summary = net.kernel().run_summary();
+    EXPECT_GT(summary.events, 0u);
+    EXPECT_EQ(summary.processing_ns, 0u);
+    EXPECT_EQ(summary.synchronization_ns, 0u);
+    EXPECT_EQ(summary.messaging_ns, 0u);
+    EXPECT_EQ(summary.imbalance, 0.0);
+  });
+}
+
+// One summary per window: the kernel's run_summary() is the value the
+// window's segment archives, imbalance included, and that imbalance is the
+// controller's rebalance signal for the same segment.
+TEST(RunTraceSession, KernelSummaryIsTheSegmentSummary) {
+  SimConfig cfg;
+  cfg.trace = true;
+  RunUnisonSession(cfg, 3, [](Network& net, uint32_t w) {
+    SCOPED_TRACE(w);
+    const RunTrace& trace = net.run_trace();
+    ASSERT_EQ(trace.segments().size(), w + 1);
+    const WindowTraceSegment& seg = trace.segments().back();
+    const RunSummary& summary = net.kernel().run_summary();
+    EXPECT_EQ(summary.ToJson(), seg.summary.ToJson());
+    EXPECT_EQ(summary.imbalance, seg.summary.imbalance);
+    EXPECT_GT(seg.summary.imbalance, 0.0);  // Two timed executors never tie.
+    EXPECT_EQ(seg.summary.imbalance, Controller::MeanRoundImbalance(seg));
+    EXPECT_EQ(summary.processing_ns, trace.summary().processing_ns);
+  });
+}
+
+// The exported JSON's top level is the last window: its "summary" object is
+// byte-equal to the last archived segment's.
+TEST(RunTraceSession, JsonTopLevelIsTheLastSegment) {
+  SimConfig cfg;
+  cfg.trace = true;
+  RunUnisonSession(cfg, 3, [](Network& net, uint32_t w) {
+    SCOPED_TRACE(w);
+    const std::string json = net.run_trace().ToJson();
+    // A summary object holds no nested object, so it ends at the first '}'.
+    auto summary_at = [&json](size_t key) {
+      const size_t open = key + std::string("{\"summary\":").size();
+      return json.substr(open, json.find('}', open) - open + 1);
+    };
+    const size_t last_segment = json.rfind("{\"summary\":");
+    ASSERT_EQ(json.rfind("{\"summary\":", 0), 0u);
+    ASSERT_GT(last_segment, json.find("\"segments\":["));
+    EXPECT_EQ(summary_at(0), summary_at(last_segment));
+    EXPECT_EQ(summary_at(0), net.run_trace().segments().back().summary.ToJson());
+  });
 }
 
 }  // namespace

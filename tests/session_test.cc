@@ -884,6 +884,78 @@ TEST(SessionFork, TuningStateSurvivesForkAndDivergesIndependently) {
   EXPECT_EQ(parent.net->kernel().session_events(), mono.events);
 }
 
+// Every ControllerConfig field rides in the USNP header, so a fork or a
+// restore rebuilds the controller with the source's thresholds rather than
+// the defaults. Each field below differs from its default.
+TEST(SessionFork, TuningConfigSurvivesForkAndRestore) {
+  SimConfig cfg;
+  cfg.kernel.type = KernelType::kUnison;
+  cfg.kernel.threads = 2;
+  cfg.tuning = TuningMode::kAuto;
+  ControllerConfig& t = cfg.tuning_config;
+  t.drift_shrink = 0.31;
+  t.drift_grow = 0.06;
+  t.min_period = 2;
+  t.max_period = 512;
+  t.ps_low = 0.3;
+  t.ps_high = 0.8;
+  t.min_window_ps = 60'000'000;
+  t.max_window_ps = 9'000'000'000;
+  t.initial_window_ps = 700'000'000;
+  t.parks_per_round_high = 2.5;
+  t.min_parties = 2;
+  t.cpu_limit = 3;
+  t.min_rounds = 5;
+  t.rule_patience = 5;
+  t.rebalance_imbalance_high = 0.4;
+  t.rebalance_patience = 6;
+  t.rebalance_cooldown = 7;
+  t.cost_ewma_alpha = 0.25;
+  t.spec_horizon_initial_ps = 3'000'000;
+  t.spec_horizon_min_ps = 300'000;
+  t.spec_horizon_max_ps = 900'000'000;
+  Network net(cfg);
+  FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
+  net.Finalize();
+  GeneratePermutation(net, topo.hosts, 200 * 1024, Time::Zero());
+  net.Run(Time::Milliseconds(1));
+
+  auto expect_same_tuning = [&t](const Network& rebuilt) {
+    const ControllerConfig& r = rebuilt.config().tuning_config;
+    EXPECT_EQ(r.drift_shrink, t.drift_shrink);
+    EXPECT_EQ(r.drift_grow, t.drift_grow);
+    EXPECT_EQ(r.min_period, t.min_period);
+    EXPECT_EQ(r.max_period, t.max_period);
+    EXPECT_EQ(r.ps_low, t.ps_low);
+    EXPECT_EQ(r.ps_high, t.ps_high);
+    EXPECT_EQ(r.min_window_ps, t.min_window_ps);
+    EXPECT_EQ(r.max_window_ps, t.max_window_ps);
+    EXPECT_EQ(r.initial_window_ps, t.initial_window_ps);
+    EXPECT_EQ(r.parks_per_round_high, t.parks_per_round_high);
+    EXPECT_EQ(r.min_parties, t.min_parties);
+    EXPECT_EQ(r.cpu_limit, t.cpu_limit);
+    EXPECT_EQ(r.min_rounds, t.min_rounds);
+    EXPECT_EQ(r.rule_patience, t.rule_patience);
+    EXPECT_EQ(r.rebalance_imbalance_high, t.rebalance_imbalance_high);
+    EXPECT_EQ(r.rebalance_patience, t.rebalance_patience);
+    EXPECT_EQ(r.rebalance_cooldown, t.rebalance_cooldown);
+    EXPECT_EQ(r.cost_ewma_alpha, t.cost_ewma_alpha);
+    EXPECT_EQ(r.spec_horizon_initial_ps, t.spec_horizon_initial_ps);
+    EXPECT_EQ(r.spec_horizon_min_ps, t.spec_horizon_min_ps);
+    EXPECT_EQ(r.spec_horizon_max_ps, t.spec_horizon_max_ps);
+  };
+  Session session(&net);
+  const SessionSnapshot snap = session.Snapshot();
+  {
+    SCOPED_TRACE("restore");
+    expect_same_tuning(*Session::Restore(snap));
+  }
+  {
+    SCOPED_TRACE("fork");
+    expect_same_tuning(*session.Fork(snap));
+  }
+}
+
 // --- Speculative window execution ---
 
 // The kernels that opt into speculation (indices into AllKernels()): the
