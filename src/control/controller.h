@@ -78,13 +78,13 @@ struct ControllerConfig {
   int64_t initial_window_ps = 1'000'000'000;  // 1 ms of simulated time.
 
   // Oversubscription rule: mean futex parks per round across the window's
-  // reduction barriers. Parks mean workers waiting on descheduled peers —
+  // barrier crossings. Parks mean workers waiting on descheduled peers —
   // the signature of more parties than the machine can run. A round crosses
-  // the barrier three times (four when a global is due), so a two-party run
-  // whose waiter parks at every crossing shows ~3 parks per round, while a
-  // run that fits the machine mostly catches its crossings in the spin
-  // (under 0.5 parks per round on a 4-core host).
-  double parks_per_round_high = 2.0;
+  // the barrier twice (three times when a global is due), so a two-party run
+  // whose waiter parks at every crossing shows ~2 parks per round, while a
+  // run that fits the machine catches its crossings in the spin (under 0.01
+  // parks per round on a 4-core host).
+  double parks_per_round_high = 1.0;
   uint32_t min_parties = 1;
   // Machine size used to fit the party count; 0 = detect at construction.
   uint32_t cpu_limit = 0;

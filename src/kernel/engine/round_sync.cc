@@ -134,13 +134,18 @@ void RoundSync::RecordClaimOrder(const std::vector<uint32_t>& order) {
   }
 }
 
-void RoundSync::RecordBarrierWait(uint64_t barrier_ns, uint64_t parks_cumulative) {
+bool RoundSync::claim_orders_recorded() const {
+  return recording_ && kernel_->trace_->record_claim_order;
+}
+
+void RoundSync::RecordBarrierWait(uint32_t round, uint64_t barrier_ns,
+                                  uint64_t parks_cumulative) {
   if (!recording_) {
     return;
   }
   const uint64_t parked = parks_cumulative - parks_baseline_;
   parks_baseline_ = parks_cumulative;
-  kernel_->trace_->RecordBarrier(barrier_ns, parked);
+  kernel_->trace_->RecordBarrier(round, barrier_ns, parked);
 }
 
 }  // namespace unison

@@ -10,8 +10,10 @@
 // The reduction inputs no longer arrive through a shared CAS line: workers
 // contribute their partial {min, event count, stop flag} to the
 // CombiningBarrier's fused arrival pass, and the coordinator Absorb()s the
-// tree's published result between barriers. Every method here is
-// coordinator-only (worker 0, between barriers).
+// tree's published result in the end-of-round crossing's completion step.
+// The coordinator is whichever worker completes that crossing (the caller,
+// for round 0's prologue); every method here runs there, except
+// RecordBarrierWait, which worker 0 calls after the crossing releases.
 #ifndef UNISON_SRC_KERNEL_ENGINE_ROUND_SYNC_H_
 #define UNISON_SRC_KERNEL_ENGINE_ROUND_SYNC_H_
 
@@ -24,11 +26,11 @@
 
 namespace unison {
 
-// Cache-line aligned: worker 0 rewrites this state every round (prologue,
-// Absorb) while the other workers read it, so no neighbouring member of the
-// round kernel may share its lines — a layout that put the kernel's barrier_
-// pointer, read at every crossing, on RoundSync's last line measured ~5%
-// slower on the sync-bound WAN ring.
+// Cache-line aligned: the coordinator rewrites this state every round
+// (prologue, Absorb) while the other workers read it, so no neighbouring
+// member of the round kernel may share its lines — a layout that put the
+// kernel's barrier_ pointer, read at every crossing, on RoundSync's last line
+// measured ~5% slower on the sync-bound WAN ring.
 class alignas(64) RoundSync {
  public:
   explicit RoundSync(Kernel* kernel) : kernel_(kernel) {}
@@ -103,14 +105,19 @@ class alignas(64) RoundSync {
   // index. `events_before` is the kernel's live event count.
   void CommitRound(uint64_t events_before);
 
-  // Attaches a re-sorted scheduler claim order to the round just committed.
+  // Marks the round just committed as re-sorted and attaches its claim
+  // order, which the caller computes only when claim_orders_recorded().
   void RecordClaimOrder(const std::vector<uint32_t>& order);
+  // Whether this window records claim orders (RunTrace::record_claim_order).
+  bool claim_orders_recorded() const;
 
-  // Trace hook for the reduction barrier: the coordinator's observed
+  // Trace hook for the end-of-round crossing: worker 0's observed
   // arrive-to-release latency plus the barrier's cumulative park counter
-  // (converted to a per-round delta here). Attaches to the round most
-  // recently committed; gated on recording().
-  void RecordBarrierWait(uint64_t barrier_ns, uint64_t parks_cumulative);
+  // (converted to a per-round delta here). Attaches to round `round`: by the
+  // time worker 0 returns from the crossing, its completion has already
+  // committed the next round. Gated on recording().
+  void RecordBarrierWait(uint32_t round, uint64_t barrier_ns,
+                         uint64_t parks_cumulative);
   // Baselines the park-delta accounting; call once after BeginRun with the
   // barrier's current cumulative count.
   void SetParkBaseline(uint64_t parks_cumulative) {

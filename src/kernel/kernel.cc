@@ -63,7 +63,7 @@ void Kernel::Setup(const TopoGraph& graph, const Partition& partition) {
   session_events_ = 0;
   session_rounds_ = 0;
   session_windows_ = 0;
-  stop_requested_ = false;
+  flags_.stop_requested = false;
   // Trivial single-executor ownership; kernels with real executor domains
   // install theirs right after this base Setup returns.
   pmap_.ResetStrided(partition_.num_lps, 1);
@@ -78,7 +78,7 @@ void Kernel::Setup(const TopoGraph& graph, const Partition& partition) {
 }
 
 void Kernel::BeginWindow(const char* kernel_name, uint32_t executors) {
-  stop_requested_.store(false, std::memory_order_relaxed);
+  flags_.stop_requested.store(false, std::memory_order_relaxed);
   lp_window_cost_ns_.assign(num_lps(), 0);
   if (RunTrace* const rec = recorder()) {
     rec->BeginRun(kernel_name, executors, num_lps());
@@ -126,7 +126,7 @@ void Kernel::ScheduleGlobal(Time abs, EventFn fn) {
   if (cur != nullptr && cur != public_lp_.get()) {
     std::lock_guard<std::mutex> lock(public_mu_);
     public_lp_->fel().Push(Event{cur->MakeKey(abs), kNoNode, std::move(fn)});
-    mid_round_global_ = true;
+    flags_.global_scheduled = true;
     return;
   }
   Lp* const sender = cur != nullptr ? cur : public_lp_.get();
@@ -279,6 +279,7 @@ RunResult Kernel::FinishRun(const char* kernel_name, uint32_t executors,
   run_summary_.rollback_ns = rollback_ns_win_;
   run_summary_.capture_ns = capture_ns_win_;
   run_summary_.capture_bytes = capture_bytes_win_;
+  run_summary_.steals = window_steals_;
   if (RunTrace* const rec = recorder()) {
     rec->EndRun(&run_summary_);
   }

@@ -148,9 +148,9 @@ class Kernel {
   // Requests an early stop; takes effect at the next safe point of the
   // current window. A stop request ends one Run() — it does not poison the
   // session; the next Run() clears it and continues.
-  void RequestStop() { stop_requested_ = true; }
+  void RequestStop() { flags_.stop_requested = true; }
   bool stop_requested() const {
-    return stop_requested_.load(std::memory_order_relaxed);
+    return flags_.stop_requested.load(std::memory_order_relaxed);
   }
 
   // --- Introspection ---
@@ -443,12 +443,21 @@ class Kernel {
   uint64_t session_events_ = 0;
   uint64_t session_rounds_ = 0;
   uint32_t session_windows_ = 0;
-  std::atomic<bool> stop_requested_{false};
+  // The flags an LP event may set mid-round and every round-kernel worker
+  // reads each round, on a cache line of their own: no member written per
+  // round or per window may share it, and adding or removing a neighbour
+  // cannot move it onto one that is (DESIGN.md §3d).
+  struct alignas(64) MidRoundFlags {
+    std::atomic<bool> stop_requested{false};
+    // Set by ScheduleGlobal's locked path, i.e. when an LP event scheduled a
+    // global mid-round. Written under public_mu_; the round kernel reads it
+    // after the barrier that ends phase 1 and clears it in the next round's
+    // prologue.
+    bool global_scheduled = false;
+  };
+  static_assert(sizeof(MidRoundFlags) == 64);
+  MidRoundFlags flags_;
   std::mutex public_mu_;
-  // Set by ScheduleGlobal's locked path, i.e. when an LP event scheduled a
-  // global mid-round. Written under public_mu_; the round kernel reads it
-  // after the barrier that ends phase 1 and clears it in its prologue.
-  bool mid_round_global_ = false;
   std::function<void()> window_end_hook_;
   ExecutorPool* external_pool_ = nullptr;  // Borrowed; see set_external_pool.
   std::string lineage_;                    // Empty unless forked.
@@ -475,6 +484,9 @@ class Kernel {
   uint64_t rollback_ns_win_ = 0;
   uint64_t capture_ns_win_ = 0;
   uint64_t capture_bytes_win_ = 0;
+  // LPs claimed from another lane's list this window, summed over the round
+  // kernel's workers while recording; FinishRun stamps it. 0 elsewhere.
+  uint64_t window_steals_ = 0;
 };
 
 // Constructs the kernel named by `config.type`.

@@ -1,7 +1,6 @@
 #include "src/kernel/round_kernel.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/kernel/engine/phase_accountant.h"
 #include "src/sched/lpt.h"
@@ -78,12 +77,11 @@ void RoundKernel::Setup(const TopoGraph& graph, const Partition& partition) {
     pmap_.ResetStrided(num_lps(), max_lanes_);
   }
   ownership_movable_ = true;
-  lanes_ = max_lanes_;
   layout_workers_ = 0;
   last_round_ns_.assign(num_lps(), 0);
-  worker_events_.assign(MaxExecutors(), 0);
-  cursors_ = std::make_unique<Cursor[]>(groups_);
-  barrier_ = std::make_unique<CombiningBarrier>(MaxExecutors());
+  shared_.workers = std::make_unique<Worker[]>(MaxExecutors());
+  shared_.barrier = std::make_unique<CombiningBarrier>(MaxExecutors());
+  shared_.lanes = max_lanes_;
   // A borrowed pool keeps its owner's placement; only the kernel's own pool
   // takes this config's affinity.
   active_pool_ = external_pool_ != nullptr ? external_pool_ : &pool_;
@@ -107,11 +105,13 @@ RunResult RoundKernel::Run(Time stop_time) {
   tuning_ = lanes_tunable_ ? SampleTuning(max_lanes_)
                            : SampleTuning(groups_, /*parties_tunable=*/false);
   period_ = tuning_.sched_period;
-  lanes_ = lanes_tunable_ ? tuning_.parties : 1;
-  const uint32_t workers = groups_ * lanes_;
-  if (workers != barrier_->parties()) {
-    barrier_ = std::make_unique<CombiningBarrier>(workers);
+  shared_.lanes = lanes_tunable_ ? tuning_.parties : 1;
+  const uint32_t workers = groups_ * shared_.lanes;
+  live_workers_ = workers;
+  if (workers != shared_.barrier->parties()) {
+    shared_.barrier = std::make_unique<CombiningBarrier>(workers);
   }
+  shared_.lps = lps_.data();
   if (active_pool_ == &pool_) {
     pool_.ApplyPlacement(tuning_.affinity);
   }
@@ -136,13 +136,19 @@ RunResult RoundKernel::Run(Time stop_time) {
     if (speculate) {
       sync_.EnableSpeculation(tuning_.spec_horizon_ps);
     }
-    sync_.SetParkBaseline(barrier_->parks());
-    timing_ = sync_.recording() ||
-              claim_metric_ == SchedulingMetric::kByLastRoundTime;
-    worker_events_.assign(workers, 0);
-    // Seed the min-reduction for the first prologue: workers contribute
-    // their partial minima at the end of each round.
+    sync_.SetParkBaseline(shared_.barrier->parks());
+    shared_.timing = sync_.recording() ||
+                     claim_metric_ == SchedulingMetric::kByLastRoundTime;
+    for (uint32_t w = 0; w < workers; ++w) {
+      shared_.workers[w].events = 0;
+      shared_.workers[w].steals = 0;
+    }
+    // Round 0's prologue runs here, on the caller, before the workers start;
+    // every later one runs in the completion step of the previous round's
+    // end-of-round crossing. Workers contribute their partial minima at the
+    // end of each round, so round 0's reduction is seeded from the LPs.
     sync_.SeedMinFromLps();
+    Prologue();
 
     active_pool_->Run([this](uint32_t worker) { RoundLoop(worker); });
 
@@ -158,119 +164,157 @@ RunResult RoundKernel::Run(Time stop_time) {
 
   processed_events_ = LiveEvents();
   rounds_ = sync_.round_index();
+  window_steals_ = 0;
+  if (sync_.recording()) {
+    for (uint32_t w = 0; w < workers; ++w) {
+      window_steals_ += shared_.workers[w].steals;
+    }
+  }
   return FinishRun(name_, workers, Profiler::NowNs() - run_t0, stop_time,
                    sync_.reason());
 }
 
 void RoundKernel::BuildLayout(uint32_t workers) {
-  // Claim orders start ascending by LpId; the first prologue of each window
-  // re-sorts them (claim order only affects wall time, never results).
-  order_.clear();
-  group_begin_.assign(1, 0);
-  lists_.assign(workers, {});
+  // Own lists start from the partition map, ascending by LpId; the first
+  // prologue of each window re-sorts them (claim order only affects wall
+  // time, never results).
+  const uint32_t lanes = shared_.lanes;
+  for (uint32_t w = 0; w < MaxExecutors(); ++w) {
+    shared_.workers[w].list.clear();
+    shared_.workers[w].claimed.clear();
+  }
   if (lane_owned_) {
-    order_.resize(num_lps());
-    std::iota(order_.begin(), order_.end(), 0);
     for (uint32_t lp = 0; lp < num_lps(); ++lp) {
-      lists_[pmap_.owner(lp) % workers].push_back(lp);
+      shared_.workers[pmap_.owner(lp) % workers].list.push_back(lp);
     }
-    group_begin_.push_back(num_lps());
   } else {
     for (uint32_t g = 0; g < groups_; ++g) {
       const std::vector<uint32_t>& owned = pmap_.owned(g);
-      order_.insert(order_.end(), owned.begin(), owned.end());
-      group_begin_.push_back(static_cast<uint32_t>(order_.size()));
       for (size_t i = 0; i < owned.size(); ++i) {
-        lists_[g * lanes_ + i % lanes_].push_back(owned[i]);
+        shared_.workers[g * lanes + i % lanes].list.push_back(owned[i]);
       }
     }
+  }
+  // A worker never claims more LPs than its group holds, so reserving that
+  // much keeps the per-round list swap free of allocations.
+  for (uint32_t w = 0; w < workers; ++w) {
+    const size_t group_lps =
+        lane_owned_ ? num_lps() : pmap_.owned(w / lanes).size();
+    shared_.workers[w].list.reserve(group_lps);
+    shared_.workers[w].claimed.reserve(group_lps);
   }
   layout_workers_ = workers;
 }
 
 void RoundKernel::Prologue() {
-  // Every worker read last round's flag before the end-of-round barrier that
-  // this prologue follows.
-  mid_round_global_ = false;
+  // Every worker read the flag after the phase-1 crossing, before arriving at
+  // the crossing this prologue completes. Cleared only when set, so the
+  // flags' line is not rewritten in rounds without a mid-round global.
+  if (flags_.global_scheduled) {
+    flags_.global_scheduled = false;
+  }
   if (!sync_.ComputeWindow()) {
     return;
   }
-  // Load-adaptive scheduling: re-sort each group's claim order every
-  // `period_` rounds, in place by the LPT key (estimate desc, LpId asc).
+  Worker* const workers = shared_.workers.get();
+  // Load-adaptive scheduling: re-sort each own list every `period_` rounds,
+  // in place by the LPT key (estimate desc, LpId asc).
   const bool resort = claim_metric_ != SchedulingMetric::kNone &&
                       sync_.round_index() % period_ == 0;
+  const std::vector<uint64_t>* cost = &last_round_ns_;
   if (resort) {
-    const std::vector<uint64_t>* cost = &last_round_ns_;
     if (claim_metric_ == SchedulingMetric::kByPendingEventCount) {
       EstimateByPendingEvents(lps_, sync_.window(), &cost_buf_);
       cost = &cost_buf_;
     }
-    for (uint32_t g = 0; g < groups_; ++g) {
-      SortByCostDescending(order_.data() + group_begin_[g],
-                           order_.data() + group_begin_[g + 1], *cost);
+    for (uint32_t w = 0; w < live_workers_; ++w) {
+      std::vector<uint32_t>& list = workers[w].list;
+      SortByCostDescending(list.data(), list.data() + list.size(), *cost);
     }
   }
   // events_before comes from the end-of-round barrier's fused count — the
   // live cross-worker total as of the last reduction (0 for round 0).
   sync_.CommitRound(sync_.reduced_events());
-  if (resort) {
-    sync_.RecordClaimOrder(order_);
+  if (resort && sync_.recording()) {
+    // The recorded claim order is each group's priority order: all of its
+    // LPs under the LPT key, whichever lane's list holds them.
+    claim_order_.clear();
+    if (sync_.claim_orders_recorded()) {
+      size_t group_begin = 0;
+      for (uint32_t w = 0; w < live_workers_; ++w) {
+        claim_order_.insert(claim_order_.end(), workers[w].list.begin(),
+                            workers[w].list.end());
+        if ((w + 1) % shared_.lanes == 0) {
+          SortByCostDescending(claim_order_.data() + group_begin,
+                               claim_order_.data() + claim_order_.size(),
+                               *cost);
+          group_begin = claim_order_.size();
+        }
+      }
+    }
+    sync_.RecordClaimOrder(claim_order_);
   }
-  for (uint32_t g = 0; g < groups_; ++g) {
-    cursors_[g].next.store(0, std::memory_order_relaxed);
+  for (uint32_t w = 0; w < live_workers_; ++w) {
+    workers[w].claim.range.Reset(static_cast<uint32_t>(workers[w].list.size()));
+    workers[w].claim.lps = workers[w].list.data();
   }
 }
 
 void RoundKernel::RoundLoop(uint32_t worker) {
-  const uint32_t group = worker / lanes_;
-  std::atomic<uint32_t>& claim = cursors_[group].next;
-  const uint32_t* const order = order_.data() + group_begin_[group];
-  const uint32_t claimable = group_begin_[group + 1] - group_begin_[group];
-  // Ownership and the layout only change between windows, so the list stays
-  // valid and no worker ever observes a mid-window move.
-  const std::vector<uint32_t>& mine = lists_[worker];
+  CombiningBarrier& barrier = *shared_.barrier;
+  const std::unique_ptr<Lp>* const lps = shared_.lps;
+  const uint32_t lanes = shared_.lanes;
+  const uint32_t lane = worker % lanes;
+  Worker* const group = shared_.workers.get() + (worker - lane);
+  Worker& self = group[lane];
   Profiler* const rows = window_rows();
   const bool record = rows != nullptr && rows->per_lp;
   uint64_t events = 0;
+  uint64_t steals = 0;
   // Worker-local round index: every worker executes the same loop iterations,
   // so this mirrors sync_.round_index() without reading shared state. It keys
   // the accountant's executor-private per-round rows, which lets every sync
-  // wait — including the end-of-round barrier, which overlaps worker 0's next
-  // prologue — be attributed to its round without data races.
+  // wait — including the end-of-round crossing, whose completion runs the
+  // next round's prologue — be attributed to its round without data races.
   uint32_t round = 0;
-  PhaseAccountant acct(worker, timing_, rows);
+  PhaseAccountant acct(worker, shared_.timing, rows);
+  // The end-of-round crossing's completion: absorb the fused reduction and
+  // open the next round before anyone is released into it.
+  const auto next_round = [this, &barrier] {
+    sync_.Absorb(barrier);
+    Prologue();
+  };
 
-  for (;;) {
-    if (worker == 0) {
-      Prologue();
-    }
-    acct.OpenInterval();
-    barrier_->Arrive(worker);
-    if (sync_.done()) {
-      break;  // Termination wait stays unattributed: it has no round row.
-    }
+  acct.OpenInterval();
+  while (!sync_.done()) {
     acct.BeginRound(round);
-    acct.CloseSync();
 
-    // Phase 1: process events, claiming the group's LPs in scheduler order.
-    // The whole phase closes into P, so claim-cursor and bookkeeping overhead
-    // is attributed alongside the per-LP work it exists to distribute.
+    // Phase 1: process events. The worker claims its own list from the head,
+    // then visits the other lanes of its group in lane order and steals from
+    // their tails while a victim has at least two unclaimed LPs. The whole
+    // phase closes into P, so claim and bookkeeping overhead is attributed
+    // alongside the per-LP work it exists to distribute.
     const Time window = sync_.window();
-    for (;;) {
-      const uint32_t i = claim.fetch_add(1, std::memory_order_relaxed);
-      if (i >= claimable) {
-        break;
+    for (uint32_t hop = 0; hop < lanes;) {
+      ClaimLine& line = group[(lane + hop) % lanes].claim;
+      uint32_t i = 0;
+      if (hop == 0 ? !line.range.TakeFront(&i) : !line.range.StealBack(&i)) {
+        ++hop;
+        continue;
       }
-      const LpId lp_id = order[i];
+      steals += hop != 0 ? 1 : 0;
+      const LpId lp_id = line.lps[i];
+      self.claimed.push_back(lp_id);
+      Lp* const lp = lps[lp_id].get();
       // Capped like EstimateByPendingEvents: an uncapped CountBefore is a
       // full recursive heap walk per LP per round, and the heatmap/cost-model
       // consumers only need "how busy", never exact counts past the cap.
       const uint32_t pending =
           record ? static_cast<uint32_t>(
-                       lps_[lp_id]->fel().CountBefore(window, kPendingCountCap))
+                       lp->fel().CountBefore(window, kPendingCountCap))
                  : 0;
       const uint64_t lp_t0 = acct.timing() ? Profiler::NowNs() : 0;
-      const uint64_t n = lps_[lp_id]->ProcessUntil(window);
+      const uint64_t n = lp->ProcessUntil(window);
       events += n;
       if (acct.timing()) {
         const uint64_t lp_ns = Profiler::NowNs() - lp_t0;
@@ -278,15 +322,20 @@ void RoundKernel::RoundLoop(uint32_t worker) {
         AddLpWindowCost(lp_id, lp_ns);
         if (record) {
           rows->AddLpRound(worker,
-                                LpRoundCost{round, lp_id,
-                                            static_cast<uint32_t>(n), pending, lp_ns});
+                           LpRoundCost{round, lp_id, static_cast<uint32_t>(n),
+                                       pending, lp_ns});
         }
       }
     }
     acct.CloseProcessing();
-    worker_events_[worker] = events;  // Published by the barrier for LiveEvents.
-    barrier_->Arrive(worker);
+    self.events = events;  // Published by the barrier for LiveEvents.
+    barrier.Arrive(worker);
     acct.CloseSync();
+    // No thief reads a list past the phase-1 crossing: the LPs this worker
+    // claimed become its own list, drained and folded below by the core
+    // that ran them, and claimed first next round.
+    self.list.swap(self.claimed);
+    self.claimed.clear();
 
     // Phase 2: global events, worker 0 only, in rounds where one is due: the
     // prologue saw the public FEL's next event at or below the LBTS, or an LP
@@ -297,21 +346,21 @@ void RoundKernel::RoundLoop(uint32_t worker) {
     // at that barrier, so direct cross-LP insertion is safe. Under
     // speculation the guard skips the events when a straggler global landed
     // below the covered bound — the next prologue latches the miss.
-    if (sync_.globals_due() || mid_round_global_) {
+    if (sync_.globals_due() || flags_.global_scheduled) {
       if (worker == 0) {
         if (sync_.SpecAllowsGlobals()) {
           events += RunGlobalEvents(sync_.lbts(), sync_.stop());
         }
         acct.CloseProcessing();
       }
-      barrier_->Arrive(worker);
+      barrier.Arrive(worker);
       acct.CloseSync();
     }
 
     // Phase 3: receive events from mailboxes — intra- and inter-group alike.
-    // The lists partition all LPs, so every inbox is drained exactly once.
-    for (uint32_t id : mine) {
-      lps_[id]->DrainInboxes();
+    // The claims partition all LPs, so every inbox is drained exactly once.
+    for (uint32_t id : self.list) {
+      lps[id]->DrainInboxes();
     }
 
     // Phase 4: update the window — fold the list into a local minimum and
@@ -325,8 +374,8 @@ void RoundKernel::RoundLoop(uint32_t worker) {
     uint32_t flags = stop_requested() ? CombiningBarrier::kStopFlag : 0;
     const bool check_spec = sync_.spec_active();
     int64_t local_min_ps = INT64_MAX;
-    for (uint32_t id : mine) {
-      Lp* const lp = lps_[id].get();
+    for (uint32_t id : self.list) {
+      Lp* const lp = lps[id].get();
       const Time next = lp->fel().NextTimestamp();
       local_min_ps = std::min(local_min_ps, next.ps());
       if (check_spec && !next.IsMax() && next <= lp->now() &&
@@ -335,23 +384,22 @@ void RoundKernel::RoundLoop(uint32_t worker) {
       }
     }
     acct.CloseMessaging();
-    // End-of-round barrier: releases with the reduced {min, count, flags}
-    // already published, which worker 0 absorbs for the next prologue.
+    // End-of-round crossing: its completer runs the next round's prologue,
+    // so the crossing's wait — prologue included — closes into this round's
+    // S. The speculation miss latches there too.
     const uint64_t barrier_t0 =
         worker == 0 && sync_.recording() ? Profiler::NowNs() : 0;
-    barrier_->Arrive(worker, local_min_ps, events, flags);
-    if (worker == 0) {
-      sync_.Absorb(*barrier_);
-      if (sync_.recording()) {
-        sync_.RecordBarrierWait(Profiler::NowNs() - barrier_t0,
-                                barrier_->parks());
-      }
+    barrier.Arrive(worker, local_min_ps, events, flags, next_round);
+    if (worker == 0 && sync_.recording()) {
+      sync_.RecordBarrierWait(round, Profiler::NowNs() - barrier_t0,
+                              barrier.parks());
     }
     acct.CloseSync();
     ++round;
   }
 
-  worker_events_[worker] = events;
+  self.events = events;
+  self.steals = steals;
   acct.set_events(events);  // Destructor flushes the totals to the window.
 }
 

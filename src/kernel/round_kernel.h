@@ -3,45 +3,53 @@
 //
 // Executors are laid out as G groups of L lanes; worker ids are group-major
 // (worker = group * L + lane), so compact placement keeps a group's lanes on
-// one package. Each round has four phases:
-//   1. Process events  — the lanes of a group claim that group's LPs through
-//                        an atomic cursor over its claim order (LPT list
-//                        scheduling) and run each up to the window bound.
+// one package. Each worker owns a list of its group's LPs: the ones it ran
+// last round (the first round starts from the partition map). Each round has
+// four phases:
+//   1. Process events  — each worker claims its own list from the head, in
+//                        LPT order, then steals from the tails of the other
+//                        lanes' lists of its group, never a victim's last
+//                        unclaimed LP (ClaimRange), and runs each claimed LP
+//                        up to the window bound.
 //   2. Global events   — worker 0 alone runs public-LP events on the window
 //                        edge; topology changes recompute the lookahead here.
-//   3. Receive events  — each worker drains the mailboxes of its own LP list.
-//   4. Update window   — each worker folds the same list into a local minimum
+//   3. Receive events  — each worker drains the mailboxes of the LPs it
+//                        claimed this round, which become its next own list.
+//   4. Update window   — each worker folds the same LPs into a local minimum
 //                        and contributes it, with its event count and stop
-//                        vote, to the end-of-round barrier's fused reduction;
-//                        worker 0 absorbs the result and derives the next
-//                        LBTS from Eq. 2 (RoundSync).
+//                        vote, to the end-of-round barrier's fused reduction.
+//                        The party that completes that crossing absorbs the
+//                        result and runs the next round's prologue (Eq. 2
+//                        LBTS, re-sort, claim-range reset; RoundSync) before
+//                        it releases the others.
 // Under speculation the phase-4 fold doubles as the causality-miss check.
 //
-// A round crosses the barrier three times: after worker 0's prologue, after
-// phase 1, and at the end of round. Phase 2 adds a fourth crossing only in
-// rounds where a global event is due (RoundSync::globals_due, or an LP event
-// that scheduled one mid-round); otherwise worker 0 has nothing to run and
-// the others go straight to phase 3. Phases 3 and 4 need no crossing between
-// them, because each worker folds exactly the LPs it drained.
+// A round crosses the barrier twice: after phase 1, and at the end of round.
+// Phase 2 adds a third crossing only in rounds where a global event is due
+// (RoundSync::globals_due, or an LP event that scheduled one mid-round);
+// otherwise worker 0 has nothing to run and the others go straight to phase
+// 3. Phases 3 and 4 need no crossing between them, because each worker folds
+// exactly the LPs it drained, and round 0's prologue runs on the caller
+// before the workers start, so no crossing opens a round or ends the run.
 //
 // The three kernels are presets of that loop, picked from KernelType:
 //
-//   preset   groups x lanes  owners        phase 3/4 list      claim order
-//   unison   1 x W           W lanes,      owner % live W      re-sorted by
-//                            strided                           the metric
-//   hybrid   R x L           R ranks, by   lane-strided slice  per rank, by
-//                            first node    of the rank's LPs   last-round time
-//   barrier  N x 1 (N LPs)   N ranks,      the rank's LPs      ascending,
-//                            LP r on r                         never re-sorted
+//   preset   groups x lanes  owners        first own list      re-sorted by
+//   unison   1 x W           W lanes,      owner % live W      the metric
+//                            strided
+//   hybrid   R x L           R ranks, by   lane-strided slice  last-round
+//                            first node    of the rank's LPs   time
+//   barrier  N x 1 (N LPs)   N ranks,      the rank's LPs      never
+//                            LP r on r     (ascending)
 //
-// Unison and hybrid lanes are a live tunable; barrier's party count is fixed.
-// Barrier ranks exchange cross-LP events through each target's locked
-// inbox — mailboxes are left unwired, so every send takes Kernel's overflow
-// fallback — which reproduces MPI receive-order indeterminism when the run
-// is non-deterministic (Fig. 11). Stock barrier sync all-reduces *before*
-// each round; here that reduction is the end-of-round one, and the leading
-// reduce is RoundSync::SeedMinFromLps, so the same three crossings per round
-// just start one phase later.
+// Unison and hybrid lanes are a live tunable; barrier's party count is fixed,
+// and with one lane per group its ranks never steal. Hybrid lanes steal only
+// within their rank. Barrier ranks exchange cross-LP events through each
+// target's locked inbox — mailboxes are left unwired, so every send takes
+// Kernel's overflow fallback — which reproduces MPI receive-order
+// indeterminism when the run is non-deterministic (Fig. 11). Stock barrier
+// sync all-reduces *before* each round; here that reduction is the
+// end-of-round one, and the leading reduce is RoundSync::SeedMinFromLps.
 #ifndef UNISON_SRC_KERNEL_ROUND_KERNEL_H_
 #define UNISON_SRC_KERNEL_ROUND_KERNEL_H_
 
@@ -52,6 +60,7 @@
 #include "src/kernel/engine/executor_pool.h"
 #include "src/kernel/engine/round_sync.h"
 #include "src/kernel/kernel.h"
+#include "src/sched/claim_range.h"
 #include "src/sched/combining_barrier.h"
 
 namespace unison {
@@ -74,14 +83,13 @@ class RoundKernel : public Kernel {
 
   // Barrier crossings completed since the barrier was built, at Setup or in
   // the last window whose worker count changed (test hook: a run of R rounds
-  // makes 3R + 1 when no global is ever due, the +1 being the crossing that
-  // ends the run).
-  uint32_t barrier_crossings() const { return barrier_->generation(); }
+  // makes 2R when no global is ever due).
+  uint32_t barrier_crossings() const { return shared_.barrier->generation(); }
 
   uint64_t LiveEvents() const override {
     uint64_t sum = 0;
-    for (uint64_t n : worker_events_) {
-      sum += n;
+    for (uint32_t w = 0; w < live_workers_; ++w) {
+      sum += shared_.workers[w].events;
     }
     return sum;
   }
@@ -91,23 +99,52 @@ class RoundKernel : public Kernel {
   void OnOwnershipChanged() override { layout_workers_ = 0; }
 
  private:
-  // Per-group claim cursor, one cache line each.
-  struct alignas(64) Cursor {
-    std::atomic<uint32_t> next{0};
+  // A worker's own list as the lanes of its group see it in phase 1: the
+  // claim range and the list it indexes, on one cache line — thieves read
+  // both, and nothing else is written there during the phase.
+  struct alignas(64) ClaimLine {
+    ClaimRange range;
+    const uint32_t* lps = nullptr;
+  };
+  static_assert(sizeof(ClaimLine) == 64, "a claim line is one cache line");
+
+  // One worker's slot: its claim line, then the state only it writes between
+  // crossings. The end-of-round completion reads and re-sorts `list` and
+  // resets the claim line.
+  struct alignas(64) Worker {
+    ClaimLine claim;
+    std::vector<uint32_t> list;     // This round's own list.
+    std::vector<uint32_t> claimed;  // This round's claims, in claim order.
+    uint64_t events = 0;            // Window events, published at crossings.
+    uint64_t steals = 0;            // Claims from another lane's list.
   };
 
-  // Rebuilds the claim orders and per-worker LP lists from the partition
-  // map. Runs at a window boundary, only when ownership or the live worker
-  // count changed since the last build.
+  // Read by every worker at every claim and crossing, written only at Setup
+  // and between windows: on lines of their own, so that no member written
+  // per round can share them.
+  struct alignas(64) Shared {
+    std::unique_ptr<CombiningBarrier> barrier;
+    std::unique_ptr<Worker[]> workers;  // MaxExecutors() slots.
+    const std::unique_ptr<Lp>* lps = nullptr;  // Kernel::lps_.data().
+    uint32_t lanes = 1;  // Live lanes per group.
+    bool timing = false;  // Collect per-LP wall time this run.
+  };
+
+  // Rebuilds the workers' own lists from the partition map. Runs at a window
+  // boundary, only when ownership or the live worker count changed since the
+  // last build; otherwise each window continues from the lists the last one
+  // ended with.
   void BuildLayout(uint32_t workers);
-  // Worker 0's start-of-round bookkeeping: window computation, termination
-  // check, periodic claim-order re-sort.
+  // The start-of-round bookkeeping: window computation, termination check,
+  // periodic re-sort, round record, claim-range reset. Round 0's runs on the
+  // caller before the workers start; every later one runs in the completion
+  // step of the previous round's end-of-round crossing.
   void Prologue();
   void RoundLoop(uint32_t worker);
 
   // The preset, fixed at construction.
   const char* const name_;
-  const SchedulingMetric claim_metric_;  // What claim orders are sorted by.
+  const SchedulingMetric claim_metric_;  // What own lists are sorted by.
   const bool lanes_tunable_;
   // True when the partition map assigns LPs to lanes (unison) rather than to
   // groups (hybrid ranks, barrier ranks).
@@ -115,7 +152,7 @@ class RoundKernel : public Kernel {
 
   uint32_t groups_ = 1;
   uint32_t max_lanes_ = 1;
-  uint32_t lanes_ = 1;
+  uint32_t live_workers_ = 0;  // groups_ * live lanes; 0 before any Run().
   uint32_t period_ = 1;
 
   ExecutorPool pool_;  // Threads spawned once at Setup, reused across runs.
@@ -123,22 +160,13 @@ class RoundKernel : public Kernel {
   // lent (Session::Fork), else pool_. Set at Setup.
   ExecutorPool* active_pool_ = nullptr;
   RoundSync sync_{this};
-  std::unique_ptr<CombiningBarrier> barrier_;
-  std::unique_ptr<Cursor[]> cursors_;
-
-  // Window layout. order_ holds every group's claim order back to back
-  // (group-major; group g owns [group_begin_[g], group_begin_[g + 1])), so
-  // the trace records it as one list. lists_[w] is worker w's LP list for
-  // phases 3 and 4; the lists partition all LPs.
-  std::vector<uint32_t> order_;
-  std::vector<uint32_t> group_begin_;
-  std::vector<std::vector<uint32_t>> lists_;
+  Shared shared_;
+  static_assert(sizeof(Shared) == 64, "the fixed pointers fill one line");
   uint32_t layout_workers_ = 0;  // Worker count of the last build; 0 = stale.
 
   std::vector<uint64_t> last_round_ns_;  // Per-LP ByLastRoundTime estimates.
   std::vector<uint64_t> cost_buf_;
-  std::vector<uint64_t> worker_events_;
-  bool timing_ = false;  // Collect per-LP wall time this run.
+  std::vector<uint32_t> claim_order_;  // Recorded group priority orders.
 };
 
 }  // namespace unison

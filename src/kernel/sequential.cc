@@ -20,7 +20,7 @@ RunResult SequentialKernel::Run(Time stop_time) {
 
   processed_events_ = 0;
   RunReason reason = RunReason::kStopRequested;
-  while (!stop_requested_) {
+  while (!stop_requested()) {
     const Time npub = public_lp_->fel().NextTimestamp();
     const Time nloc = lp->fel().NextTimestamp();
     const Time next = std::min(npub, nloc);

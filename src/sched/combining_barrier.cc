@@ -46,20 +46,19 @@ CombiningBarrier::CombiningBarrier(uint32_t parties)
   }
 }
 
-void CombiningBarrier::Arrive(uint32_t party, int64_t min_ps, uint64_t count,
-                              uint32_t flags) {
+bool CombiningBarrier::Combine(uint32_t party, int64_t min_ps, uint64_t count,
+                               uint32_t flags, uint32_t* gen) {
   if (parties_ <= 1) {
     result_min_ = min_ps;
     result_count_ = count;
     result_flags_ = flags;
-    generation_.fetch_add(1, std::memory_order_release);
-    return;
+    return true;
   }
   // The generation must be read before the arrival is signalled: once the
   // fetch_sub lands, the root may complete and bump generation_ at any time,
   // and a stale read taken after that bump would wait for a generation that
   // already passed.
-  const uint32_t gen = generation_.load(std::memory_order_acquire);
+  *gen = generation_.load(std::memory_order_acquire);
   Node* node = &nodes_[party / kFanIn];
   uint32_t slot = party % kFanIn;
   for (;;) {
@@ -71,8 +70,7 @@ void CombiningBarrier::Arrive(uint32_t party, int64_t min_ps, uint64_t count,
     // half (completed by the release sequence on `remaining`) gives the last
     // arriver visibility of every sibling's slot.
     if (node->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-      Wait(gen);
-      return;
+      return false;
     }
     // Last arriver at this node: combine the children and carry the partial
     // result one level up. Re-arming `remaining` here is safe — no party can
@@ -88,20 +86,27 @@ void CombiningBarrier::Arrive(uint32_t party, int64_t min_ps, uint64_t count,
     }
     node->remaining.store(node->arity, std::memory_order_relaxed);
     if (node->parent < 0) {
-      // Root completed: publish the reduction and release everyone with one
-      // broadcast.
+      // Root completed: publish the reduction. The caller runs its
+      // completion, if any, and then releases everyone.
       result_min_ = m;
       result_count_ = c;
       result_flags_ = f;
-      generation_.fetch_add(1, std::memory_order_release);
-      generation_.notify_all();
-      return;
+      return true;
     }
     min_ps = m;
     count = c;
     flags = f;
     slot = node->parent_slot;
     node = &nodes_[node->parent];
+  }
+}
+
+void CombiningBarrier::Release() {
+  // One broadcast releases every waiter; the release order publishes the
+  // reduction and the completion's writes with it.
+  generation_.fetch_add(1, std::memory_order_release);
+  if (parties_ > 1) {
+    generation_.notify_all();
   }
 }
 

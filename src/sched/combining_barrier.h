@@ -18,6 +18,12 @@
 // the flat CAS fold regardless of arrival order — the determinism tests hold
 // with no caveats.
 //
+// An arrival may carry a completion step, the idiom of std::barrier's
+// CompletionFunction: the party that completes the root publishes the
+// reduction, runs the completion, and only then releases the generation. The
+// round kernel runs its next round's prologue there, which folds the
+// start-of-round crossing into the end-of-round one.
+//
 // Waiters follow the one executor wait policy (spin_wait.h): a bounded,
 // yielding spin when the parties leave one of the allowed CPUs free, a prompt
 // futex park when they do not. Cumulative parks are exposed so the trace
@@ -56,7 +62,27 @@ class CombiningBarrier {
   // the reduced_*() accessors hold the generation's combined values, which
   // stay valid until this party arrives for the next generation (nobody can
   // complete a newer generation without this party's arrival).
-  void Arrive(uint32_t party, int64_t min_ps, uint64_t count, uint32_t flags);
+  void Arrive(uint32_t party, int64_t min_ps, uint64_t count, uint32_t flags) {
+    Arrive(party, min_ps, count, flags, [] {});
+  }
+
+  // The same crossing with a completion step: exactly one party per
+  // generation — the one that completes the root, whichever it is — runs
+  // `completion` after the reduction is published (it may read reduced_*())
+  // and before any party returns. Every party's writes before its arrival
+  // happen before the completion, and the completion's writes happen before
+  // every party's return.
+  template <typename Completion>
+  void Arrive(uint32_t party, int64_t min_ps, uint64_t count, uint32_t flags,
+              const Completion& completion) {
+    uint32_t gen = 0;
+    if (Combine(party, min_ps, count, flags, &gen)) {
+      completion();
+      Release();
+    } else {
+      Wait(gen);
+    }
+  }
 
   // Reduction results of the last completed generation.
   int64_t reduced_min() const { return result_min_; }
@@ -90,6 +116,14 @@ class CombiningBarrier {
     Slot slots[kFanIn];
   };
 
+  // Climbs the tree with this party's contribution. Returns true for the
+  // party that completed the root, with the reduction published and the
+  // generation not yet released; otherwise false, with *gen set to the
+  // generation to wait out.
+  bool Combine(uint32_t party, int64_t min_ps, uint64_t count, uint32_t flags,
+               uint32_t* gen);
+  // Root completer only: ends the generation and wakes every waiter.
+  void Release();
   void Wait(uint32_t gen);
 
   const uint32_t parties_;

@@ -3,10 +3,13 @@
 // Assigning LPs to identical cores to minimize the makespan is the multiway
 // number partitioning problem (NP-hard). Unison uses Graham's LPT rule —
 // sort jobs by descending size, each idle worker takes the next one — with a
-// worst-case approximation ratio of 4/3 − 1/(3m). At runtime the "each idle
-// worker takes the next" step is a single fetch_add on a shared cursor over
-// the sorted order, which is why scheduling costs O(n log n) for the sort and
-// nothing per claim.
+// worst-case approximation ratio of 4/3 − 1/(3m). At runtime each worker
+// keeps the LPs it ran last round, sorted by this key, and takes them
+// head-first with one CAS each; a worker whose own list is empty steals from
+// the tails of the others, the cheapest LPs first (ClaimRange,
+// claim_range.h). The kernel trades a little of the shared list's balance
+// for cache locality: an LP stays on one core unless a steal can shorten the
+// round. Scheduling costs O(n log n) for the sorts and one CAS per claim.
 //
 // The offline helpers here are used by the parallel cost model and by the
 // property tests that check the 4/3 bound against brute force.

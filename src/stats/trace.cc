@@ -121,6 +121,8 @@ std::string RunSummary::ToJson() const {
   AppendU64(&out, capture_ns);
   out += ",\"capture_bytes\":";
   AppendU64(&out, capture_bytes);
+  out += ",\"steals\":";
+  AppendU64(&out, steals);
   out += '}';
   return out;
 }
@@ -193,12 +195,13 @@ void RunTrace::RecordClaimOrder(const std::vector<uint32_t>& order) {
   }
 }
 
-void RunTrace::RecordBarrier(uint64_t barrier_ns, uint64_t parked) {
-  if (live_.records.empty()) {
+void RunTrace::RecordBarrier(uint32_t round, uint64_t barrier_ns,
+                             uint64_t parked) {
+  if (round >= live_.records.size()) {
     return;
   }
-  live_.records.back().barrier_ns = barrier_ns;
-  live_.records.back().parked = parked;
+  live_.records[round].barrier_ns = barrier_ns;
+  live_.records[round].parked = parked;
 }
 
 void RunTrace::EndRun(RunSummary* summary) {
@@ -236,6 +239,7 @@ RunSummary RunTrace::Cumulative() const {
   total.rollback_ns = 0;
   total.capture_ns = 0;
   total.capture_bytes = 0;
+  total.steals = 0;
   for (const WindowTraceSegment& seg : segments_) {
     total.rounds += seg.summary.rounds;
     total.events += seg.summary.events;
@@ -249,6 +253,7 @@ RunSummary RunTrace::Cumulative() const {
     total.rollback_ns += seg.summary.rollback_ns;
     total.capture_ns += seg.summary.capture_ns;
     total.capture_bytes += seg.summary.capture_bytes;
+    total.steals += seg.summary.steals;
   }
   total.window_start_ps = segments_.front().summary.window_start_ps;
   return total;
@@ -359,6 +364,8 @@ void AppendCsvRows(std::string* out, uint32_t window,
     AppendU64(out, seg.summary.capture_ns);
     *out += ',';
     AppendU64(out, seg.summary.capture_bytes);
+    *out += ',';
+    AppendU64(out, seg.summary.steals);
     *out += '\n';
   }
 }
@@ -392,7 +399,8 @@ std::string RunTrace::ToCsv() const {
   out.reserve(64 + current().records.size() * 64);
   out += "window,round,lbts_ps,window_ps,events_before,resorted,p_total_ns,"
          "s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,migrations,"
-         "spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,capture_bytes\n";
+         "spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,capture_bytes,"
+         "steals\n";
   if (segments_.empty()) {
     // Export mid-window (EndRun not yet reached): show the live records.
     AppendCsvRows(&out, 0, live_);

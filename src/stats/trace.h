@@ -82,6 +82,10 @@ struct RunSummary {
   // not try to speculate.
   uint64_t capture_ns = 0;
   uint64_t capture_bytes = 0;
+  // Round kernel: LPs a worker claimed from another lane's own list, i.e.
+  // that left the core that ran them the round before (DESIGN.md §3d).
+  // Counted only while recording; 0 for the other kernels.
+  uint64_t steals = 0;
 
   std::string ToJson() const;
 };
@@ -147,9 +151,10 @@ class RunTrace {
   void BeginRound(uint32_t round, Time lbts, Time window, uint64_t events_before);
   // Attaches the scheduler order to the most recent round record.
   void RecordClaimOrder(const std::vector<uint32_t>& order);
-  // Attaches the reduction-barrier latency and park count to the most recent
-  // round record (the coordinator measures them at the round's end barrier).
-  void RecordBarrier(uint64_t barrier_ns, uint64_t parked);
+  // Attaches the end-of-round crossing's latency and park count to the
+  // record of `round` (worker 0 measures them after that crossing releases,
+  // when the next round's record may already be open).
+  void RecordBarrier(uint32_t round, uint64_t barrier_ns, uint64_t parked);
   // The live window's executor-private P/S/M rows and totals; each executor
   // writes only its own slots (PhaseAccountant). Set rows().per_lp to keep
   // per-(round, LP) costs as well.
@@ -197,7 +202,8 @@ class RunTrace {
   // window,round,lbts_ps,window_ps,events_before,resorted,
   // p_total_ns,s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,
   // migrations,spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,
-  // capture_bytes (the last seven are window-level, repeated per row).
+  // capture_bytes,steals (the last eight are window-level, repeated per
+  // row).
   std::string ToCsv() const;
   bool WriteJsonFile(const std::string& path) const;
   bool WriteCsvFile(const std::string& path) const;

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -262,6 +263,50 @@ TEST(CombiningBarrier, CoLocatedStragglerIsNotStarvedBySpin) {
   std::nth_element(longer.begin(), longer.begin() + kGenerations / 2,
                    longer.end());
   EXPECT_LT(longer[kGenerations / 2], kSpinBoundNs / 2);
+}
+
+// The completion step (std::barrier's CompletionFunction idiom) runs exactly
+// once per generation, on the party that completes the root: it sees the
+// published reduction and every party's writes from before its arrival, and
+// every party returns only after it ran. The round kernel's end-of-round
+// crossing runs the next round's prologue there.
+TEST(CombiningBarrier, CompletionRunsOnceBeforeAnyPartyReturns) {
+  constexpr uint32_t kGens = 500;
+  for (uint32_t parties : {1u, 2u, 5u, 17u}) {
+    SCOPED_TRACE("parties=" + std::to_string(parties));
+    CombiningBarrier barrier(parties);
+    std::vector<uint32_t> arrived_gen(parties, 0);  // Party-private writes.
+    uint32_t completions = 0;  // Written only by completions.
+    uint32_t bad_completions = 0;
+    std::atomic<uint32_t> bad_returns{0};
+    std::vector<std::thread> threads;
+    for (uint32_t p = 0; p < parties; ++p) {
+      threads.emplace_back([&, p] {
+        for (uint32_t gen = 0; gen < kGens; ++gen) {
+          arrived_gen[p] = gen;
+          barrier.Arrive(p, ContribMin(gen, p), ContribCount(gen, p), 0, [&] {
+            int64_t want = INT64_MAX;
+            for (uint32_t q = 0; q < parties; ++q) {
+              want = std::min(want, ContribMin(gen, q));
+              bad_completions += arrived_gen[q] == gen ? 0 : 1;
+            }
+            bad_completions += barrier.reduced_min() == want ? 0 : 1;
+            ++completions;
+          });
+          if (completions != gen + 1) {
+            bad_returns.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    EXPECT_EQ(completions, kGens);
+    EXPECT_EQ(bad_completions, 0u);
+    EXPECT_EQ(bad_returns.load(), 0u);
+    EXPECT_EQ(barrier.generation(), kGens);
+  }
 }
 
 }  // namespace

@@ -169,7 +169,7 @@ TEST(Controller, OversubscribedFitsPartiesToTheMachine) {
   SegmentSpec spec;
   spec.executors = 8;  // Twice the machine.
   spec.parties = 8;
-  spec.parked_per_round = 10;  // > parks_per_round_high 2.0.
+  spec.parked_per_round = 10;  // > parks_per_round_high 1.0.
   EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
   EXPECT_EQ(store.Get().parties, 4u);  // knob * cpu_limit / executors.
   ASSERT_EQ(ctl.decisions().size(), 1u);
@@ -177,13 +177,13 @@ TEST(Controller, OversubscribedFitsPartiesToTheMachine) {
 }
 
 // The default threshold separates a two-party run whose waiter parks at each
-// of a round's three crossings from one that catches most crossings in the
+// of a round's two crossings from one that catches most crossings in the
 // spin.
 TEST(Controller, OversubscribedDefaultThresholdSplitsParkingFromSpinning) {
   SegmentSpec spec;
   spec.executors = 2;
   spec.parties = 2;
-  spec.parked_per_round = 3;
+  spec.parked_per_round = 2;
   {
     TunableStore store;
     Controller ctl(TestConfig(), &store);
@@ -204,8 +204,8 @@ TEST(Controller, OversubscribedDefaultThresholdSplitsParkingFromSpinning) {
   }
 }
 
-// With one executor per CPU every wait parks at once by policy (3 crossings
-// x 3 waiters = 9 parks per round), not because a peer was descheduled: no
+// With one executor per CPU every wait parks at once by policy (2 crossings
+// x 3 waiters = 6 parks per round), not because a peer was descheduled: no
 // decision.
 TEST(Controller, PartiesEqualToTheCpuCountParkByPolicy) {
   TunableStore store;
@@ -215,7 +215,7 @@ TEST(Controller, PartiesEqualToTheCpuCountParkByPolicy) {
   SegmentSpec spec;
   spec.executors = 4;
   spec.parties = 4;
-  spec.parked_per_round = 9;
+  spec.parked_per_round = 6;
   EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
   EXPECT_TRUE(ctl.decisions().empty());
   EXPECT_EQ(store.epoch(), 0u);  // Nothing published.

@@ -335,11 +335,11 @@ GlobalsRun RunWithGlobals(const KernelConfig& kernel, PartitionMode partition,
   return out;
 }
 
-// A round crosses the barrier three times, plus once in each round where a
-// global is due — including one an LP event scheduled mid-round at or below
-// the LBTS, which runs in the very round that scheduled it. Results stay
-// those of the sequential kernel.
-TEST(RoundCrossings, ThreePerRoundPlusOnePerRoundWithAGlobal) {
+// A round crosses the barrier twice, plus once in each round where a global
+// is due — including one an LP event scheduled mid-round at or below the
+// LBTS, which runs in the very round that scheduled it. Results stay those of
+// the sequential kernel.
+TEST(RoundCrossings, TwoPerRoundPlusOnePerRoundWithAGlobal) {
   KernelConfig seq;
   seq.type = KernelType::kSequential;
   const GlobalsRun seq_mid = RunWithGlobals(seq, PartitionMode::kSingle, true);
@@ -369,13 +369,81 @@ TEST(RoundCrossings, ThreePerRoundPlusOnePerRoundWithAGlobal) {
       // The mid-round global ran in the round that scheduled it: no extra
       // round against the up-front variant.
       EXPECT_EQ(mid.rounds, plain.rounds);
-      // Plus one for the start-of-round crossing that ends the run; the
-      // globals add a crossing each in the 2 ms and 3 ms rounds, and the
+      // The globals add a crossing each in the 2 ms and 3 ms rounds, and the
       // mid-round one in the 1.5 ms round.
-      EXPECT_EQ(plain.crossings, 3 * plain.rounds + 1 + 2);
-      EXPECT_EQ(mid.crossings, 3 * mid.rounds + 1 + 3);
+      EXPECT_EQ(plain.crossings, 2 * plain.rounds + 2);
+      EXPECT_EQ(mid.crossings, 2 * mid.rounds + 3);
     }
   }
+}
+
+// --- Affinity claiming ---
+
+struct IncastRun {
+  RunDigest digest;
+  uint64_t steals = 0;
+};
+
+// The k=4 fat-tree with web-search flows at load 0.3, 30% of them redirected
+// at one victim host, traced so the window summary counts steals.
+IncastRun RunIncast(const KernelConfig& kernel, PartitionMode partition) {
+  SimConfig cfg;
+  cfg.kernel = kernel;
+  cfg.partition = partition;
+  cfg.seed = 5;
+  cfg.trace = true;
+  Network net(cfg);
+  FatTreeTopo topo =
+      BuildFatTree(net, 4, 10'000'000'000ULL, Time::Microseconds(3));
+  if (partition == PartitionMode::kManual) {
+    net.SetManualPartition(4, FatTreePodPartition(topo, net.num_nodes()));
+  }
+  net.Finalize();
+  TrafficSpec traffic;
+  traffic.hosts = topo.hosts;
+  traffic.bisection_bps = topo.bisection_bps;
+  traffic.load = 0.3;
+  traffic.incast_ratio = 0.3;
+  traffic.duration = Time::Milliseconds(3);
+  GenerateTraffic(net, traffic);
+  net.Run(Time::Milliseconds(3));
+
+  IncastRun out;
+  out.digest = DigestOf(net);
+  out.steals = net.kernel().run_summary().steals;
+  return out;
+}
+
+// Incast piles load onto the victim's LPs, so lanes run out of their own
+// lists at different times and steal from each other's. A steal only moves
+// an LP to another core for a round: results stay the sequential kernel's.
+// Barrier ranks have one lane each, so they never steal.
+TEST(AffinityClaims, IncastStealsAcrossLanesAndMatchesSequential) {
+  KernelConfig seq;
+  seq.type = KernelType::kSequential;
+  const IncastRun reference = RunIncast(seq, PartitionMode::kSingle);
+  EXPECT_GT(reference.digest.event_count, 1000u);
+
+  KernelConfig unison;
+  unison.type = KernelType::kUnison;
+  unison.threads = 4;
+  const IncastRun u = RunIncast(unison, PartitionMode::kAuto);
+  EXPECT_TRUE(u.digest == reference.digest);
+  EXPECT_GT(u.steals, 0u);
+
+  KernelConfig hybrid;
+  hybrid.type = KernelType::kHybrid;
+  hybrid.ranks = 2;
+  hybrid.threads = 2;
+  const IncastRun h = RunIncast(hybrid, PartitionMode::kAuto);
+  EXPECT_TRUE(h.digest == reference.digest);
+  EXPECT_GT(h.steals, 0u);
+
+  KernelConfig barrier;
+  barrier.type = KernelType::kBarrier;
+  const IncastRun b = RunIncast(barrier, PartitionMode::kManual);
+  EXPECT_TRUE(b.digest == reference.digest);
+  EXPECT_EQ(b.steals, 0u);
 }
 
 // A manual partition that cuts a zero-delay link leaves a null-message

@@ -2,13 +2,18 @@
 // The executor pool that replaced the worker team lives in engine_test.cc.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/barrier_sync.h"
 #include "src/core/rng.h"
+#include "src/sched/claim_range.h"
+#include "src/sched/combining_barrier.h"
 #include "src/sched/lpt.h"
 
 namespace unison {
@@ -130,6 +135,128 @@ TEST(AtomicTimeMin, ReducesConcurrently) {
     t.join();
   }
   EXPECT_EQ(m.Get(), 0);
+}
+
+// --- ClaimRange: the round kernel's phase-1 claim protocol ---
+
+TEST(ClaimRange, OwnerTakesTheHeadThievesTheTailAndNeverTheLast) {
+  ClaimRange range;
+  range.Reset(4);
+  uint32_t i = 0;
+  ASSERT_TRUE(range.StealBack(&i));
+  EXPECT_EQ(i, 3u);
+  ASSERT_TRUE(range.TakeFront(&i));
+  EXPECT_EQ(i, 0u);
+  ASSERT_TRUE(range.StealBack(&i));
+  EXPECT_EQ(i, 2u);
+  // One index left: a thief leaves it to the owner.
+  EXPECT_FALSE(range.StealBack(&i));
+  ASSERT_TRUE(range.TakeFront(&i));
+  EXPECT_EQ(i, 1u);
+  EXPECT_FALSE(range.TakeFront(&i));
+  EXPECT_FALSE(range.StealBack(&i));
+  range.Reset(0);
+  EXPECT_FALSE(range.TakeFront(&i));
+  EXPECT_FALSE(range.StealBack(&i));
+}
+
+// Four workers each own one range and run the kernel's claim loop round
+// after round: their own range from the head, then the other ranges in lane
+// order from the tail. The barrier's completion step checks each round and
+// resets the ranges for the next, as the kernel's prologue does. Every
+// index must be taken exactly once; the owner's claims must be a head prefix
+// in order, each thief's a descending run above it, and a non-empty range
+// must leave at least its last index to its owner — also in the rounds where
+// the owner starts late and the thieves reach its range first.
+TEST(ClaimRange, FourWorkersClaimEveryIndexExactlyOnce) {
+  constexpr uint32_t kWorkers = 4;
+  constexpr uint32_t kRounds = 1000;
+  const auto size_of = [](uint32_t round, uint32_t range) {
+    return (round * 7 + range * 5) % 11;
+  };
+  std::array<ClaimRange, kWorkers> ranges;
+  // Per worker: this round's claims as (range, index), in claim order.
+  std::array<std::vector<std::pair<uint32_t, uint32_t>>, kWorkers> claims;
+  uint32_t round = 0;
+  uint64_t steals = 0;
+  std::string failure;  // The first failed check; written by completions.
+  for (uint32_t r = 0; r < kWorkers; ++r) {
+    ranges[r].Reset(size_of(0, r));
+  }
+
+  const auto check_and_reset = [&] {
+    for (uint32_t r = 0; r < kWorkers && failure.empty(); ++r) {
+      const uint32_t size = size_of(round, r);
+      std::vector<int> taken(size, 0);
+      uint32_t owner_taken = 0;
+      for (uint32_t w = 0; w < kWorkers; ++w) {
+        uint32_t last = 0;
+        bool first = true;
+        for (const auto& [range, index] : claims[w]) {
+          if (range != r) {
+            continue;
+          }
+          if (index >= size || ++taken[index] > 1) {
+            failure = "index claimed twice or out of range";
+          }
+          const bool ordered = w == r ? index == owner_taken
+                                      : first || index < last;
+          if (!ordered) {
+            failure = w == r ? "owner skipped the head" : "thief skipped the tail";
+          }
+          owner_taken += w == r ? 1 : 0;
+          steals += w == r ? 0 : 1;
+          last = index;
+          first = false;
+        }
+      }
+      for (uint32_t i = 0; i < size; ++i) {
+        if (taken[i] != 1) {
+          failure = "index left unclaimed";
+        }
+      }
+      if (size > 0 && owner_taken == 0) {
+        failure = "a thief took the owner's last index";
+      }
+    }
+    ++round;
+    for (uint32_t r = 0; r < kWorkers; ++r) {
+      ranges[r].Reset(size_of(round, r));
+      claims[r].clear();
+    }
+  };
+
+  CombiningBarrier barrier(kWorkers);
+  std::vector<std::thread> threads;
+  for (uint32_t w = 0; w < kWorkers; ++w) {
+    threads.emplace_back([&, w] {
+      for (uint32_t r = 0; r < kRounds; ++r) {
+        if (r % kWorkers == w) {
+          // Start late so the thieves reach this range first.
+          for (int y = 0; y < 3; ++y) {
+            std::this_thread::yield();
+          }
+        }
+        uint32_t i = 0;
+        while (ranges[w].TakeFront(&i)) {
+          claims[w].emplace_back(w, i);
+        }
+        for (uint32_t hop = 1; hop < kWorkers; ++hop) {
+          const uint32_t victim = (w + hop) % kWorkers;
+          while (ranges[victim].StealBack(&i)) {
+            claims[w].emplace_back(victim, i);
+          }
+        }
+        barrier.Arrive(w, INT64_MAX, 0, 0, check_and_reset);
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(failure, "");
+  EXPECT_EQ(round, kRounds);
+  EXPECT_GT(steals, 0u);  // The thieves actually raced the owners.
 }
 
 }  // namespace
