@@ -3,7 +3,7 @@
 // event representation (plus the bulk-drain receive path).
 //
 // The workload models what every link transmission does: construct an event
-// whose closure captures a ~100-byte Packet by value, push it into a FEL,
+// whose closure captures a 64-byte Packet by value, push it into a FEL,
 // later pop it and invoke the closure. With std::function the capture
 // exceeds the 16-byte SBO, so every event pays a malloc/free pair plus a
 // cache miss chasing the heap pointer at dispatch. The InlineFunction event
@@ -12,10 +12,11 @@
 //
 // Emits BENCH_event_hotpath.json with both throughputs and the speedup (each
 // the median of alternating std::function/inline repetitions), the
-// inline-buffer fallback rate (must be 0 for packet closures), and the
+// inline-buffer fallback rate (must be 0 for packet closures), the
 // steady-state heap allocation counts (must be 0: the whole point of the
 // inline representation and the drain-into-scratch receive path is that the
-// warm hot path never touches the allocator).
+// warm hot path never touches the allocator), and the event layout: the
+// inline buffer's size and sizeof(Event).
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -418,6 +419,7 @@ int main(int argc, char** argv) {
                  "  \"drain_per_event_mops\": %.3f,\n"
                  "  \"drain_bulk_mops\": %.3f,\n"
                  "  \"event_inline_bytes\": %zu,\n"
+                 "  \"event_bytes\": %zu,\n"
                  "  \"pass\": %s\n"
                  "}\n",
                  static_cast<unsigned long long>(ops), baseline_mops, inline_mops,
@@ -428,7 +430,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(steady_state_allocs),
                  static_cast<unsigned long long>(overflow_allocs),
                  drain_per_event * 1e-6, drain_bulk * 1e-6, kEventFnInlineBytes,
-                 pass ? "true" : "false");
+                 sizeof(Event), pass ? "true" : "false");
     std::fclose(out);
     std::printf("wrote BENCH_event_hotpath.json\n");
   }

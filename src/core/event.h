@@ -28,13 +28,14 @@
 namespace unison {
 
 // Event callbacks live inline in the Event itself (no per-event heap
-// allocation). 128 bytes holds the largest hot-path closure — packet delivery
-// captures a ~96-byte Packet plus a Network pointer and a NodeId (the
-// construction site static-asserts this) — while small closures still move
-// cheaply because InlineFunction relocation only touches the callable's real
-// size. Oversized captures fall back to one heap allocation, counted by
+// allocation). 80 bytes holds every model event functor
+// (src/net/model_events.h static-asserts each one fits); the largest,
+// packet delivery, captures a 64-byte Packet plus a Network pointer and a
+// NodeId. Small closures still move cheaply because InlineFunction
+// relocation only touches the callable's real size. Oversized captures fall
+// back to one heap allocation, counted by
 // InlineFunctionStats::alloc_fallbacks().
-inline constexpr size_t kEventFnInlineBytes = 128;
+inline constexpr size_t kEventFnInlineBytes = 80;
 using EventFn = InlineFunction<kEventFnInlineBytes>;
 
 // Identifies a logical process. kPublicLp is the designated LP for global
@@ -65,6 +66,9 @@ struct EventKey {
   }
 };
 
+// An aggregate, so Event(key, node, f) — the parenthesized form the FEL slot
+// and outbox use to emplace — constructs the functor `f` straight into `fn`'s
+// buffer: scheduling builds each callable once, where it is dispatched from.
 struct Event {
   EventKey key;
   // Node whose state this event touches; drives cache traces and lets events
@@ -72,6 +76,13 @@ struct Event {
   NodeId node = kNoNode;
   EventFn fn;
 };
+
+// Two cache lines: the 32-byte key, the node (plus 4 bytes of padding), the
+// 8-byte ops pointer and the 80-byte buffer, at Event's natural 8-byte
+// alignment. Over-aligning to 64 bought no measurable speed and made every
+// slab and mailbox vector an aligned allocation.
+static_assert(sizeof(EventKey) == 32);
+static_assert(sizeof(Event) == 128, "an Event is exactly two cache lines");
 
 }  // namespace unison
 

@@ -2,23 +2,14 @@
 
 namespace unison {
 
-uint32_t FutureEventList::PlaceInSlot(Event&& event) {
-  if (!free_slots_.empty()) {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(event);
-    return slot;
-  }
-  const uint32_t slot = static_cast<uint32_t>(slots_.size());
-  slots_.push_back(std::move(event));
-  return slot;
+void FutureEventList::PushNode(const EventKey& key, uint32_t slot) {
+  heap_.push_back(HeapNode{key, slot});
+  SiftUp(heap_.size() - 1);
 }
 
 void FutureEventList::Push(Event event) {
   const EventKey key = event.key;
-  const uint32_t slot = PlaceInSlot(std::move(event));
-  heap_.push_back(HeapNode{key, slot});
-  SiftUp(heap_.size() - 1);
+  PushNode(key, PlaceInSlot(std::move(event)));
 }
 
 void FutureEventList::PushAll(std::vector<Event>& src) {

@@ -5,20 +5,21 @@
 // edges for cross-round handoff).
 //
 // Storage is split in two so the heap never moves whole events:
-//  - slots_: a slab of Events with a free list. An event is moved in once at
-//    Push and out once at Pop; between those it never moves again. Freed
-//    slots are reused LIFO, so the steady state allocates nothing and the
-//    hottest slot stays cache-resident.
+//  - slots_: a slab of Events with a free list. An event is built in (or
+//    moved in) once at Emplace/Push and moved out once at Pop; between those
+//    it never moves again. Freed slots are reused LIFO, so the steady state
+//    allocates nothing and the hottest slot stays cache-resident.
 //  - heap_: a binary heap of {EventKey, slot} nodes — 40 trivially-copyable
-//    bytes. Sift operations shuffle these nodes, not the fat events (an
-//    Event carries its callback capture inline, ~180 bytes), which makes a
-//    sift level one small copy instead of a type-erased relocation.
+//    bytes. Sift operations shuffle these nodes, not the events (an Event
+//    carries its callback capture inline, 128 bytes), which makes a sift
+//    level one small copy instead of a type-erased relocation.
 #ifndef UNISON_SRC_CORE_FEL_H_
 #define UNISON_SRC_CORE_FEL_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,14 @@ class FutureEventList {
   static constexpr size_t kNoCap = std::numeric_limits<size_t>::max();
 
   void Push(Event event);
+
+  // Builds the event in its slab slot: the functor `fn` is constructed once,
+  // in the storage Pop later moves it out of. An EventFn argument is moved,
+  // not wrapped.
+  template <typename F>
+  void Emplace(const EventKey& key, NodeId node, F&& fn) {
+    PushNode(key, PlaceInSlot(key, node, std::forward<F>(fn)));
+  }
 
   // Bulk insert for the receiving phase: moves every event out of `src`
   // (which is cleared but keeps its capacity — mailbox buffers are reused
@@ -91,7 +100,24 @@ class FutureEventList {
   void SiftUp(size_t i);
   void SiftDown(size_t i);
 
-  uint32_t PlaceInSlot(Event&& event);
+  // Constructs an Event from `args` in a free slot (the husk Pop moved out
+  // of, whose destruction is a no-op) or at the slab's tail; returns the
+  // slot. The one place Push, PushAll and Emplace put an event.
+  template <typename... Args>
+  uint32_t PlaceInSlot(Args&&... args) {
+    if (free_slots_.empty()) {
+      slots_.emplace_back(std::forward<Args>(args)...);
+      return static_cast<uint32_t>(slots_.size() - 1);
+    }
+    const uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    Event* const husk = &slots_[slot];
+    std::destroy_at(husk);
+    std::construct_at(husk, std::forward<Args>(args)...);
+    return slot;
+  }
+
+  void PushNode(const EventKey& key, uint32_t slot);
 
   void CountBeforeFrom(size_t i, Time bound, size_t cap, size_t* n) const;
 

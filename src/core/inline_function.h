@@ -3,7 +3,7 @@
 //
 // Every scheduled event stores its callback. With std::function, any capture
 // larger than the implementation's tiny inline buffer (16 bytes on libstdc++)
-// heap-allocates — and the common packet-delivery closure captures a ~100-byte
+// heap-allocates — and the common packet-delivery closure captures a 64-byte
 // Packet by value, so every packet on every link paid a malloc/free pair plus
 // a pointer-chasing cache miss at dispatch. InlineFunction<N> keeps the
 // capture inline in the event itself: constructing, moving and invoking an
@@ -12,9 +12,13 @@
 // Contract:
 //  - Move-only. Moving relocates the stored callable (move-construct +
 //    destroy source), so moves cost sizeof(callable), not N — small closures
-//    stay cheap to sift through the FEL even though the buffer is large.
-//  - A callable fits inline when sizeof <= N, its alignment is not
-//    over-aligned, and its move constructor is noexcept (required so vector
+//    stay cheap to move even though the buffer is large.
+//  - The buffer is pointer-aligned (8 bytes on the 64-bit targets), not
+//    max_align_t-aligned: an 8-byte ops pointer plus an N-byte buffer then
+//    pack with no padding, which is what lets an Event be exactly two cache
+//    lines (event.h).
+//  - A callable fits inline when sizeof <= N, its alignment is at most the
+//    buffer's, and its move constructor is noexcept (required so vector
 //    reallocation and heap sifts cannot throw mid-move). Anything else goes
 //    through a single heap allocation, counted in alloc_fallbacks() so the
 //    fallback rate is observable in tests and benches — on the packet
@@ -59,8 +63,12 @@ class InlineFunctionStats {
 template <size_t N>
 class InlineFunction {
   static_assert(N >= sizeof(void*), "buffer must hold at least a pointer");
+  static_assert(N % alignof(void*) == 0,
+                "a pointer-aligned buffer packs after the ops pointer");
 
  public:
+  static constexpr size_t kBufferAlign = alignof(void*);
+
   InlineFunction() noexcept = default;
   InlineFunction(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
 
@@ -110,7 +118,7 @@ class InlineFunction {
   // exposed for static_asserts at packet-closure construction sites).
   template <typename F>
   static constexpr bool FitsInline() {
-    return sizeof(F) <= N && alignof(F) <= alignof(std::max_align_t) &&
+    return sizeof(F) <= N && alignof(F) <= kBufferAlign &&
            std::is_nothrow_move_constructible_v<F>;
   }
 
@@ -168,7 +176,7 @@ class InlineFunction {
   }
 
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char buf_[N];
+  alignas(kBufferAlign) unsigned char buf_[N];
 };
 
 }  // namespace unison

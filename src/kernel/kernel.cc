@@ -102,22 +102,6 @@ void Kernel::ApplyPendingMigrations() {
   }
 }
 
-void Kernel::ScheduleOnNode(NodeId node, Time abs, EventFn fn) {
-  const LpId target_id = partition_.lp_of_node[node];
-  Lp* const target = lps_[target_id].get();
-  Lp* const cur = Lp::Current();
-  if (cur == nullptr || cur == target) {
-    // Setup time (single-threaded) or intra-LP: direct FEL insert.
-    target->ScheduleLocal(abs, node, std::move(fn));
-  } else if (cur == public_lp_.get()) {
-    // Global-event phase: the main thread runs alone, so direct insertion
-    // into any LP is safe ("global events have to be handled just once").
-    target->Insert(Event{cur->MakeKey(abs), node, std::move(fn)});
-  } else {
-    ScheduleRemote(cur, target_id, Event{cur->MakeKey(abs), node, std::move(fn)});
-  }
-}
-
 void Kernel::ScheduleGlobal(Time abs, EventFn fn) {
   Lp* const cur = Lp::Current();
   // Global events are normally scheduled before the run or from another
@@ -138,16 +122,11 @@ void Kernel::NotifyTopologyChanged() {
   WireMailboxes();
 }
 
-void Kernel::ScheduleRemote(Lp* from, LpId target, Event ev) {
-  Outbox* const box = from->FindOutbox(target);
-  if (box != nullptr) {
-    box->events.push_back(std::move(ev));
-  } else {
-    // No wired channel (the barrier preset wires none; otherwise possible
-    // after a dynamic topology change until the next rewire): fall back to
-    // the locked overflow box.
-    lps_[target]->overflow().Push(std::move(ev));
-  }
+void Kernel::ScheduleRemote(Lp* /*from*/, LpId target, Event ev) {
+  // No wired channel (the barrier preset wires none; otherwise possible
+  // after a dynamic topology change until the next rewire): fall back to the
+  // locked overflow box.
+  lps_[target]->overflow().Push(std::move(ev));
 }
 
 void Kernel::WireMailboxes() {
@@ -280,6 +259,7 @@ RunResult Kernel::FinishRun(const char* kernel_name, uint32_t executors,
   run_summary_.capture_ns = capture_ns_win_;
   run_summary_.capture_bytes = capture_bytes_win_;
   run_summary_.steals = window_steals_;
+  run_summary_.messages = window_messages_;
   if (RunTrace* const rec = recorder()) {
     rec->EndRun(&run_summary_);
   }

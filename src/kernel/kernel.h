@@ -135,8 +135,31 @@ class Kernel {
     return cur != nullptr ? cur->now() : Time::Zero();
   }
 
-  // Schedules `fn` at absolute time `abs` on the LP owning `node`.
-  void ScheduleOnNode(NodeId node, Time abs, EventFn fn);
+  // Schedules `fn` at absolute time `abs` on the LP owning `node`. The
+  // functor is built once, in place: in the target's FEL slot when the
+  // target is the calling LP (or the caller runs alone: setup, the global
+  // phase), or at the tail of the wired outbox for a cross-LP event. Only a
+  // send with no outbox — the overflow box, null-message channels — goes
+  // through the type-erased ScheduleRemote.
+  template <typename F>
+  void ScheduleOnNode(NodeId node, Time abs, F&& fn) {
+    const LpId target_id = partition_.lp_of_node[node];
+    Lp* const target = lps_[target_id].get();
+    Lp* const cur = Lp::Current();
+    if (cur == nullptr || cur == target) {
+      // Setup time (single-threaded) or intra-LP: direct FEL insert.
+      target->ScheduleLocal(abs, node, std::forward<F>(fn));
+    } else if (cur == public_lp_.get()) {
+      // Global-event phase: the main thread runs alone, so direct insertion
+      // into any LP is safe ("global events have to be handled just once").
+      target->Emplace(cur->MakeKey(abs), node, std::forward<F>(fn));
+    } else if (Outbox* const box = cur->FindOutbox(target_id)) {
+      box->events.emplace_back(cur->MakeKey(abs), node, std::forward<F>(fn));
+    } else {
+      ScheduleRemote(cur, target_id,
+                     Event{cur->MakeKey(abs), node, std::forward<F>(fn)});
+    }
+  }
 
   // Schedules a global event on the public LP (topology change, stop, ...).
   void ScheduleGlobal(Time abs, EventFn fn);
@@ -336,13 +359,15 @@ class Kernel {
   const RunSummary& run_summary() const { return run_summary_; }
 
  protected:
-  // Routes an event from `from` to a different LP. The base implementation
-  // uses the wired outbox, falling back to the target's locked overflow box.
-  // Overridden by kernels with their own transport (null-message channels).
+  // Routes an event from `from` to a different LP that `from` has no outbox
+  // to. The base implementation pushes it into the target's locked overflow
+  // box. Overridden by kernels with their own transport (null-message
+  // channels).
   virtual void ScheduleRemote(Lp* from, LpId target, Event ev);
 
   // Creates outboxes/inboxes for every cut edge of the partition. The
-  // barrier preset wires nothing, so all its sends take the overflow box.
+  // barrier preset and the null-message kernel wire nothing, so all their
+  // sends take ScheduleRemote.
   virtual void WireMailboxes();
 
   // Executes public-LP events with ts <= `upto` (but < `stop`). Returns the
@@ -484,9 +509,11 @@ class Kernel {
   uint64_t rollback_ns_win_ = 0;
   uint64_t capture_ns_win_ = 0;
   uint64_t capture_bytes_win_ = 0;
-  // LPs claimed from another lane's list this window, summed over the round
-  // kernel's workers while recording; FinishRun stamps it. 0 elsewhere.
+  // LPs claimed from another lane's list, and events received through
+  // mailboxes and overflow boxes, this window, summed over the round
+  // kernel's workers while recording; FinishRun stamps them. 0 elsewhere.
   uint64_t window_steals_ = 0;
+  uint64_t window_messages_ = 0;
 };
 
 // Constructs the kernel named by `config.type`.

@@ -54,9 +54,7 @@ uint64_t Lp::DrainInboxes() {
 
 void Lp::RewriteArrivalKeys(std::vector<Event>& events) {
   for (Event& ev : events) {
-    ev.key.sender_ts = Time::Zero();
-    ev.key.sender_node = id_;
-    ev.key.seq = arrival_seq_++;
+    RewriteArrivalKey(&ev.key);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/core/event.h"
@@ -49,19 +50,22 @@ class Lp {
   // ns-3 behaviour, used by the baseline kernels for the Fig. 11 experiment)
   // the key is rewritten to insertion order, so cross-LP arrival races leak
   // into the processing order exactly as they do in ns-3's PDES kernels.
-  void Insert(Event ev) {
+  void Insert(Event ev) { Emplace(ev.key, ev.node, std::move(ev.fn)); }
+
+  // Insert's in-place form: builds the event straight into a FEL slot.
+  template <typename F>
+  void Emplace(EventKey key, NodeId node, F&& fn) {
     if (!deterministic_) {
-      ev.key.sender_ts = Time::Zero();
-      ev.key.sender_node = id_;
-      ev.key.seq = arrival_seq_++;
+      RewriteArrivalKey(&key);
     }
-    fel_.Push(std::move(ev));
+    fel_.Emplace(key, node, std::forward<F>(fn));
   }
 
   // Schedules a callback on this LP at absolute time `abs`, attributed to
   // `node`.
-  void ScheduleLocal(Time abs, NodeId node, EventFn fn) {
-    Insert(Event{MakeKey(abs, node), node, std::move(fn)});
+  template <typename F>
+  void ScheduleLocal(Time abs, NodeId node, F&& fn) {
+    Emplace(MakeKey(abs, node), node, std::forward<F>(fn));
   }
 
   // Pops and executes events with timestamp strictly below `bound`.
@@ -126,8 +130,13 @@ class Lp {
   }
 
  private:
-  // Applies the non-deterministic (insertion-order) key rewrite of Insert to
-  // a whole batch before it is bulk-pushed.
+  // The non-deterministic (insertion-order) key rewrite of Insert, for one
+  // key or for a whole batch before it is bulk-pushed.
+  void RewriteArrivalKey(EventKey* key) {
+    key->sender_ts = Time::Zero();
+    key->sender_node = id_;
+    key->seq = arrival_seq_++;
+  }
   void RewriteArrivalKeys(std::vector<Event>& events);
 
   const LpId id_;

@@ -54,6 +54,9 @@ class NullMessageKernel : public Kernel {
 
  protected:
   void ScheduleRemote(Lp* from, LpId target, Event ev) override;
+  // Cross-LP events travel on channels, never on outboxes: wiring none sends
+  // every one through ScheduleRemote.
+  void WireMailboxes() override {}
 
  private:
   struct Channel {

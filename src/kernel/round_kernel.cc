@@ -142,6 +142,7 @@ RunResult RoundKernel::Run(Time stop_time) {
     for (uint32_t w = 0; w < workers; ++w) {
       shared_.workers[w].events = 0;
       shared_.workers[w].steals = 0;
+      shared_.workers[w].messages = 0;
     }
     // Round 0's prologue runs here, on the caller, before the workers start;
     // every later one runs in the completion step of the previous round's
@@ -165,9 +166,11 @@ RunResult RoundKernel::Run(Time stop_time) {
   processed_events_ = LiveEvents();
   rounds_ = sync_.round_index();
   window_steals_ = 0;
+  window_messages_ = 0;
   if (sync_.recording()) {
     for (uint32_t w = 0; w < workers; ++w) {
       window_steals_ += shared_.workers[w].steals;
+      window_messages_ += shared_.workers[w].messages;
     }
   }
   return FinishRun(name_, workers, Profiler::NowNs() - run_t0, stop_time,
@@ -269,15 +272,19 @@ void RoundKernel::RoundLoop(uint32_t worker) {
   Worker& self = group[lane];
   Profiler* const rows = window_rows();
   const bool record = rows != nullptr && rows->per_lp;
+  // Per-LP wall time feeds the last-round-time metric even when nothing is
+  // recorded; the phase intervals are read only for the recorder.
+  const bool timing = shared_.timing;
   uint64_t events = 0;
   uint64_t steals = 0;
+  uint64_t messages = 0;
   // Worker-local round index: every worker executes the same loop iterations,
   // so this mirrors sync_.round_index() without reading shared state. It keys
   // the accountant's executor-private per-round rows, which lets every sync
   // wait — including the end-of-round crossing, whose completion runs the
   // next round's prologue — be attributed to its round without data races.
   uint32_t round = 0;
-  PhaseAccountant acct(worker, shared_.timing, rows);
+  PhaseAccountant acct(worker, rows != nullptr, rows);
   // The end-of-round crossing's completion: absorb the fused reduction and
   // open the next round before anyone is released into it.
   const auto next_round = [this, &barrier] {
@@ -313,10 +320,10 @@ void RoundKernel::RoundLoop(uint32_t worker) {
           record ? static_cast<uint32_t>(
                        lp->fel().CountBefore(window, kPendingCountCap))
                  : 0;
-      const uint64_t lp_t0 = acct.timing() ? Profiler::NowNs() : 0;
+      const uint64_t lp_t0 = timing ? Profiler::NowNs() : 0;
       const uint64_t n = lp->ProcessUntil(window);
       events += n;
-      if (acct.timing()) {
+      if (timing) {
         const uint64_t lp_ns = Profiler::NowNs() - lp_t0;
         last_round_ns_[lp_id] = lp_ns;
         AddLpWindowCost(lp_id, lp_ns);
@@ -360,7 +367,7 @@ void RoundKernel::RoundLoop(uint32_t worker) {
     // Phase 3: receive events from mailboxes — intra- and inter-group alike.
     // The claims partition all LPs, so every inbox is drained exactly once.
     for (uint32_t id : self.list) {
-      lps[id]->DrainInboxes();
+      messages += lps[id]->DrainInboxes();
     }
 
     // Phase 4: update the window — fold the list into a local minimum and
@@ -400,6 +407,7 @@ void RoundKernel::RoundLoop(uint32_t worker) {
 
   self.events = events;
   self.steals = steals;
+  self.messages = messages;
   acct.set_events(events);  // Destructor flushes the totals to the window.
 }
 

@@ -110,13 +110,15 @@ class RoundKernel : public Kernel {
 
   // One worker's slot: its claim line, then the state only it writes between
   // crossings. The end-of-round completion reads and re-sorts `list` and
-  // resets the claim line.
+  // resets the claim line. `steals` and `messages` are written once, when
+  // the worker leaves the window.
   struct alignas(64) Worker {
     ClaimLine claim;
     std::vector<uint32_t> list;     // This round's own list.
     std::vector<uint32_t> claimed;  // This round's claims, in claim order.
     uint64_t events = 0;            // Window events, published at crossings.
     uint64_t steals = 0;            // Claims from another lane's list.
+    uint64_t messages = 0;          // Events drained from inbound mailboxes.
   };
 
   // Read by every worker at every claim and crossing, written only at Setup
@@ -127,7 +129,9 @@ class RoundKernel : public Kernel {
     std::unique_ptr<Worker[]> workers;  // MaxExecutors() slots.
     const std::unique_ptr<Lp>* lps = nullptr;  // Kernel::lps_.data().
     uint32_t lanes = 1;  // Live lanes per group.
-    bool timing = false;  // Collect per-LP wall time this run.
+    // Collect per-LP wall time this run: recording, or the last-round-time
+    // metric.
+    bool timing = false;
   };
 
   // Rebuilds the workers' own lists from the partition map. Runs at a window

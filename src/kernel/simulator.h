@@ -23,16 +23,22 @@ class Simulator {
   Time Now() const { return kernel_->Now(); }
 
   // Schedules `fn` after `delay` on the calling LP. Only valid from inside
-  // an event; setup code must name a node via ScheduleOnNode.
-  void Schedule(Time delay, EventFn fn) {
+  // an event; setup code must name a node via ScheduleOnNode. `fn` is any
+  // callable (or an EventFn, which is moved); it is constructed once,
+  // directly in the FEL slot it will be dispatched from.
+  template <typename F>
+  void Schedule(Time delay, F&& fn) {
     Lp* const cur = Lp::Current();
-    cur->ScheduleLocal(cur->now() + delay, Lp::CurrentNode(), std::move(fn));
+    cur->ScheduleLocal(cur->now() + delay, Lp::CurrentNode(),
+                       std::forward<F>(fn));
   }
 
   // Schedules `fn` after `delay` on the LP owning `node`. Routes through a
-  // mailbox when the target lives in another LP.
-  void ScheduleOnNode(NodeId node, Time delay, EventFn fn) {
-    kernel_->ScheduleOnNode(node, Now() + delay, std::move(fn));
+  // mailbox when the target lives in another LP, constructing `fn` at the
+  // outbox's tail (Kernel::ScheduleOnNode).
+  template <typename F>
+  void ScheduleOnNode(NodeId node, Time delay, F&& fn) {
+    kernel_->ScheduleOnNode(node, Now() + delay, std::forward<F>(fn));
   }
 
   // Schedules a global event at absolute time `abs` on the public LP.

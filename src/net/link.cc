@@ -30,12 +30,10 @@ void Device::StartTransmit(Packet pkt) {
   // live in another LP; the facade routes through a mailbox then. The total
   // delay is >= the link's propagation delay >= the partition lookahead, so
   // the event always lands beyond the receiver's current window.
-  PacketDeliverEvent deliver{net_, peer_, std::move(pkt)};
-  // The per-packet functor is the hot path the event inline buffer is sized
-  // for; it must never take the heap-allocation fallback.
-  static_assert(EventFn::FitsInline<PacketDeliverEvent>(),
-                "packet delivery event must fit the event inline buffer");
-  net_->sim().ScheduleOnNode(peer_, serialization + delay_, std::move(deliver));
+  // The functor is built at the outbox's tail (or in the FEL slot, when the
+  // peer shares this LP); model_events.h asserts it fits the inline buffer.
+  net_->sim().ScheduleOnNode(peer_, serialization + delay_,
+                             PacketDeliverEvent{net_, peer_, pkt});
 
   // Local completion: start on the next queued packet.
   net_->sim().Schedule(serialization, TransmitCompleteEvent{net_, self_, port_});

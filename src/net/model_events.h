@@ -89,6 +89,17 @@ struct LinkUpDownEvent {
   void operator()();
 };
 
+// Every model event is constructed straight into an event's inline buffer;
+// none may take the heap fallback. Packet delivery, the per-hop event, is
+// the one the 80-byte buffer is sized for: it fills it exactly.
+static_assert(sizeof(PacketDeliverEvent) == kEventFnInlineBytes);
+static_assert(EventFn::FitsInline<PacketDeliverEvent>());
+static_assert(EventFn::FitsInline<TransmitCompleteEvent>());
+static_assert(EventFn::FitsInline<TcpRtoEvent>());
+static_assert(EventFn::FitsInline<FlowStartEvent>());
+static_assert(EventFn::FitsInline<FlowArrivalEvent>());
+static_assert(EventFn::FitsInline<LinkUpDownEvent>());
+
 }  // namespace unison
 
 #endif  // UNISON_SRC_NET_MODEL_EVENTS_H_

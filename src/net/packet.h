@@ -7,7 +7,7 @@
 #define UNISON_SRC_NET_PACKET_H_
 
 #include <cstdint>
-#include <memory>
+#include <type_traits>
 
 #include "src/core/event.h"
 #include "src/core/time.h"
@@ -27,43 +27,50 @@ enum class PacketKind : uint8_t {
   kControl,  // Routing-protocol traffic (distance vector updates).
 };
 
+// One cache line, trivially copyable: the 8-byte fields first, then the
+// 4-, 2- and 1-byte ones, so nothing is padding. A packet-delivery event
+// ({Network*, NodeId, Packet}, 80 bytes) then fills the event's inline
+// buffer exactly.
 struct Packet {
-  PacketKind kind = PacketKind::kTcpData;
+  // TCP data: offset of the first payload byte. A kControl packet carries no
+  // TCP state and names its routing payload here instead (the protocol owns
+  // the payload; see DistanceVectorRouting).
+  uint64_t seq = 0;
+  uint64_t ack = 0;  // TCP ack: cumulative ack, the next byte expected.
+
+  // Timestamp option: sender stamp, echoed by the receiver for RTT sampling.
+  Time ts;
+  Time ts_echo;
+
   uint32_t flow_id = 0;
   NodeId src = 0;
   NodeId dst = 0;
   uint32_t size_bytes = 0;  // Total on-wire size.
+  uint32_t payload = 0;     // TCP data: payload bytes carried.
+
+  // ECMP path selector. Derived from the flow's stable identity (src, dst,
+  // bytes, start) rather than the monitor-assigned flow id: flow ids encode
+  // the registering shard and registration order, which legitimately differ
+  // between streaming and materialized installation and between thread
+  // counts, while the path a flow takes must not.
+  uint32_t path_tag = 0;
+
+  // Control payload type (the protocol's own tag; kind tells the handler).
+  uint16_t control_kind = 0;
+
+  PacketKind kind = PacketKind::kTcpData;
   uint8_t ttl = 64;
 
   // ECN (RFC 3168 / DCTCP): capable transport, congestion-experienced mark.
   bool ecn_capable = false;
   bool ecn_ce = false;
 
-  // TCP data fields.
-  uint64_t seq = 0;       // Offset of the first payload byte.
-  uint32_t payload = 0;   // Payload bytes carried.
-  bool fin = false;       // Last segment of the flow.
-
-  // TCP ack fields.
-  uint64_t ack = 0;   // Cumulative ack: next byte expected.
-  bool ece = false;   // Echo of a CE mark (per-packet echo, DCTCP style).
-
-  // ECMP path selector. Derived from the flow's stable identity (src, dst,
-  // bytes, start) rather than the monitor-assigned flow id: flow ids encode
-  // the registering shard and registration order, which legitimately differ
-  // between streaming and materialized installation and between thread
-  // counts, while the path a flow takes must not. Slots into pre-existing
-  // padding, so sizeof(Packet) is unchanged.
-  uint32_t path_tag = 0;
-
-  // Timestamp option: sender stamp, echoed by the receiver for RTT sampling.
-  Time ts;
-  Time ts_echo;
-
-  // Control payload (type depends on the protocol; kind tells the handler).
-  uint16_t control_kind = 0;
-  std::shared_ptr<const void> control_data;
+  bool fin = false;  // TCP data: last segment of the flow.
+  bool ece = false;  // TCP ack: echo of a CE mark (per-packet, DCTCP style).
 };
+static_assert(sizeof(Packet) == 64, "a Packet is one cache line");
+static_assert(std::is_trivially_copyable_v<Packet>,
+              "packets are copied byte-wise through event buffers");
 
 // ECMP path tag from a flow's stable identity (FNV-1a). Shared between the
 // packet-level TCP sender and the fluid flow-level model so both pick the

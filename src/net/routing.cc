@@ -74,6 +74,8 @@ uint32_t GlobalRouting::EcmpWidth(NodeId node, NodeId dst) const {
 
 void DistanceVectorRouting::Install() {
   const uint32_t n = net_->num_nodes();
+  sent_.clear();
+  sent_.resize(n);
   for (NodeId id = 0; id < n; ++id) {
     auto dv = std::make_unique<DvState>();
     dv->dist.assign(n, DvState::kInfinity);
@@ -114,6 +116,12 @@ void DistanceVectorRouting::TriggerUpdate(Node* node) {
 void DistanceVectorRouting::SendUpdates(Node* node) {
   DvState* const dv = node->dv();
   const uint32_t n = net_->num_nodes();
+  std::vector<std::unique_ptr<Advertisement>>& sent = sent_[node->id()];
+  // The acquire pairs with OnControl's release: the receiver's reads of an
+  // advertisement happen before the sender frees it.
+  std::erase_if(sent, [](const std::unique_ptr<Advertisement>& adv) {
+    return adv->consumed.load(std::memory_order_acquire);
+  });
   for (uint32_t p = 0; p < node->num_ports(); ++p) {
     Device* const dev = node->device(p);
     if (!dev->up()) {
@@ -121,7 +129,7 @@ void DistanceVectorRouting::SendUpdates(Node* node) {
     }
     // Split horizon with poisoned reverse: routes learned through this port
     // are advertised back as unreachable.
-    auto adv = std::make_shared<Advertisement>();
+    auto adv = std::make_unique<Advertisement>();
     adv->origin = node->id();
     adv->dist = dv->dist;
     for (NodeId d = 0; d < n; ++d) {
@@ -134,27 +142,37 @@ void DistanceVectorRouting::SendUpdates(Node* node) {
     pkt.src = node->id();
     pkt.dst = dev->peer();
     pkt.size_bytes = 8 + 4 * n;  // Header + one 32-bit metric per node.
-    pkt.control_data = adv;
+    // The payload handle: the advertisement's address, in a field control
+    // traffic leaves unused.
+    pkt.seq = reinterpret_cast<uintptr_t>(adv.get());
+    sent.push_back(std::move(adv));
     dev->Send(std::move(pkt));
     ++dv->updates_sent;
   }
 }
 
 void DistanceVectorRouting::OnControl(Node* node, const Packet& pkt) {
-  const auto* adv = static_cast<const Advertisement*>(pkt.control_data.get());
+  auto* const adv =
+      reinterpret_cast<Advertisement*>(static_cast<uintptr_t>(pkt.seq));
+  Merge(node, *adv);
+  // Nothing reads the advertisement after this; its sender may free it.
+  adv->consumed.store(true, std::memory_order_release);
+}
+
+void DistanceVectorRouting::Merge(Node* node, const Advertisement& adv) {
   DvState* const dv = node->dv();
-  const int port = node->FindPortTo(adv->origin);
+  const int port = node->FindPortTo(adv.origin);
   if (port < 0) {
     return;  // Link went down while the update was in flight.
   }
   bool changed = false;
-  const uint32_t n = static_cast<uint32_t>(adv->dist.size());
+  const uint32_t n = static_cast<uint32_t>(adv.dist.size());
   for (NodeId d = 0; d < n; ++d) {
     if (d == node->id()) {
       continue;
     }
     const uint32_t cand =
-        std::min<uint32_t>(adv->dist[d] + 1, DvState::kInfinity);
+        std::min<uint32_t>(adv.dist[d] + 1, DvState::kInfinity);
     if (dv->port[d] == port) {
       // Current route goes through the sender: accept its metric, better or
       // worse (this is what lets bad news propagate).

@@ -14,6 +14,7 @@
 #ifndef UNISON_SRC_NET_ROUTING_H_
 #define UNISON_SRC_NET_ROUTING_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -79,17 +80,29 @@ class DistanceVectorRouting {
   uint64_t total_updates() const;
 
  private:
+  // One update as sent on one port: written once by the sender, then read
+  // once, by the receiver's OnControl, which sets `consumed` when done.
   struct Advertisement {
     NodeId origin;
     std::vector<uint32_t> dist;
+    std::atomic<bool> consumed{false};
   };
 
   void SendUpdates(Node* node);
+  void Merge(Node* node, const Advertisement& adv);
   void Periodic(NodeId id);
   void TriggerUpdate(Node* node);
 
   Network* const net_;
   const Time period_;
+  // The advertisements each node has sent and no receiver has consumed yet,
+  // indexed by sender. A control packet names its advertisement by address
+  // (Packet::seq), so the packet stays a trivially copyable value and the
+  // payload never moves. Only the sender's LP touches its list: it frees the
+  // consumed entries when it next sends. Those never consumed (the packet
+  // was dropped, or was still in flight when the run ended) are freed with
+  // the Network.
+  std::vector<std::vector<std::unique_ptr<Advertisement>>> sent_;
 };
 
 }  // namespace unison

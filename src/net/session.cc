@@ -321,7 +321,7 @@ SimConfig GetSimConfig(Reader& r) {
 // --- Model state pieces ---
 
 void PutPacket(Writer& w, const Packet& p) {
-  if (p.control_data != nullptr) {
+  if (p.kind == PacketKind::kControl) {
     w.Fail(
         "a captured packet carries an opaque control payload (routing "
         "protocol traffic); control-plane state is not snapshot-serializable");
@@ -347,7 +347,9 @@ void PutPacket(Writer& w, const Packet& p) {
 
 Packet GetPacket(Reader& r) {
   Packet p;
-  p.kind = r.Enum(PacketKind::kControl);
+  // PutPacket never writes a control packet: its payload handle would name
+  // nothing in this process.
+  p.kind = r.Enum(PacketKind::kUdp);
   p.flow_id = r.U32();
   p.src = r.U32();
   p.dst = r.U32();

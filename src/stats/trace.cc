@@ -123,6 +123,8 @@ std::string RunSummary::ToJson() const {
   AppendU64(&out, capture_bytes);
   out += ",\"steals\":";
   AppendU64(&out, steals);
+  out += ",\"messages\":";
+  AppendU64(&out, messages);
   out += '}';
   return out;
 }
@@ -240,6 +242,7 @@ RunSummary RunTrace::Cumulative() const {
   total.capture_ns = 0;
   total.capture_bytes = 0;
   total.steals = 0;
+  total.messages = 0;
   for (const WindowTraceSegment& seg : segments_) {
     total.rounds += seg.summary.rounds;
     total.events += seg.summary.events;
@@ -254,6 +257,7 @@ RunSummary RunTrace::Cumulative() const {
     total.capture_ns += seg.summary.capture_ns;
     total.capture_bytes += seg.summary.capture_bytes;
     total.steals += seg.summary.steals;
+    total.messages += seg.summary.messages;
   }
   total.window_start_ps = segments_.front().summary.window_start_ps;
   return total;
@@ -366,6 +370,8 @@ void AppendCsvRows(std::string* out, uint32_t window,
     AppendU64(out, seg.summary.capture_bytes);
     *out += ',';
     AppendU64(out, seg.summary.steals);
+    *out += ',';
+    AppendU64(out, seg.summary.messages);
     *out += '\n';
   }
 }
@@ -400,7 +406,7 @@ std::string RunTrace::ToCsv() const {
   out += "window,round,lbts_ps,window_ps,events_before,resorted,p_total_ns,"
          "s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,migrations,"
          "spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,capture_bytes,"
-         "steals\n";
+         "steals,messages\n";
   if (segments_.empty()) {
     // Export mid-window (EndRun not yet reached): show the live records.
     AppendCsvRows(&out, 0, live_);

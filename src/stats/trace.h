@@ -86,6 +86,10 @@ struct RunSummary {
   // that left the core that ran them the round before (DESIGN.md §3d).
   // Counted only while recording; 0 for the other kernels.
   uint64_t steals = 0;
+  // Round kernel: cross-LP events its workers received through mailboxes and
+  // overflow boxes (what Lp::DrainInboxes returns), i.e. the window's M
+  // traffic. Counted only while recording; 0 for the other kernels.
+  uint64_t messages = 0;
 
   std::string ToJson() const;
 };
@@ -202,8 +206,8 @@ class RunTrace {
   // window,round,lbts_ps,window_ps,events_before,resorted,
   // p_total_ns,s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,
   // migrations,spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,
-  // capture_bytes,steals (the last eight are window-level, repeated per
-  // row).
+  // capture_bytes,steals,messages (the last nine are window-level, repeated
+  // per row).
   std::string ToCsv() const;
   bool WriteJsonFile(const std::string& path) const;
   bool WriteCsvFile(const std::string& path) const;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "src/core/event.h"
@@ -13,6 +14,8 @@
 #include "src/core/inline_function.h"
 #include "src/core/rng.h"
 #include "src/core/time.h"
+#include "src/net/model_events.h"
+#include "src/net/packet.h"
 
 namespace unison {
 namespace {
@@ -81,6 +84,28 @@ TEST(Rng, UniformBelowIsUnbiased) {
   for (int c : counts) {
     EXPECT_NEAR(c, n / 10, n / 100);
   }
+}
+
+// --- Event layout ---
+
+// An event is two cache lines and a packet one; the packet-delivery functor
+// fills the 80-byte inline buffer exactly. Packets are copied byte-wise
+// through event buffers, so they must stay trivially copyable.
+TEST(EventLayout, TwoCacheLinesPerEventAndOnePerPacket) {
+  static_assert(sizeof(Event) == 128);
+  static_assert(alignof(Event) == 8);
+  static_assert(sizeof(Packet) == 64);
+  static_assert(std::is_trivially_copyable_v<Packet>);
+  static_assert(sizeof(PacketDeliverEvent) == kEventFnInlineBytes);
+  static_assert(EventFn::FitsInline<PacketDeliverEvent>());
+  static_assert(EventFn::FitsInline<FlowStartEvent>());
+  // A callable aligned past the buffer's 8 bytes takes the heap fallback.
+  struct alignas(16) OverAligned {
+    void operator()() {}
+  };
+  static_assert(!EventFn::FitsInline<OverAligned>());
+  EXPECT_EQ(sizeof(Event), 2 * 64u);
+  EXPECT_EQ(sizeof(Packet), 64u);
 }
 
 // --- InlineFunction: the event callback storage ---

@@ -83,15 +83,25 @@ TEST(DistanceVector, ReroutesAroundLinkFailure) {
 
 TEST(DistanceVector, WorksUnderUnisonKernel) {
   // The same protocol, unmodified, under the parallel kernel — the
-  // user-transparency claim applied to a dynamic routing model.
+  // user-transparency claim applied to a dynamic routing model. Mid-run the
+  // diagonal fails while node 0's 100 ms advertisement to node 2 is still on
+  // the wire (1 ms links): node 2 drops it on arrival, and the advertisement
+  // it names crossed LPs as a handle the whole way.
   SquareNet seq(KernelType::kSequential);
   SquareNet par(KernelType::kUnison);
-  InstallFlow(*seq.net, FlowSpec{1, 3, 100000, Time::Milliseconds(200), {}});
-  InstallFlow(*par.net, FlowSpec{1, 3, 100000, Time::Milliseconds(200), {}});
-  seq.net->Run(Time::Seconds(2));
-  par.net->Run(Time::Seconds(2));
+  for (SquareNet* s : {&seq, &par}) {
+    InstallFlow(*s->net, FlowSpec{1, 3, 100000, Time::Milliseconds(200), {}});
+    s->net->FailLink(s->l02, Time::Microseconds(100500));
+    s->net->Run(Time::Seconds(2));
+  }
   EXPECT_EQ(seq.net->kernel().processed_events(), par.net->kernel().processed_events());
   EXPECT_EQ(seq.net->flow_monitor().Fingerprint(), par.net->flow_monitor().Fingerprint());
+  EXPECT_TRUE(par.net->flow_monitor().flow(0).completed);
+  for (NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(seq.net->node(n).dv()->dist, par.net->node(n).dv()->dist) << n;
+    EXPECT_EQ(seq.net->node(n).dv()->port, par.net->node(n).dv()->port) << n;
+  }
+  EXPECT_EQ(par.net->node(0).dv()->dist[2], 2u);  // Around the failed diagonal.
 }
 
 TEST(DistanceVector, CountsProtocolOverhead) {

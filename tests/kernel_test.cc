@@ -12,6 +12,7 @@
 
 #include "src/kernel/nullmsg.h"
 #include "src/kernel/round_kernel.h"
+#include "src/kernel/simulator.h"
 #include "src/partition/fine_grained.h"
 #include "src/partition/manual.h"
 #include "src/stats/digest.h"
@@ -382,6 +383,7 @@ TEST(RoundCrossings, TwoPerRoundPlusOnePerRoundWithAGlobal) {
 struct IncastRun {
   RunDigest digest;
   uint64_t steals = 0;
+  uint64_t messages = 0;
 };
 
 // The k=4 fat-tree with web-search flows at load 0.3, 30% of them redirected
@@ -411,6 +413,7 @@ IncastRun RunIncast(const KernelConfig& kernel, PartitionMode partition) {
   IncastRun out;
   out.digest = DigestOf(net);
   out.steals = net.kernel().run_summary().steals;
+  out.messages = net.kernel().run_summary().messages;
   return out;
 }
 
@@ -444,6 +447,102 @@ TEST(AffinityClaims, IncastStealsAcrossLanesAndMatchesSequential) {
   const IncastRun b = RunIncast(barrier, PartitionMode::kManual);
   EXPECT_TRUE(b.digest == reference.digest);
   EXPECT_EQ(b.steals, 0u);
+}
+
+// --- Cross-LP message counter ---
+
+// The window's message count is the number of events that crossed an LP
+// boundary through a mailbox or an overflow box. On one partition it is a
+// property of the model, not of the schedule: the same for every thread
+// count and round-kernel preset (barrier ranks send through overflow boxes,
+// the others through wired outboxes), and 0 when there is only one LP.
+TEST(MessageCounter, SameForEveryPresetAndThreadCountOnOnePartition) {
+  uint64_t reference = 0;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    KernelConfig unison;
+    unison.type = KernelType::kUnison;
+    unison.threads = threads;
+    const IncastRun u = RunIncast(unison, PartitionMode::kManual);
+    if (threads == 1) {
+      reference = u.messages;
+      EXPECT_GT(reference, 1000u);
+    }
+    EXPECT_EQ(u.messages, reference) << "threads=" << threads;
+  }
+  KernelConfig hybrid;
+  hybrid.type = KernelType::kHybrid;
+  hybrid.ranks = 2;
+  hybrid.threads = 2;
+  EXPECT_EQ(RunIncast(hybrid, PartitionMode::kManual).messages, reference);
+  KernelConfig barrier;
+  barrier.type = KernelType::kBarrier;
+  EXPECT_EQ(RunIncast(barrier, PartitionMode::kManual).messages, reference);
+
+  KernelConfig single;
+  single.type = KernelType::kUnison;
+  single.threads = 2;
+  EXPECT_EQ(RunIncast(single, PartitionMode::kSingle).messages, 0u);
+}
+
+// --- In-place event construction ---
+
+// Counts the moves and copies of the functor it is, as it travels from the
+// scheduling call to its dispatch.
+struct MoveCountingEvent {
+  struct Counts {
+    int moves = 0;
+    int copies = 0;
+    int moves_at_dispatch = -1;
+  };
+  Counts* counts;
+
+  explicit MoveCountingEvent(Counts* c) : counts(c) {}
+  MoveCountingEvent(MoveCountingEvent&& other) noexcept : counts(other.counts) {
+    ++counts->moves;
+  }
+  MoveCountingEvent(const MoveCountingEvent& other) : counts(other.counts) {
+    ++counts->copies;
+  }
+  void operator()() { counts->moves_at_dispatch = counts->moves; }
+};
+
+// A functor handed to the Simulator is built once, where it is dispatched
+// from: a local event moves into its FEL slot and out at pop (2 moves); a
+// cross-LP one moves into the outbox, into the target's FEL slot at drain,
+// and out at pop (3). Never copied. The slabs are pre-sized so that growing
+// one (which relocates the events already in it) does not count.
+TEST(EventPath, FunctorsAreMovedAtMostThreeTimesAndNeverCopied) {
+  TopoGraph g;
+  g.num_nodes = 2;
+  g.edges.push_back(TopoEdge{0, 1, Time::Microseconds(1), true});
+  KernelConfig kc;
+  kc.type = KernelType::kUnison;
+  kc.threads = 2;
+  auto kernel = MakeKernel(kc);
+  kernel->Setup(g, FineGrainedPartition(g));
+  ASSERT_EQ(kernel->num_lps(), 2u);
+  kernel->lp(0)->fel().Reserve(8);
+  kernel->lp(1)->fel().Reserve(8);
+  Simulator sim(kernel.get());
+
+  MoveCountingEvent::Counts local;
+  MoveCountingEvent::Counts remote;
+  MoveCountingEvent::Counts setup;
+  sim.ScheduleOnNode(0, Time::Microseconds(2), MoveCountingEvent(&setup));
+  sim.ScheduleOnNode(0, Time::Microseconds(1), [&] {
+    sim.Schedule(Time::Microseconds(3), MoveCountingEvent(&local));
+    sim.ScheduleOnNode(1, Time::Microseconds(5), MoveCountingEvent(&remote));
+  });
+  kernel->Run(Time::Milliseconds(1));
+
+  for (const auto* c : {&setup, &local}) {
+    EXPECT_EQ(c->copies, 0);
+    ASSERT_GE(c->moves_at_dispatch, 0) << "never dispatched";
+    EXPECT_LE(c->moves_at_dispatch, 2);
+  }
+  EXPECT_EQ(remote.copies, 0);
+  ASSERT_GE(remote.moves_at_dispatch, 0) << "never dispatched";
+  EXPECT_LE(remote.moves_at_dispatch, 3);
 }
 
 // A manual partition that cuts a zero-delay link leaves a null-message

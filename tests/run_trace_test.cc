@@ -193,7 +193,7 @@ TEST(RunTraceExport, CsvHasHeaderAndOneLinePerRound) {
                           "resorted,p_total_ns,s_total_ns,m_total_ns,"
                           "barrier_ns,parked,tuning_epoch,migrations,"
                           "spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,"
-                          "capture_bytes,steals\n",
+                          "capture_bytes,steals,messages\n",
                           0),
             0u);
   // Single-window session: every row belongs to window 0.

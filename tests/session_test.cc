@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "src/kernel/engine/executor_pool.h"
+#include "src/net/model_events.h"
 #include "src/net/session.h"
 #include "src/net/udp.h"
 #include "tests/test_util.h"
@@ -539,6 +541,57 @@ TEST(SessionSnapshotIoDeathTest, MutatedBuffersRestoreOrFailCleanly) {
                 },
                 "Session: |restore returned");
   }
+}
+
+// PutPacket never writes a control packet (its payload is a handle into the
+// routing protocol of the process that sent it), so GetPacket must refuse
+// one: an in-flight packet re-stamped as kControl, with a consistent
+// trailer, dies at the kind byte instead of restoring a packet whose payload
+// names nothing.
+TEST(SessionSnapshotIoDeathTest, ControlPacketKindIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  KernelConfig k;
+  k.type = KernelType::kSequential;
+  FatTreeScenario parent = BuildFatTreeScenarioStreaming(k, PartitionMode::kSingle);
+  parent.net->Run(Time::Microseconds(100));
+  std::vector<uint8_t> bytes = Session(parent.net.get()).Snapshot().bytes();
+
+  // The encoding of one pending packet delivery up to its packet's kind
+  // byte: key, node, tag, peer (PutEvent), all little-endian.
+  std::vector<uint8_t> prefix;
+  uint8_t kind = 0xff;
+  auto put = [&prefix](const void* v, size_t n) {
+    const auto* b = static_cast<const uint8_t*>(v);
+    prefix.insert(prefix.end(), b, b + n);
+  };
+  parent.net->kernel().lp(0)->fel().ForEach([&](Event& ev) {
+    const auto* deliver = ev.fn.TryAs<PacketDeliverEvent>();
+    if (deliver == nullptr || !prefix.empty()) {
+      return;
+    }
+    const int64_t ts = ev.key.ts.ps();
+    const int64_t sender_ts = ev.key.sender_ts.ps();
+    const uint8_t tag = static_cast<uint8_t>(ModelEventTag::kPacketDeliver);
+    put(&ts, sizeof ts);
+    put(&sender_ts, sizeof sender_ts);
+    put(&ev.key.sender_node, sizeof ev.key.sender_node);
+    put(&ev.key.seq, sizeof ev.key.seq);
+    put(&ev.node, sizeof ev.node);
+    put(&tag, sizeof tag);
+    put(&deliver->peer, sizeof deliver->peer);
+    kind = static_cast<uint8_t>(deliver->pkt.kind);
+  });
+  ASSERT_FALSE(prefix.empty()) << "no packet in flight at the snapshot";
+  const auto at = std::search(bytes.begin(), bytes.end(), prefix.begin(), prefix.end());
+  ASSERT_NE(at, bytes.end());
+  ASSERT_EQ(std::search(at + 1, bytes.end(), prefix.begin(), prefix.end()),
+            bytes.end());
+  const size_t kind_at = static_cast<size_t>(at - bytes.begin()) + prefix.size();
+  ASSERT_EQ(bytes[kind_at], kind);
+  bytes[kind_at] = static_cast<uint8_t>(PacketKind::kControl);
+  Retrail(&bytes);
+  EXPECT_DEATH(Session::Restore(SessionSnapshot(bytes)),
+               "Session: enum value out of range");
 }
 
 // The version check still rejects an older layout: a buffer re-stamped as
