@@ -4,6 +4,7 @@
 // magnitude faster but, treating the network as a black box, it misses
 // slow start, queueing delay and retransmissions — worst on short flows.
 #include "bench/bench_util.h"
+#include "bench/flow_level.h"
 #include "src/unison.h"
 
 using namespace unison;

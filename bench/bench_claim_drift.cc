@@ -8,7 +8,7 @@
 // every k rounds on the *previous* round's costs, the model's per-round ideal
 // is the clairvoyant oracle re-sorted every round on the true costs — and
 // reports the mean makespan inflation. The resulting payoff curve is where
-// ControllerConfig's drift_shrink/drift_grow defaults come from, and
+// the controller's Controller::kDriftShrink/kDriftGrow thresholds come from, and
 // RecommendPeriod's pick is compared against the paper's static
 // ceil(log2 n) (§4.3).
 //

@@ -15,77 +15,30 @@
 // inline-buffer fallback rate (must be 0 for packet closures), the
 // steady-state heap allocation counts (must be 0: the whole point of the
 // inline representation and the drain-into-scratch receive path is that the
-// warm hot path never touches the allocator), and the event layout: the
-// inline buffer's size and sizeof(Event).
+// warm hot path never touches the allocator), the allocations per event of a
+// cross-LP ping-pong under the null-message and unison kernels (must be ~0:
+// mailboxes and channels keep their storage across windows and sweeps), and
+// the event layout: the inline buffer's size and sizeof(Event).
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/counting_new.h"
+#include "bench/ping_pong_allocs.h"
 #include "src/core/fel.h"
 #include "src/core/inline_function.h"
 #include "src/kernel/lp.h"
 #include "src/net/packet.h"
 
-// Counting operator new replacements: every heap allocation in the process
-// bumps the counter, so a delta of zero around a measured region proves the
-// region is allocation-free — closures, FEL growth, scratch buffers, all of
-// it. Deletes are not counted; steady state is defined by allocations alone.
-namespace {
-std::atomic<uint64_t> g_heap_allocs{0};
-
-inline void* CountedAlloc(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align = static_cast<std::size_t>(al);
-  void* p = std::aligned_alloc(align, (size + align - 1) / align * align);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return operator new(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 using namespace unison;
 using namespace unison::bench;
 
 namespace {
-
-uint64_t HeapAllocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
 
 // Allocations inside the most recent RunScheduleDispatch timed loop.
 uint64_t g_timed_allocs = 0;
@@ -391,10 +344,27 @@ int main(int argc, char** argv) {
               "%llu (expected 0)\n",
               static_cast<unsigned long long>(overflow_allocs));
 
+  // Each event is counted once, by the kernel (processed_events), never by a
+  // counter both executors would write.
+  const PingPongAllocs nullmsg_pp =
+      MeasurePingPongAllocs(KernelType::kNullMessage, /*chains=*/8, HeapAllocs);
+  const PingPongAllocs unison_pp =
+      MeasurePingPongAllocs(KernelType::kUnison, /*chains=*/8, HeapAllocs);
+  std::printf("cross-LP ping-pong allocations per event: nullmsg %.4f "
+              "(%llu in %llu events), unison %.4f (%llu in %llu events)\n",
+              nullmsg_pp.per_event(),
+              static_cast<unsigned long long>(nullmsg_pp.allocs),
+              static_cast<unsigned long long>(nullmsg_pp.events),
+              unison_pp.per_event(),
+              static_cast<unsigned long long>(unison_pp.allocs),
+              static_cast<unsigned long long>(unison_pp.events));
+
   std::printf("oversize-capture fallbacks counted: %llu (expected 1)\n",
               static_cast<unsigned long long>(oversize_fallbacks));
   const bool pass = worst_speedup >= 1.2 && packet_fallbacks == 0 &&
-                    steady_state_allocs == 0 && overflow_allocs == 0;
+                    steady_state_allocs == 0 && overflow_allocs == 0 &&
+                    nullmsg_pp.per_event() <= 0.01 &&
+                    unison_pp.per_event() <= 0.01;
   std::printf("%s: worst speedup %.2fx (target >= 1.20x), packet fallback rate "
               "%llu, steady-state allocs %llu\n",
               pass ? "PASS" : "FAIL", worst_speedup,
@@ -416,6 +386,8 @@ int main(int argc, char** argv) {
                  "  \"oversize_capture_fallbacks\": %llu,\n"
                  "  \"steady_state_allocs\": %llu,\n"
                  "  \"overflow_drain_allocs\": %llu,\n"
+                 "  \"nullmsg_allocs_per_event\": %.6f,\n"
+                 "  \"unison_allocs_per_event\": %.6f,\n"
                  "  \"drain_per_event_mops\": %.3f,\n"
                  "  \"drain_bulk_mops\": %.3f,\n"
                  "  \"event_inline_bytes\": %zu,\n"
@@ -429,6 +401,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(oversize_fallbacks),
                  static_cast<unsigned long long>(steady_state_allocs),
                  static_cast<unsigned long long>(overflow_allocs),
+                 nullmsg_pp.per_event(), unison_pp.per_event(),
                  drain_per_event * 1e-6, drain_bulk * 1e-6, kEventFnInlineBytes,
                  sizeof(Event), pass ? "true" : "false");
     std::fclose(out);

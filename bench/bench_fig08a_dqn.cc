@@ -7,6 +7,7 @@
 // runtime; see DESIGN.md §2). Simulator times come from traces/models as in
 // the other benches.
 #include "bench/bench_util.h"
+#include "bench/surrogates.h"
 #include "src/unison.h"
 
 using namespace unison;

@@ -9,6 +9,7 @@
 //   --part=c  scheduler slowdown factor alpha for the three metrics.
 //   --part=d  simulation time vs scheduling period.
 #include "bench/bench_util.h"
+#include "bench/cache_sim.h"
 #include "src/unison.h"
 
 using namespace unison;

@@ -11,6 +11,7 @@
 #include <set>
 
 #include "bench/bench_util.h"
+#include "bench/surrogates.h"
 #include "src/unison.h"
 
 using namespace unison;

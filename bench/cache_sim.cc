@@ -1,4 +1,4 @@
-#include "src/cachesim/cache_sim.h"
+#include "bench/cache_sim.h"
 
 #include "src/kernel/lp.h"
 

@@ -7,8 +7,8 @@
 // an execution order that groups events of few nodes together (many small
 // LPs) reuses lines, while a global time-ordered interleaving (one big LP)
 // thrashes.
-#ifndef UNISON_SRC_CACHESIM_CACHE_SIM_H_
-#define UNISON_SRC_CACHESIM_CACHE_SIM_H_
+#ifndef UNISON_BENCH_CACHE_SIM_H_
+#define UNISON_BENCH_CACHE_SIM_H_
 
 #include <cstdint>
 #include <vector>
@@ -68,4 +68,4 @@ class CacheSim {
 
 }  // namespace unison
 
-#endif  // UNISON_SRC_CACHESIM_CACHE_SIM_H_
+#endif  // UNISON_BENCH_CACHE_SIM_H_

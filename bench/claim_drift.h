@@ -9,7 +9,7 @@
 // costs (cost descending, id ascending), while the model's round_ideal_ns is
 // the clairvoyant order re-sorted every round on the true costs. The mean
 // per-round ratio of the two makespans, as a function of k, is the payoff
-// curve that seeds ControllerConfig's drift thresholds and lets
+// curve that seeds the controller's drift thresholds and lets
 // bench_claim_drift check the paper's ceil(log2 n) default against measured
 // data.
 //

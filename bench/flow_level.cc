@@ -1,4 +1,4 @@
-#include "src/flowsim/flow_level.h"
+#include "bench/flow_level.h"
 
 #include <algorithm>
 #include <cmath>

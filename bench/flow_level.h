@@ -6,8 +6,8 @@
 // This is orders of magnitude faster than packet-level DES but blind to
 // everything the paper cares about — queues, retransmissions, slow start,
 // ECN — which is exactly the comparison bench_ablation_flowsim quantifies.
-#ifndef UNISON_SRC_FLOWSIM_FLOW_LEVEL_H_
-#define UNISON_SRC_FLOWSIM_FLOW_LEVEL_H_
+#ifndef UNISON_BENCH_FLOW_LEVEL_H_
+#define UNISON_BENCH_FLOW_LEVEL_H_
 
 #include <cstdint>
 #include <vector>
@@ -59,4 +59,4 @@ class FlowLevelSimulator {
 
 }  // namespace unison
 
-#endif  // UNISON_SRC_FLOWSIM_FLOW_LEVEL_H_
+#endif  // UNISON_BENCH_FLOW_LEVEL_H_

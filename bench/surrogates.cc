@@ -1,4 +1,4 @@
-#include "src/mlsim/surrogates.h"
+#include "bench/surrogates.h"
 
 #include <algorithm>
 #include <bit>

@@ -15,8 +15,8 @@
 //    bucket, RTT, per-flow throughput) from a training run and predicts a
 //    target workload by sampling it — accurate when the target looks like
 //    the training cluster, wrong under skew.
-#ifndef UNISON_SRC_MLSIM_SURROGATES_H_
-#define UNISON_SRC_MLSIM_SURROGATES_H_
+#ifndef UNISON_BENCH_SURROGATES_H_
+#define UNISON_BENCH_SURROGATES_H_
 
 #include <cstdint>
 #include <vector>
@@ -82,4 +82,4 @@ class MimicNetSurrogate {
 
 }  // namespace unison
 
-#endif  // UNISON_SRC_MLSIM_SURROGATES_H_
+#endif  // UNISON_BENCH_SURROGATES_H_

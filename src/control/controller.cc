@@ -9,10 +9,6 @@
 namespace unison {
 
 namespace {
-// Horizon cap past which the window bound reverts to unbounded when the
-// config leaves max_window_ps at 0: one second of simulated time.
-constexpr int64_t kDefaultHorizonCapPs = 1'000'000'000'000LL;
-
 // RoundImbalance (src/stats/trace.h) of the window's round `round`; false
 // when the round has no usable row.
 bool ImbalanceAt(const WindowTraceSegment& segment, uint32_t round, double* out) {
@@ -22,15 +18,14 @@ bool ImbalanceAt(const WindowTraceSegment& segment, uint32_t round, double* out)
 
 // Hysteresis helper: `signal` observed this window extends the streak (and
 // resets the opposite direction's); returns true — and restarts the streak —
-// once it has held for `patience` consecutive eligible windows.
-bool StreakFire(bool signal, uint32_t patience, uint32_t* streak,
-                uint32_t* opposite) {
+// once it has held for kRulePatience consecutive eligible windows.
+bool StreakFire(bool signal, uint32_t* streak, uint32_t* opposite) {
   if (!signal) {
     *streak = 0;
     return false;
   }
   *opposite = 0;
-  if (++*streak < std::max(1u, patience)) {
+  if (++*streak < Controller::kRulePatience) {
     return false;
   }
   *streak = 0;
@@ -38,16 +33,9 @@ bool StreakFire(bool signal, uint32_t patience, uint32_t* streak,
 }
 }  // namespace
 
-Controller::Controller(const ControllerConfig& config, TunableStore* store)
-    : config_(config), store_(store) {
-  if (config_.cpu_limit == 0) {
-    // Detect once, before any controller-driven pinning can narrow the
-    // process affinity mask this reads.
-    config_.cpu_limit =
-        static_cast<uint32_t>(CpuTopology::Detect().cpus.size());
-  }
-  config_.cpu_limit = std::max(1u, config_.cpu_limit);
-}
+Controller::Controller(const ControllerConfig& config, uint32_t cpus,
+                       TunableStore* store)
+    : config_(config), cpus_(std::max(1u, cpus)), store_(store) {}
 
 double Controller::ResortDrift(const WindowTraceSegment& segment) {
   // A stretch is a maximal run of rounds sharing one claim order (from one
@@ -97,14 +85,13 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
   // window that tipped the streak.
   if (view.lp_cost_ns != nullptr) {
     const std::vector<uint64_t>& raw = *view.lp_cost_ns;
-    const double alpha = std::clamp(config_.cost_ewma_alpha, 0.0, 1.0);
     if (ewma_cost_.size() != raw.size()) {
       // First observation (or the LP domain changed): adopt the raw costs.
       ewma_cost_.assign(raw.begin(), raw.end());
     } else {
       for (size_t i = 0; i < raw.size(); ++i) {
-        ewma_cost_[i] = alpha * static_cast<double>(raw[i]) +
-                        (1.0 - alpha) * ewma_cost_[i];
+        ewma_cost_[i] = kCostEwmaAlpha * static_cast<double>(raw[i]) +
+                        (1.0 - kCostEwmaAlpha) * ewma_cost_[i];
       }
     }
   }
@@ -132,19 +119,19 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
   for (const RoundTraceRecord& rec : segment.records) {
     parked += rec.parked;
   }
-  if (executors != config_.cpu_limit &&
+  if (executors != cpus_ &&
       static_cast<double>(parked) / static_cast<double>(rounds) >
           config_.parks_per_round_high) {
     uint32_t want = knob;
-    if (executors > config_.cpu_limit) {
+    if (executors > cpus_) {
       // Scale the knob so the *total* executor count fits the machine (the
       // knob is lanes-per-rank for hybrid, so knob != executors there).
-      want = static_cast<uint32_t>(static_cast<uint64_t>(knob) *
-                                   config_.cpu_limit / executors);
+      want = static_cast<uint32_t>(static_cast<uint64_t>(knob) * cpus_ /
+                                   executors);
     } else {
       want = knob / 2;
     }
-    want = std::max(config_.min_parties, want);
+    want = std::max(kMinParties, want);
     if (want < knob) {
       next.parties = want;
       fire("oversubscribed");
@@ -158,7 +145,7 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
   // the observed payoff. Fast-growing imbalance between re-sorts means the
   // order goes stale too quickly (shrink the period); flat imbalance means
   // re-sorting buys nothing (grow it). Each direction must hold for
-  // `rule_patience` consecutive windows before it publishes.
+  // kRulePatience consecutive windows before it publishes.
   bool any_resort = false;
   for (const RoundTraceRecord& rec : segment.records) {
     any_resort = any_resort || rec.resorted;
@@ -166,16 +153,14 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
   if (any_resort && executors > 1 && !segment.round_p.empty()) {
     const double drift = ResortDrift(segment);
     const uint32_t period = std::max(1u, sum.sched_period);
-    if (StreakFire(drift > config_.drift_shrink && period > config_.min_period,
-                   config_.rule_patience, &resort_shrink_streak_,
-                   &resort_grow_streak_)) {
-      next.sched_period = std::max(config_.min_period, period / 2);
+    if (StreakFire(drift > kDriftShrink && period > kMinPeriod,
+                   &resort_shrink_streak_, &resort_grow_streak_)) {
+      next.sched_period = std::max(kMinPeriod, period / 2);
       fire("resort-shrink");
     }
-    if (StreakFire(drift < config_.drift_grow && period < config_.max_period,
-                   config_.rule_patience, &resort_grow_streak_,
-                   &resort_shrink_streak_)) {
-      next.sched_period = std::min(config_.max_period, period * 2);
+    if (StreakFire(drift < kDriftGrow && period < kMaxPeriod,
+                   &resort_grow_streak_, &resort_shrink_streak_)) {
+      next.sched_period = std::min(kMaxPeriod, period * 2);
       fire("resort-grow");
     }
   }
@@ -189,10 +174,8 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
   if (executors > 1 && p_ns + s_ns > 0) {
     const double ps_ratio =
         static_cast<double>(p_ns) / static_cast<double>(p_ns + s_ns);
-    const int64_t cap = config_.max_window_ps > 0 ? config_.max_window_ps
-                                                  : kDefaultHorizonCapPs;
-    if (StreakFire(ps_ratio < config_.ps_low, config_.rule_patience,
-                   &window_shrink_streak_, &window_grow_streak_)) {
+    if (StreakFire(ps_ratio < config_.ps_low, &window_shrink_streak_,
+                   &window_grow_streak_)) {
       const int64_t span = sum.window_stop_ps - sum.window_start_ps;
       const int64_t current =
           next.max_window_ps > 0
@@ -204,11 +187,10 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
         fire("window-shrink");
       }
     }
-    if (StreakFire(ps_ratio > config_.ps_high && next.max_window_ps > 0,
-                   config_.rule_patience, &window_grow_streak_,
-                   &window_shrink_streak_)) {
+    if (StreakFire(ps_ratio > kPsHigh && next.max_window_ps > 0,
+                   &window_grow_streak_, &window_shrink_streak_)) {
       const int64_t want = next.max_window_ps * 2;
-      next.max_window_ps = want > cap ? 0 : want;
+      next.max_window_ps = want > kMaxWindowPs ? 0 : want;
       fire("window-grow");
     }
   }
@@ -286,18 +268,17 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
   // rule is inert. Results-neutral by the speculation contract.
   const int64_t horizon = store_->Get().spec_horizon_ps;
   if (horizon > 0) {
-    if (StreakFire(sum.spec_misses > 0, config_.rule_patience,
-                   &spec_narrow_streak_, &spec_widen_streak_)) {
-      const int64_t want = std::max(config_.spec_horizon_min_ps, horizon / 2);
+    if (StreakFire(sum.spec_misses > 0, &spec_narrow_streak_,
+                   &spec_widen_streak_)) {
+      const int64_t want = std::max(kSpecHorizonMinPs, horizon / 2);
       if (want != next.spec_horizon_ps) {
         next.spec_horizon_ps = want;
         fire("spec-narrow");
       }
     }
     if (StreakFire(sum.spec_rounds > 0 && sum.spec_misses == 0,
-                   config_.rule_patience, &spec_widen_streak_,
-                   &spec_narrow_streak_)) {
-      const int64_t want = std::min(config_.spec_horizon_max_ps, horizon * 2);
+                   &spec_widen_streak_, &spec_narrow_streak_)) {
+      const int64_t want = std::min(kSpecHorizonMaxPs, horizon * 2);
       if (want != next.spec_horizon_ps) {
         next.spec_horizon_ps = want;
         fire("spec-widen");

@@ -26,8 +26,8 @@
 //   spec horizon      | speculation miss / clean-commit  | halve/double the
 //                     | streaks (RunSummary spec stats)  | speculative horizon
 //
-// The re-sort and window rules carry hysteresis: each direction must be
-// observed for `rule_patience` consecutive eligible windows before its epoch
+// The re-sort, window and spec rules carry hysteresis: each direction must be
+// observed for kRulePatience consecutive eligible windows before its epoch
 // publishes, so a single noisy window cannot flip a knob and the rebalance
 // rule (which watches the same imbalance signal over a longer horizon) does
 // not oscillate against them.
@@ -47,30 +47,16 @@
 
 namespace unison {
 
+// The controller's settable thresholds: the ones a caller tunes per
+// scenario. Everything else it acts on is a Controller constant below.
 struct ControllerConfig {
-  // Re-sort cadence rule: mean per-stretch growth of the processing-time
-  // imbalance (max-executor share over the ideal share, minus one). Above
-  // `drift_shrink` the claim order goes stale too fast between re-sorts —
-  // halve the period; below `drift_grow` re-sorting buys nothing — double it.
-  // The defaults come from the claim-order drift replay (bench_claim_drift):
-  // the offline payoff curve stays within ~5% of the every-round oracle for
-  // small staleness and inflects past ~30%.
-  double drift_shrink = 0.30;
-  double drift_grow = 0.05;
-  uint32_t min_period = 1;
-  uint32_t max_period = 4096;
-
   // Window-horizon rule on the P/(P+S) ratio. Below `ps_low` the windows are
   // sync-bound — halve the Run() slice so the controller gets to react more
   // often and short LBTS windows stop being amortized over a long horizon;
-  // above `ps_high` the slicing itself is overhead — double it, reverting to
-  // unbounded past the cap.
+  // above Controller::kPsHigh the slicing itself is overhead — double it,
+  // reverting to unbounded past the cap.
   double ps_low = 0.35;
-  double ps_high = 0.70;
   int64_t min_window_ps = 50'000'000;  // 50 us of simulated time.
-  // Horizon cap past which the bound reverts to 0 (unbounded); 0 selects the
-  // built-in 1 s (1e12 ps) default.
-  int64_t max_window_ps = 0;
   // Seed horizon installed when tuning is enabled (0 = leave unbounded). A
   // controller can only act at window boundaries; without an initial bound,
   // a single long Run() would give it exactly one observation, at the end.
@@ -85,20 +71,10 @@ struct ControllerConfig {
   // run that fits the machine catches its crossings in the spin (under 0.01
   // parks per round on a 4-core host).
   double parks_per_round_high = 1.0;
-  uint32_t min_parties = 1;
-  // Machine size used to fit the party count; 0 = detect at construction.
-  uint32_t cpu_limit = 0;
 
   // Windows with fewer rounds than this carry too little signal to act on
   // (and sequential/null-message windows have no round records at all).
   uint32_t min_rounds = 8;
-
-  // Hysteresis for the re-sort cadence and window-horizon rules: how many
-  // consecutive eligible windows must show the same out-of-band signal
-  // before that direction publishes. 1 = act on the first window (the PR 8
-  // behaviour). Thin windows (below min_rounds) neither extend nor reset a
-  // streak.
-  uint32_t rule_patience = 2;
 
   // Rebalance rule: when the mean per-round processing imbalance (busiest
   // executor's share over the ideal 1/W share, minus one) stays above
@@ -112,29 +88,49 @@ struct ControllerConfig {
   uint32_t rebalance_patience = 3;
   uint32_t rebalance_cooldown = 4;
 
-  // Cost smoothing for the rebalance rule: the per-LP window costs feeding
-  // LPT are an exponential moving average across windows rather than the
-  // last window's raw measurement, so one noisy window cannot trigger a
-  // placement computed from an unrepresentative cost vector. `alpha` is the
-  // weight of the newest window; 1.0 reproduces the raw (PR 9) behaviour.
-  double cost_ewma_alpha = 0.5;
-
-  // Rule 5 — speculation horizon (active only when the live spec_horizon_ps
-  // tunable is nonzero, i.e. SimConfig::speculation == kAuto). A missed
-  // speculative window costs roughly the window twice plus the rollback, so
-  // a miss streak halves the horizon toward the floor; a streak of windows
-  // that speculated cleanly doubles it toward the cap. Both directions carry
-  // the same `rule_patience` hysteresis as rules 2/3. The horizon is
-  // results-neutral by the speculation contract (misses roll back), so this
-  // rule only ever trades wall time.
-  int64_t spec_horizon_initial_ps = 2'000'000;      // Seed: 2 us.
-  int64_t spec_horizon_min_ps = 250'000;            // Floor: 0.25 us.
-  int64_t spec_horizon_max_ps = 1'000'000'000;      // Cap: 1 ms.
+  // Speculation horizon seeded under SimConfig::speculation == kAuto, with
+  // or without a controller; rule 5 then moves it between
+  // Controller::kSpecHorizonMinPs and kSpecHorizonMaxPs.
+  int64_t spec_horizon_initial_ps = 2'000'000;  // 2 us.
 };
 
 class Controller {
  public:
-  Controller(const ControllerConfig& config, TunableStore* store);
+  // Re-sort cadence rule: mean per-stretch growth of the processing-time
+  // imbalance (max-executor share over the ideal share, minus one). Above
+  // kDriftShrink the claim order goes stale too fast between re-sorts —
+  // halve the period; below kDriftGrow re-sorting buys nothing — double it,
+  // within [kMinPeriod, kMaxPeriod]. The thresholds come from the claim-order
+  // drift replay (bench_claim_drift): the offline payoff curve stays within
+  // ~5% of the every-round oracle for small staleness and inflects past ~30%.
+  static constexpr double kDriftShrink = 0.30;
+  static constexpr double kDriftGrow = 0.05;
+  static constexpr uint32_t kMinPeriod = 1;
+  static constexpr uint32_t kMaxPeriod = 4096;
+  // Window-horizon rule: above this P/(P+S) ratio the slicing is overhead.
+  static constexpr double kPsHigh = 0.70;
+  // Horizon cap past which a growing window bound reverts to 0 (unbounded):
+  // one second of simulated time.
+  static constexpr int64_t kMaxWindowPs = 1'000'000'000'000;
+  // Oversubscription rule: the party count it never goes below.
+  static constexpr uint32_t kMinParties = 1;
+  // Hysteresis for the re-sort cadence, window-horizon and spec-horizon
+  // rules: how many consecutive eligible windows must show the same
+  // out-of-band signal before that direction publishes. Thin windows (below
+  // min_rounds) neither extend nor reset a streak.
+  static constexpr uint32_t kRulePatience = 2;
+  // Weight of the newest window in the exponential moving average of the
+  // per-LP costs the rebalance rule schedules from, so one noisy window
+  // cannot trigger a placement computed from an unrepresentative cost vector.
+  static constexpr double kCostEwmaAlpha = 0.5;
+  // Rule 5's floor and cap on the speculation horizon: 0.25 us and 1 ms.
+  static constexpr int64_t kSpecHorizonMinPs = 250'000;
+  static constexpr int64_t kSpecHorizonMaxPs = 1'000'000'000;
+
+  // `cpus` is the machine size the oversubscription rule fits the party
+  // count to: the CPUs the process may use (Network passes
+  // ProcessCpuCount()).
+  Controller(const ControllerConfig& config, uint32_t cpus, TunableStore* store);
 
   // Consumes one completed window's segment; publishes at most one tunable
   // epoch. Returns true when something was published. Call only between
@@ -181,6 +177,7 @@ class Controller {
 
  private:
   ControllerConfig config_;
+  const uint32_t cpus_;
   TunableStore* const store_;
   std::vector<Decision> decisions_;
   // Hysteresis streaks: consecutive eligible windows showing each signal.

@@ -27,27 +27,26 @@ namespace unison {
 
 class PhaseAccountant {
  public:
-  // `timing` enables the clock reads: recording, or a scheduling metric that
-  // needs per-round measurements. `rows` is the recorder's live window
-  // (RunTrace::rows()) and receives the per-round rows and the final totals;
-  // nullptr when recording is off (timing can be on purely for scheduling).
-  // When `timing` is false every call is a no-op.
-  PhaseAccountant(uint32_t executor, bool timing, Profiler* rows)
-      : executor_(executor), timing_(timing), rows_(rows) {}
+  // `rows` is the recorder's live window (RunTrace::rows()) and receives the
+  // per-round rows and the final totals; nullptr when recording is off, and
+  // then every call is a no-op — no clock is read.
+  PhaseAccountant(uint32_t executor, Profiler* rows)
+      : executor_(executor), rows_(rows) {}
 
   ~PhaseAccountant() { Flush(); }
 
   PhaseAccountant(const PhaseAccountant&) = delete;
   PhaseAccountant& operator=(const PhaseAccountant&) = delete;
 
-  bool timing() const { return timing_; }
+  // Whether the clock is read: exactly when there are rows to write.
+  bool timing() const { return rows_ != nullptr; }
 
   // (Re)opens the interval at "now", discarding any time since the last
   // close. Call at the top of each round iteration — and after any work that
   // must stay unattributed, such as the termination iteration's barrier wait,
   // which has no round row to land in (rows must keep summing to totals).
   void OpenInterval() {
-    if (timing_) {
+    if (timing()) {
       cursor_ = Profiler::NowNs();
     }
   }
@@ -82,21 +81,18 @@ class PhaseAccountant {
  private:
   uint64_t Close(uint64_t* bucket,
                  void (Profiler::*add_row)(uint32_t, uint32_t, uint64_t)) {
-    if (!timing_) {
+    if (!timing()) {
       return 0;
     }
     const uint64_t now = Profiler::NowNs();
     const uint64_t ns = now - cursor_;
     cursor_ = now;
     *bucket += ns;
-    if (rows_ != nullptr) {
-      (rows_->*add_row)(executor_, round_, ns);
-    }
+    (rows_->*add_row)(executor_, round_, ns);
     return ns;
   }
 
   const uint32_t executor_;
-  const bool timing_;
   Profiler* const rows_;
   ExecutorPhaseStats local_{};
   uint64_t cursor_ = 0;

@@ -34,11 +34,6 @@ std::string KernelConfig::Validate() const {
     return "KernelConfig.ranks must be >= 1 for the hybrid kernel (each "
            "rank models one simulated host)";
   }
-  if (sched_period > kMaxSchedPeriod) {
-    return "KernelConfig.sched_period is implausibly large (> 2^20 rounds "
-           "between re-sorts); it counts rounds, not time — use 0 for the "
-           "ceil(log2 n) default";
-  }
   if (affinity != AffinityPolicy::kNone &&
       affinity != AffinityPolicy::kCompact &&
       affinity != AffinityPolicy::kScatter) {
@@ -151,15 +146,13 @@ uint64_t Kernel::RunGlobalEvents(Time upto, Time stop) {
 Kernel::WindowTuning Kernel::SampleTuning(uint32_t default_parties,
                                           bool parties_tunable) const {
   WindowTuning t;
-  uint32_t period = config_.sched_period;
+  uint32_t period = 0;
   uint32_t parties = default_parties;
   AffinityPolicy affinity = config_.affinity;
   if (tunables_ != nullptr) {
     const Tunables& live = tunables_->Get();
     t.epoch = tunables_->epoch();
-    if (live.sched_period > 0) {
-      period = live.sched_period;
-    }
+    period = live.sched_period;
     if (parties_tunable && live.parties > 0) {
       // The config default is also the ceiling: FlowMonitor shards and other
       // per-executor state were sized from it at Finalize.

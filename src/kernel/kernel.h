@@ -69,28 +69,16 @@ struct KernelConfig {
   KernelType type = KernelType::kSequential;
   uint32_t threads = 1;
   SchedulingMetric metric = SchedulingMetric::kByLastRoundTime;
-  // Rounds between scheduler re-sorts; 0 selects ceil(log2(#LP)) (§4.3).
-  uint32_t sched_period = 0;
   // When false, event tie-breaking degrades to insertion order, replicating
   // the indeterminism of stock ns-3 PDES kernels (used by Fig. 11).
   bool deterministic = true;
   // Hybrid kernel only: number of simulated hosts ("ranks").
   uint32_t ranks = 2;
-  // Automatic crash/preempt resume: every N completed Run() windows,
-  // Network::Run snapshots the session to SimConfig::auto_checkpoint_path
-  // (USNP SaveTo format), so a killed long sim resumes from the last
-  // boundary via LoadFrom + Session::Restore instead of t=0. 0 = off.
-  uint32_t auto_checkpoint_every = 0;
   // Executor placement: pin pool workers to cores per this policy (compact =
   // fill a socket before the next, hybrid ranks socket-major; scatter =
   // round-robin across sockets). kNone leaves placement to the OS. When the
   // party count exceeds the machine, placement wraps around the core list.
   AffinityPolicy affinity = AffinityPolicy::kNone;
-
-  // Largest accepted sched_period: ceil(log2 n) tops out near 32 for any
-  // representable topology, so a period beyond this is a unit error (e.g.
-  // nanoseconds pasted into a round count), not a tuning choice.
-  static constexpr uint32_t kMaxSchedPeriod = 1u << 20;
 
   // Returns an empty string when the config is usable, otherwise a
   // human-readable description of the first problem found. MakeKernel calls
@@ -442,8 +430,8 @@ class Kernel {
   void NoteSpecAttempt(uint32_t spec_rounds, bool miss);
 
   // Resolves this window's tunables: live store values where published,
-  // config defaults otherwise, ceil(log2 n) when the period is still 0
-  // (§4.3). `default_parties` is the config-derived knob value and also the
+  // config defaults otherwise, ceil(log2 n) when no period is set (§4.3).
+  // `default_parties` is the config-derived knob value and also the
   // ceiling — per-executor state sized at Finalize is never exceeded;
   // kernels whose party count is structural pass parties_tunable=false.
   // Every kernel calls this at the start of Run(), before workers release.

@@ -190,12 +190,16 @@ void NullMessageKernel::ExecLoop(uint32_t ex, Time stop, Profiler* rows) {
   // "Rounds" are executor-local sweeps here; they still key executor-private
   // per-round rows so the rows-sum-to-totals invariant holds for this kernel
   // too, even though iteration counts differ per executor.
-  PhaseAccountant acct(ex, rows != nullptr, rows);
+  PhaseAccountant acct(ex, rows);
 
   // An LP is done once everything below the stop time has been processed and
   // its final promises sent; the sweep skips it from then on.
   std::vector<bool> done(owned.size(), false);
   size_t remaining = owned.size();
+  // The receive phase swaps each input channel with this buffer and clears
+  // it after the inserts, so the channel and the buffer both keep their
+  // capacity and a steady-state send never allocates.
+  std::vector<Event> got;
 
   while (remaining > 0) {
     uint64_t sig;
@@ -219,7 +223,6 @@ void NullMessageKernel::ExecLoop(uint32_t ex, Time stop, Profiler* rows) {
       // Receive: drain input channels, note their clocks.
       Time safe_in = Time::Max();
       for (Channel* c : ch.in) {
-        std::vector<Event> got;
         {
           std::lock_guard<std::mutex> lock(c->mu);
           got.swap(c->events);
@@ -228,6 +231,7 @@ void NullMessageKernel::ExecLoop(uint32_t ex, Time stop, Profiler* rows) {
         for (Event& ev : got) {
           lp->Insert(std::move(ev));
         }
+        got.clear();
       }
       acct.CloseMessaging();
 

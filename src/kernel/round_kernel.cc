@@ -284,7 +284,7 @@ void RoundKernel::RoundLoop(uint32_t worker) {
   // wait — including the end-of-round crossing, whose completion runs the
   // next round's prologue — be attributed to its round without data races.
   uint32_t round = 0;
-  PhaseAccountant acct(worker, rows != nullptr, rows);
+  PhaseAccountant acct(worker, rows);
   // The end-of-round crossing's completion: absorb the fused reduction and
   // open the next round before anyone is released into it.
   const auto next_round = [this, &barrier] {

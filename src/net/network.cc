@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "src/kernel/engine/cpu_topology.h"
 #include "src/net/model_events.h"
 #include "src/net/session.h"
 #include "src/partition/fine_grained.h"
@@ -19,6 +20,9 @@ Network::Network(SimConfig config) : config_(std::move(config)) {
   // consumes the segments) each need the recorded windows.
   run_trace_.enabled = config_.trace || config_.profile_per_lp ||
                        config_.tuning == TuningMode::kAuto;
+  // Only an export reads past the last window: the controller and the
+  // per-LP cost readers take the newest segment alone.
+  run_trace_.keep_history = config_.trace;
   run_trace_.record_claim_order = config_.trace && config_.trace_claim_order;
   run_trace_.rows().per_lp = config_.profile_per_lp;
 }
@@ -160,7 +164,6 @@ void Network::Finalize() {
   // tuning on or off — a store that only ever holds its seed (epoch 0) is
   // exactly the static configuration.
   Tunables seed;
-  seed.sched_period = config_.kernel.sched_period;
   seed.parties = config_.kernel.threads;
   seed.affinity = config_.kernel.affinity;
   if (config_.tuning == TuningMode::kAuto) {
@@ -178,8 +181,10 @@ void Network::Finalize() {
   tunable_store_.Seed(seed);
   kernel_->set_tunables(&tunable_store_);
   if (config_.tuning == TuningMode::kAuto) {
-    controller_ =
-        std::make_unique<Controller>(config_.tuning_config, &tunable_store_);
+    // The machine size is the CPU set the process had before any pool pinned
+    // a thread, so a pinned run never narrows it.
+    controller_ = std::make_unique<Controller>(
+        config_.tuning_config, ProcessCpuCount(), &tunable_store_);
   }
   if (pending_external_pool_ != nullptr) {
     kernel_->set_external_pool(pending_external_pool_);
@@ -217,23 +222,14 @@ void Network::Finalize() {
 }
 
 void Network::MaybeAutoCheckpoint() {
-  if (config_.kernel.auto_checkpoint_every == 0 ||
-      config_.auto_checkpoint_path.empty()) {
+  if (config_.auto_checkpoint_path.empty()) {
     return;
   }
-  if (++windows_since_checkpoint_ < config_.kernel.auto_checkpoint_every) {
-    return;
+  // A non-serializable boundary (e.g. a progress ticker pending) is skipped;
+  // the next boundary tries again.
+  if (std::optional<SessionSnapshot> snap = Session(this).TrySnapshot()) {
+    snap->SaveTo(config_.auto_checkpoint_path);
   }
-  std::optional<SessionSnapshot> snap = Session(this).TrySnapshot();
-  if (!snap) {
-    // A non-serializable boundary (e.g. a progress ticker pending): leave
-    // the counter saturated so every subsequent boundary retries until one
-    // is clean, instead of silently sliding the whole cadence.
-    --windows_since_checkpoint_;
-    return;
-  }
-  windows_since_checkpoint_ = 0;
-  snap->SaveTo(config_.auto_checkpoint_path);
 }
 
 RunResult Network::Run(Time stop) {

@@ -97,7 +97,8 @@ struct SimConfig {
   uint64_t seed = 1;
   // The run recorder (src/stats/trace.h) is on when any of `trace`,
   // `profile_per_lp` or tuning=kAuto is set; a recorded window always keeps
-  // its round records and per-round P/S/M rows.
+  // its round records and per-round P/S/M rows. Only `trace` keeps every
+  // window of the session; otherwise the recorder holds the last one.
   //
   // Per-(round, LP) costs for the cost model and heatmaps; O(rounds x LPs).
   bool profile_per_lp = false;
@@ -114,10 +115,12 @@ struct SimConfig {
   // from tuning_config.spec_horizon_initial_ps and installs the checkpoint
   // hooks at Finalize. Requires kernel.deterministic (the default).
   SpeculationMode speculation = SpeculationMode::kOff;
-  // Automatic resume checkpoints: every `kernel.auto_checkpoint_every`
-  // completed windows, Run() saves a full USNP snapshot to this path
-  // (overwritten in place). Empty disables. Boundaries where the session is
-  // not snapshot-serializable (e.g. a progress ticker pending) are skipped.
+  // Automatic resume checkpoints: at every completed Run() window, Run()
+  // saves a full USNP snapshot to this path (overwritten in place), so a
+  // killed long sim resumes from the last boundary via LoadFrom +
+  // Session::Restore instead of t=0. Empty disables. Boundaries where the
+  // session is not snapshot-serializable (e.g. a progress ticker pending)
+  // are skipped.
   std::string auto_checkpoint_path;
   TcpConfig tcp;
   QueueConfig queue;
@@ -301,9 +304,9 @@ class Network {
 
  private:
   void BuildGraph();
-  // Saves a full USNP resume snapshot to config_.auto_checkpoint_path every
-  // auto_checkpoint_every completed windows (skipping non-serializable
-  // boundaries). Called by Run() after each window.
+  // Saves a full USNP resume snapshot to config_.auto_checkpoint_path
+  // (skipping non-serializable boundaries). Called by Run() after each
+  // window.
   void MaybeAutoCheckpoint();
 
   SimConfig config_;
@@ -325,7 +328,6 @@ class Network {
   Time dv_period_;
   bool use_dv_ = false;
   uint64_t injection_epoch_ = 0;
-  uint32_t windows_since_checkpoint_ = 0;  // MaybeAutoCheckpoint cadence.
   ExecutorPool* pending_external_pool_ = nullptr;  // Applied at Finalize.
   std::vector<std::shared_ptr<FlowSourceSet>> flow_source_sets_;
   // Closures that must outlive the run (progress tickers etc.).

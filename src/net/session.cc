@@ -21,7 +21,7 @@
 namespace unison {
 namespace {
 
-// USNP v6: little-endian, field-by-field, no alignment padding. The version
+// USNP v7: little-endian, field-by-field, no alignment padding. The version
 // gates the whole buffer — any layout change bumps it; there is no partial
 // compatibility. A buffer has three parts:
 //   header        what no window can change: magic, version, SimConfig,
@@ -35,9 +35,12 @@ namespace {
 // v2 added the live-tuning plane, v3 the LP-ownership map, v4 the
 // speculation plane; v5 split the buffer into header + window state +
 // trailer, so the snapshot and the checkpoint share one state encoder; v6
-// dropped the two profiler switches and writes every ControllerConfig field.
+// dropped the two profiler switches and wrote every ControllerConfig field;
+// v7 drops the config fields that became constants or measurements (eleven
+// controller thresholds, the controller's CPU count, KernelConfig's
+// sched_period and auto_checkpoint_every).
 constexpr uint8_t kMagic[4] = {'U', 'S', 'N', 'P'};
-constexpr uint32_t kVersion = 6;
+constexpr uint32_t kVersion = 7;
 constexpr size_t kTrailerBytes = sizeof(uint64_t);
 
 [[noreturn]] void SnapshotFatal(const std::string& message) {
@@ -236,7 +239,6 @@ void PutSimConfig(Writer& w, const SimConfig& c) {
   w.U8(static_cast<uint8_t>(c.kernel.type));
   w.U32(c.kernel.threads);
   w.U8(static_cast<uint8_t>(c.kernel.metric));
-  w.U32(c.kernel.sched_period);
   w.Bool(c.kernel.deterministic);
   w.U32(c.kernel.ranks);
   w.U8(static_cast<uint8_t>(c.kernel.affinity));
@@ -246,29 +248,16 @@ void PutSimConfig(Writer& w, const SimConfig& c) {
   w.Bool(c.trace);
   w.Bool(c.trace_claim_order);
   w.U8(static_cast<uint8_t>(c.tuning));
-  w.F64(c.tuning_config.drift_shrink);
-  w.F64(c.tuning_config.drift_grow);
-  w.U32(c.tuning_config.min_period);
-  w.U32(c.tuning_config.max_period);
   w.F64(c.tuning_config.ps_low);
-  w.F64(c.tuning_config.ps_high);
   w.I64(c.tuning_config.min_window_ps);
-  w.I64(c.tuning_config.max_window_ps);
   w.I64(c.tuning_config.initial_window_ps);
   w.F64(c.tuning_config.parks_per_round_high);
-  w.U32(c.tuning_config.min_parties);
-  w.U32(c.tuning_config.cpu_limit);
   w.U32(c.tuning_config.min_rounds);
-  w.U32(c.tuning_config.rule_patience);
   w.F64(c.tuning_config.rebalance_imbalance_high);
   w.U32(c.tuning_config.rebalance_patience);
   w.U32(c.tuning_config.rebalance_cooldown);
-  w.F64(c.tuning_config.cost_ewma_alpha);
   w.I64(c.tuning_config.spec_horizon_initial_ps);
-  w.I64(c.tuning_config.spec_horizon_min_ps);
-  w.I64(c.tuning_config.spec_horizon_max_ps);
   w.U8(static_cast<uint8_t>(c.speculation));
-  w.U32(c.kernel.auto_checkpoint_every);
   w.Str(c.auto_checkpoint_path);
   PutTcpConfig(w, c.tcp);
   PutQueueConfig(w, c.queue);
@@ -279,7 +268,6 @@ SimConfig GetSimConfig(Reader& r) {
   c.kernel.type = r.Enum(KernelType::kHybrid);
   c.kernel.threads = r.U32();
   c.kernel.metric = r.Enum(SchedulingMetric::kByLastRoundTime);
-  c.kernel.sched_period = r.U32();
   c.kernel.deterministic = r.Bool();
   c.kernel.ranks = r.U32();
   c.kernel.affinity = r.Enum(AffinityPolicy::kScatter);
@@ -289,29 +277,16 @@ SimConfig GetSimConfig(Reader& r) {
   c.trace = r.Bool();
   c.trace_claim_order = r.Bool();
   c.tuning = r.Enum(TuningMode::kAuto);
-  c.tuning_config.drift_shrink = r.F64();
-  c.tuning_config.drift_grow = r.F64();
-  c.tuning_config.min_period = r.U32();
-  c.tuning_config.max_period = r.U32();
   c.tuning_config.ps_low = r.F64();
-  c.tuning_config.ps_high = r.F64();
   c.tuning_config.min_window_ps = r.I64();
-  c.tuning_config.max_window_ps = r.I64();
   c.tuning_config.initial_window_ps = r.I64();
   c.tuning_config.parks_per_round_high = r.F64();
-  c.tuning_config.min_parties = r.U32();
-  c.tuning_config.cpu_limit = r.U32();
   c.tuning_config.min_rounds = r.U32();
-  c.tuning_config.rule_patience = r.U32();
   c.tuning_config.rebalance_imbalance_high = r.F64();
   c.tuning_config.rebalance_patience = r.U32();
   c.tuning_config.rebalance_cooldown = r.U32();
-  c.tuning_config.cost_ewma_alpha = r.F64();
   c.tuning_config.spec_horizon_initial_ps = r.I64();
-  c.tuning_config.spec_horizon_min_ps = r.I64();
-  c.tuning_config.spec_horizon_max_ps = r.I64();
   c.speculation = r.Enum(SpeculationMode::kAuto);
-  c.kernel.auto_checkpoint_every = r.U32();
   c.auto_checkpoint_path = r.Str();
   c.tcp = GetTcpConfig(r);
   c.queue = GetQueueConfig(r);

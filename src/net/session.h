@@ -21,7 +21,7 @@
 // deterministic EventKey total order makes the restored FELs dequeue
 // identically regardless of heap layout.
 //
-// One state encoder serves both formats declared here. A USNP buffer (v6) is
+// One state encoder serves both formats declared here. A USNP buffer (v7) is
 // an immutable header (SimConfig, topology, realized partition, tunables,
 // ownership, session accumulators, flow-source specs), then the window-state
 // section — byte for byte what the window checkpoint below encodes — then

@@ -168,6 +168,11 @@ void RunTrace::BeginSession() {
 }
 
 void RunTrace::BeginRun(std::string kernel, uint32_t executors, uint32_t lps) {
+  if (!keep_history) {
+    // Nothing reads the last window once the next one starts; freeing it
+    // now keeps one window's records in memory, not two.
+    segments_.clear();
+  }
   live_ = WindowTraceSegment{};
   live_.summary.kernel = std::move(kernel);
   live_.summary.executors = executors;

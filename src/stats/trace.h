@@ -143,14 +143,20 @@ class RunTrace {
   // Claim orders cost O(#LP) per re-sort round; disable to bound trace memory
   // on very large runs while keeping the scalar per-round fields.
   bool record_claim_order = true;
+  // Whether segments() keeps every window of the session (an export needs
+  // them all). When false BeginRun drops the previous segment, so a long
+  // recorded session holds one window's records, not all of them.
+  bool keep_history = true;
 
   // --- Recording API (coordinating thread only) ---
 
   // Discards all archived window segments. Called by Kernel::Setup so a fresh
   // session starts with an empty trace; Run()-level BeginRun only clears the
-  // *current* window's state and leaves prior segments intact.
+  // *current* window's state and, with keep_history, leaves prior segments
+  // intact.
   void BeginSession();
-  // Opens the live window (again, when a speculative attempt re-runs it).
+  // Opens the live window (again, when a speculative attempt re-runs it),
+  // first dropping the previous window's segment unless keep_history is set.
   void BeginRun(std::string kernel, uint32_t executors, uint32_t lps);
   void BeginRound(uint32_t round, Time lbts, Time window, uint64_t events_before);
   // Attaches the scheduler order to the most recent round record.
@@ -174,7 +180,8 @@ class RunTrace {
   // is in progress.
   const RunSummary& summary() const { return current().summary; }
   const std::vector<RoundTraceRecord>& records() const { return current().records; }
-  // Completed windows of the session, in Run() order.
+  // Completed windows of the session, in Run() order (only the last one
+  // unless keep_history is set).
   const std::vector<WindowTraceSegment>& segments() const { return segments_; }
   // Session-wide aggregate: rounds/events/wall/P/S/M summed over all archived
   // segments, bounds spanning first window start to last window stop.

@@ -3,15 +3,12 @@
 #ifndef UNISON_SRC_UNISON_H_
 #define UNISON_SRC_UNISON_H_
 
-#include "src/cachesim/cache_sim.h"
 #include "src/core/event.h"
 #include "src/core/rng.h"
 #include "src/core/time.h"
 #include "src/costmodel/cost_model.h"
-#include "src/flowsim/flow_level.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/simulator.h"
-#include "src/mlsim/surrogates.h"
 #include "src/net/app.h"
 #include "src/net/network.h"
 #include "src/net/udp.h"

@@ -1,7 +1,7 @@
 // Cache simulator: LRU mechanics and the fine-grained-partition effect.
 #include <gtest/gtest.h>
 
-#include "src/cachesim/cache_sim.h"
+#include "bench/cache_sim.h"
 #include "tests/test_util.h"
 
 namespace unison {

@@ -110,17 +110,15 @@ WindowTraceSegment MakeSegment(const SegmentSpec& spec) {
   return seg;
 }
 
-// A config whose thresholds are the defaults but with the round gate and the
-// machine size pinned, so tests are host-independent. Patience 1 restores the
-// act-on-first-window behaviour the single-segment rule tests exercise; the
-// hysteresis tests below set their own patience.
+// A config whose thresholds are the defaults but with the round gate
+// pinned. Tests pass a fixed machine size (kCpus unless they need a smaller
+// one), so they are host-independent.
 ControllerConfig TestConfig() {
   ControllerConfig cfg;
   cfg.min_rounds = 1;
-  cfg.cpu_limit = 64;
-  cfg.rule_patience = 1;
   return cfg;
 }
+constexpr uint32_t kCpus = 64;
 
 TEST(Controller, ResortDriftMeasuresPerStretchGrowth) {
   SegmentSpec spec;
@@ -134,12 +132,13 @@ TEST(Controller, ResortDriftMeasuresPerStretchGrowth) {
 
 TEST(Controller, ResortShrinkHalvesThePeriod) {
   TunableStore store;
-  Controller ctl(TestConfig(), &store);
+  Controller ctl(TestConfig(), kCpus, &store);
   SegmentSpec spec;
   spec.sched_period = 8;
   spec.resort_every = 4;
   spec.imb_first = 0.0;
-  spec.imb_last = 0.5;  // Drift 0.5 > drift_shrink 0.30.
+  spec.imb_last = 0.5;  // Drift 0.5 > kDriftShrink 0.30.
+  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));  // Streak 1 of 2.
   EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
   EXPECT_EQ(store.epoch(), 1u);
   EXPECT_EQ(store.Get().sched_period, 4u);
@@ -149,12 +148,13 @@ TEST(Controller, ResortShrinkHalvesThePeriod) {
 
 TEST(Controller, ResortGrowDoublesThePeriod) {
   TunableStore store;
-  Controller ctl(TestConfig(), &store);
+  Controller ctl(TestConfig(), kCpus, &store);
   SegmentSpec spec;
   spec.sched_period = 8;
   spec.resort_every = 4;
   spec.imb_first = 0.2;
-  spec.imb_last = 0.2;  // Drift 0 < drift_grow 0.05: re-sorting buys nothing.
+  spec.imb_last = 0.2;  // Drift 0 < kDriftGrow 0.05: re-sorting buys nothing.
+  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));  // Streak 1 of 2.
   EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
   EXPECT_EQ(store.Get().sched_period, 16u);
   ASSERT_EQ(ctl.decisions().size(), 1u);
@@ -163,15 +163,13 @@ TEST(Controller, ResortGrowDoublesThePeriod) {
 
 TEST(Controller, OversubscribedFitsPartiesToTheMachine) {
   TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.cpu_limit = 4;
-  Controller ctl(cfg, &store);
+  Controller ctl(TestConfig(), /*cpus=*/4, &store);
   SegmentSpec spec;
   spec.executors = 8;  // Twice the machine.
   spec.parties = 8;
   spec.parked_per_round = 10;  // > parks_per_round_high 1.0.
   EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_EQ(store.Get().parties, 4u);  // knob * cpu_limit / executors.
+  EXPECT_EQ(store.Get().parties, 4u);  // knob * cpus / executors.
   ASSERT_EQ(ctl.decisions().size(), 1u);
   EXPECT_EQ(ctl.decisions()[0].rule, "oversubscribed");
 }
@@ -186,7 +184,7 @@ TEST(Controller, OversubscribedDefaultThresholdSplitsParkingFromSpinning) {
   spec.parked_per_round = 2;
   {
     TunableStore store;
-    Controller ctl(TestConfig(), &store);
+    Controller ctl(TestConfig(), kCpus, &store);
     EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
     EXPECT_EQ(store.Get().parties, 1u);
     ASSERT_EQ(ctl.decisions().size(), 1u);
@@ -194,7 +192,7 @@ TEST(Controller, OversubscribedDefaultThresholdSplitsParkingFromSpinning) {
   }
   {
     TunableStore store;
-    Controller ctl(TestConfig(), &store);
+    Controller ctl(TestConfig(), kCpus, &store);
     WindowTraceSegment seg = MakeSegment(spec);
     for (RoundTraceRecord& rec : seg.records) {
       rec.parked = rec.round % 2;  // 0.5 parks per round.
@@ -209,9 +207,7 @@ TEST(Controller, OversubscribedDefaultThresholdSplitsParkingFromSpinning) {
 // decision.
 TEST(Controller, PartiesEqualToTheCpuCountParkByPolicy) {
   TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.cpu_limit = 4;
-  Controller ctl(cfg, &store);
+  Controller ctl(TestConfig(), /*cpus=*/4, &store);
   SegmentSpec spec;
   spec.executors = 4;
   spec.parties = 4;
@@ -226,7 +222,7 @@ TEST(Controller, AffinityFallbackAtThePartyFloor) {
   Tunables seed;
   seed.affinity = AffinityPolicy::kCompact;
   store.Seed(seed);
-  Controller ctl(TestConfig(), &store);
+  Controller ctl(TestConfig(), kCpus, &store);
   SegmentSpec spec;
   spec.executors = 1;  // Already at the floor; parks persist anyway.
   spec.parties = 1;
@@ -239,10 +235,11 @@ TEST(Controller, AffinityFallbackAtThePartyFloor) {
 
 TEST(Controller, WindowShrinkOnSyncBoundWindows) {
   TunableStore store;
-  Controller ctl(TestConfig(), &store);
+  Controller ctl(TestConfig(), kCpus, &store);
   SegmentSpec spec;
   spec.p_ns = 100;
   spec.s_ns = 900;  // P/(P+S) = 0.1 < ps_low 0.35.
+  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));  // Streak 1 of 2.
   EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
   // Unbounded horizon seeds from the observed window span (1 ms), then halves.
   EXPECT_EQ(store.Get().max_window_ps, 500'000'000);
@@ -250,11 +247,12 @@ TEST(Controller, WindowShrinkOnSyncBoundWindows) {
   EXPECT_EQ(ctl.decisions()[0].rule, "window-shrink");
 
   // Repeated shrink saturates at min_window_ps and stops publishing.
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
+    EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
+  }
   EXPECT_EQ(store.Get().max_window_ps, ctl.config().min_window_ps);
+  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
   EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
 }
 
@@ -263,23 +261,22 @@ TEST(Controller, WindowGrowRevertsToUnboundedPastTheCap) {
   Tunables seed;
   seed.max_window_ps = 600'000'000'000;  // 0.6 s, one doubling past the cap.
   store.Seed(seed);
-  Controller ctl(TestConfig(), &store);
+  Controller ctl(TestConfig(), kCpus, &store);
   SegmentSpec spec;
   spec.p_ns = 900;
-  spec.s_ns = 100;  // P/(P+S) = 0.9 > ps_high 0.70.
+  spec.s_ns = 100;  // P/(P+S) = 0.9 > kPsHigh 0.70.
+  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));  // Streak 1 of 2.
   EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
   EXPECT_EQ(store.Get().max_window_ps, 0);
   ASSERT_EQ(ctl.decisions().size(), 1u);
   EXPECT_EQ(ctl.decisions()[0].rule, "window-grow");
 }
 
-// --- Hysteresis (rule_patience) ---
+// --- Hysteresis (kRulePatience) ---
 
 TEST(Controller, HysteresisDelaysRuleUntilPatienceWindows) {
   TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.rule_patience = 2;
-  Controller ctl(cfg, &store);
+  Controller ctl(TestConfig(), kCpus, &store);
   SegmentSpec spec;
   spec.p_ns = 100;
   spec.s_ns = 900;  // Window-shrink signal every window.
@@ -292,9 +289,7 @@ TEST(Controller, HysteresisDelaysRuleUntilPatienceWindows) {
 
 TEST(Controller, HysteresisStreakResetsOnAQuietWindow) {
   TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.rule_patience = 2;
-  Controller ctl(cfg, &store);
+  Controller ctl(TestConfig(), kCpus, &store);
   SegmentSpec noisy;
   noisy.p_ns = 100;
   noisy.s_ns = 900;
@@ -318,7 +313,7 @@ TEST(Controller, RebalancePublishesLptMovesAfterPatience) {
   TunableStore store;
   ControllerConfig cfg = TestConfig();
   cfg.rebalance_patience = 2;
-  Controller ctl(cfg, &store);
+  Controller ctl(cfg, kCpus, &store);
   SegmentSpec spec;
   spec.resort_every = 4;
   spec.imb_first = 0.40;
@@ -360,7 +355,7 @@ TEST(Controller, RebalanceStaysOffWithoutAnOwnershipView) {
   TunableStore store;
   ControllerConfig cfg = TestConfig();
   cfg.rebalance_patience = 1;
-  Controller ctl(cfg, &store);
+  Controller ctl(cfg, kCpus, &store);
   SegmentSpec spec;
   spec.resort_every = 4;
   spec.imb_first = 0.40;
@@ -375,7 +370,7 @@ TEST(Controller, RebalanceSkipsBalancedWindows) {
   TunableStore store;
   ControllerConfig cfg = TestConfig();
   cfg.rebalance_patience = 1;
-  Controller ctl(cfg, &store);
+  Controller ctl(cfg, kCpus, &store);
   SegmentSpec spec;
   spec.resort_every = 4;
   spec.imb_first = 0.10;
@@ -396,9 +391,7 @@ TEST(Controller, RebalanceSkipsBalancedWindows) {
 
 TEST(Controller, CostEwmaBlendsWindowCosts) {
   TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.cost_ewma_alpha = 0.5;
-  Controller ctl(cfg, &store);
+  Controller ctl(TestConfig(), kCpus, &store);
   SegmentSpec spec;  // Quiet: no rule fires, but the estimator still updates.
   const std::vector<uint32_t> owner = {0, 1};
   std::vector<uint64_t> cost = {400, 100};
@@ -423,8 +416,7 @@ TEST(Controller, RebalanceConsumesSmoothedCostsNotRawSpikes) {
   TunableStore store;
   ControllerConfig cfg = TestConfig();
   cfg.rebalance_patience = 1;
-  cfg.cost_ewma_alpha = 0.0;  // Fully history-weighted after the first window.
-  Controller ctl(cfg, &store);
+  Controller ctl(cfg, kCpus, &store);
   SegmentSpec quiet;
   SegmentSpec hot;
   hot.resort_every = 4;
@@ -440,14 +432,18 @@ TEST(Controller, RebalanceConsumesSmoothedCostsNotRawSpikes) {
 
   // Establish history: lp 0 is the heavy one.
   EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(quiet), view));
-  // A one-window spike claims lp 1 is heavy — but with alpha=0 the smoothed
-  // estimate still says lp 0, so LPT keeps lp 0 in place and moves lp 1
-  // (the raw costs alone would have moved lp 0 instead).
+  // A one-window spike claims lp 1 is heavy — but at alpha 0.5 the smoothed
+  // estimate is {250, 250, 100, 100}, so LPT keeps lp 0 in place, moves lp 1
+  // to executor 1 and lp 2 to executor 0 (the raw costs alone would have
+  // moved lp 0 to executor 1 and lp 1 to executor 0 instead).
   cost = {100, 400, 100, 100};
   EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(hot), view));
-  ASSERT_EQ(store.Get().moves.size(), 1u);
+  EXPECT_EQ(ctl.smoothed_costs(), (std::vector<double>{250, 250, 100, 100}));
+  ASSERT_EQ(store.Get().moves.size(), 2u);
   EXPECT_EQ(store.Get().moves[0].lp, 1u);
   EXPECT_EQ(store.Get().moves[0].to, 1u);
+  EXPECT_EQ(store.Get().moves[1].lp, 2u);
+  EXPECT_EQ(store.Get().moves[1].to, 0u);
 }
 
 // --- Spec-horizon rule (rule 5) ---
@@ -464,45 +460,51 @@ TEST(Controller, SpecNarrowHalvesHorizonOnMissWindows) {
   Tunables seed;
   seed.spec_horizon_ps = 2'000'000;
   store.Seed(seed);
-  Controller ctl(TestConfig(), &store);
+  Controller ctl(TestConfig(), kCpus, &store);
 
+  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 1)));  // Streak 1 of 2.
   EXPECT_TRUE(ctl.OnWindowEnd(SpecWindow(3, 1)));
   EXPECT_EQ(store.Get().spec_horizon_ps, 1'000'000);
   ASSERT_EQ(ctl.decisions().size(), 1u);
   EXPECT_EQ(ctl.decisions()[0].rule, "spec-narrow");
 
   // Repeated misses saturate at the floor, then stop publishing.
-  EXPECT_TRUE(ctl.OnWindowEnd(SpecWindow(3, 1)));
-  EXPECT_TRUE(ctl.OnWindowEnd(SpecWindow(3, 1)));
-  EXPECT_EQ(store.Get().spec_horizon_ps, ctl.config().spec_horizon_min_ps);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 1)));
+    EXPECT_TRUE(ctl.OnWindowEnd(SpecWindow(3, 1)));
+  }
+  EXPECT_EQ(store.Get().spec_horizon_ps, Controller::kSpecHorizonMinPs);
+  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 1)));
   EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 1)));
 }
 
 TEST(Controller, SpecWidenDoublesHorizonOnCleanSpecWindows) {
   TunableStore store;
   Tunables seed;
-  seed.spec_horizon_ps = 2'000'000;
+  seed.spec_horizon_ps = 500'000'000;  // 0.5 ms: one doubling to the cap.
   store.Seed(seed);
-  ControllerConfig cfg = TestConfig();
-  cfg.spec_horizon_max_ps = 4'000'000;
-  Controller ctl(cfg, &store);
+  Controller ctl(TestConfig(), kCpus, &store);
 
+  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(4, 0)));  // Streak 1 of 2.
   EXPECT_TRUE(ctl.OnWindowEnd(SpecWindow(4, 0)));
-  EXPECT_EQ(store.Get().spec_horizon_ps, 4'000'000);
+  EXPECT_EQ(store.Get().spec_horizon_ps, Controller::kSpecHorizonMaxPs);
   ASSERT_EQ(ctl.decisions().size(), 1u);
   EXPECT_EQ(ctl.decisions()[0].rule, "spec-widen");
 
   // At the cap the rule goes quiet; and a window that never speculated is no
   // signal in either direction.
   EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(4, 0)));
+  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(4, 0)));
   EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(0, 0)));
-  EXPECT_EQ(store.Get().spec_horizon_ps, 4'000'000);
+  EXPECT_EQ(store.Get().spec_horizon_ps, Controller::kSpecHorizonMaxPs);
 }
 
 TEST(Controller, SpecRuleStaysOffWithoutALiveHorizon) {
   TunableStore store;  // No seed: horizon 0 = speculation off this session.
-  Controller ctl(TestConfig(), &store);
-  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 2)));
+  Controller ctl(TestConfig(), kCpus, &store);
+  for (uint32_t i = 0; i < Controller::kRulePatience; ++i) {
+    EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 2)));
+  }
   EXPECT_EQ(store.epoch(), 0u);
   EXPECT_TRUE(ctl.decisions().empty());
 }
@@ -511,7 +513,7 @@ TEST(Controller, MinRoundsGateSkipsThinWindows) {
   TunableStore store;
   ControllerConfig cfg = TestConfig();
   cfg.min_rounds = 8;
-  Controller ctl(cfg, &store);
+  Controller ctl(cfg, kCpus, &store);
   SegmentSpec spec;
   spec.rounds = 3;
   spec.parked_per_round = 100;  // Would otherwise certainly fire rule 1.
@@ -524,9 +526,11 @@ TEST(Controller, MinRoundsGateSkipsThinWindows) {
 
 TEST(Controller, QuietWindowPublishesNothing) {
   TunableStore store;
-  Controller ctl(TestConfig(), &store);
+  Controller ctl(TestConfig(), kCpus, &store);
   SegmentSpec spec;  // Balanced P/S, no parks, no re-sorts.
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
+  for (uint32_t i = 0; i < Controller::kRulePatience; ++i) {
+    EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
+  }
   EXPECT_EQ(store.epoch(), 0u);
 }
 
@@ -659,7 +663,10 @@ TEST(TuningPlane, PartiesClampToConfigDefault) {
 // kAuto end to end: an aggressive controller config guarantees at least one
 // decision (window-shrink fires whenever any barrier time is observed), the
 // run slices itself into more windows than the caller asked for, and the
-// result is still bit-identical to the static run.
+// result is still bit-identical to the static run. The controller reads only
+// the newest window, so without a trace the session keeps one segment however
+// many windows it runs (a long run's memory stays flat); the traced twin keeps
+// one segment per window for the export.
 TEST(TuningPlane, AutoTuningIsResultsNeutral) {
   KernelConfig kcfg;
   kcfg.type = KernelType::kUnison;
@@ -667,37 +674,46 @@ TEST(TuningPlane, AutoTuningIsResultsNeutral) {
 
   const RunOutcome off = RunFatTreeScenario(kcfg, PartitionMode::kAuto);
 
-  SimConfig cfg;
-  cfg.kernel = kcfg;
-  cfg.partition = PartitionMode::kAuto;
-  cfg.tuning = TuningMode::kAuto;
-  cfg.tuning_config.min_rounds = 1;
-  cfg.tuning_config.ps_low = 1.0;  // Shrink on every window with sync time.
-  cfg.tuning_config.rule_patience = 1;
-  cfg.tuning_config.min_window_ps = 500'000'000;  // Floor at 0.5 ms.
+  for (const bool trace : {false, true}) {
+    SCOPED_TRACE(trace ? "traced" : "untraced");
+    SimConfig cfg;
+    cfg.kernel = kcfg;
+    cfg.partition = PartitionMode::kAuto;
+    cfg.tuning = TuningMode::kAuto;
+    cfg.trace = trace;
+    cfg.tuning_config.min_rounds = 1;
+    cfg.tuning_config.ps_low = 1.0;  // Shrink on every window with sync time.
+    // 0.1 ms slices, so the traffic's 0.35 ms of activity spans the two
+    // windows the rule's patience needs; floor at 50 us.
+    cfg.tuning_config.initial_window_ps = 100'000'000;
+    cfg.tuning_config.min_window_ps = 50'000'000;
 
-  Network net(cfg);
-  FatTreeTopo topo = BuildFatTree(net, 4, 10'000'000'000ULL,
-                                  Time::Microseconds(3));
-  net.Finalize();
-  GeneratePermutation(net, topo.hosts, 200 * 1024, Time::Zero());
-  TrafficSpec traffic;
-  traffic.hosts = topo.hosts;
-  traffic.bisection_bps = topo.bisection_bps;
-  traffic.load = 0.1;
-  traffic.duration = Time::Milliseconds(5);
-  GenerateTraffic(net, traffic);
-  net.Run(Time::Milliseconds(5));
+    Network net(cfg);
+    FatTreeTopo topo = BuildFatTree(net, 4, 10'000'000'000ULL,
+                                    Time::Microseconds(3));
+    net.Finalize();
+    GeneratePermutation(net, topo.hosts, 200 * 1024, Time::Zero());
+    TrafficSpec traffic;
+    traffic.hosts = topo.hosts;
+    traffic.bisection_bps = topo.bisection_bps;
+    traffic.load = 0.1;
+    traffic.duration = Time::Milliseconds(5);
+    GenerateTraffic(net, traffic);
+    net.Run(Time::Milliseconds(5));
 
-  ASSERT_NE(net.controller(), nullptr);
-  EXPECT_FALSE(net.controller()->decisions().empty());
-  EXPECT_GT(net.tunable_store().epoch(), 0u);
-  // The controller bounded the horizon, so one Run() became several windows.
-  EXPECT_GT(net.kernel().session_windows(), 1u);
+    ASSERT_NE(net.controller(), nullptr);
+    EXPECT_FALSE(net.controller()->decisions().empty());
+    EXPECT_GT(net.tunable_store().epoch(), 0u);
+    // The controller bounded the horizon, so one Run() became several
+    // windows.
+    EXPECT_GE(net.kernel().session_windows(), 3u);
+    EXPECT_EQ(net.run_trace().segments().size(),
+              trace ? net.kernel().session_windows() : 1u);
 
-  const RunOutcome tuned = OutcomeOf(net);
-  EXPECT_EQ(tuned.fingerprint, off.fingerprint);
-  EXPECT_EQ(tuned.events, off.events);
+    const RunOutcome tuned = OutcomeOf(net);
+    EXPECT_EQ(tuned.fingerprint, off.fingerprint);
+    EXPECT_EQ(tuned.events, off.events);
+  }
 }
 
 // A sync-bound run that fits the machine: 2 unpinned threads on a 4-site WAN

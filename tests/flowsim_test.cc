@@ -2,7 +2,7 @@
 // with packet-level DES on workloads where the fluid assumptions hold.
 #include <gtest/gtest.h>
 
-#include "src/flowsim/flow_level.h"
+#include "bench/flow_level.h"
 #include "src/net/app.h"
 #include "src/net/network.h"
 

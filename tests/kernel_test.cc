@@ -166,12 +166,19 @@ TEST(KernelMechanics, RequestStopHaltsEarly) {
   EXPECT_GT(count.load(), 0);
 }
 
+// The re-sort period lives in the network's tunable store; one published
+// before the first Run() drives every window.
 TEST(KernelMechanics, UnisonSchedulePeriodOverride) {
   KernelConfig k;
   k.type = KernelType::kUnison;
   k.threads = 2;
-  k.sched_period = 4;
-  const RunOutcome a = RunFatTreeScenario(k, PartitionMode::kAuto);
+  FatTreeScenario s = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
+  Tunables t = s.net->tunable_store().Get();
+  t.sched_period = 4;
+  s.net->tunable_store().Publish(t);
+  s.net->Run(Time::Milliseconds(5));
+  EXPECT_EQ(s.net->kernel().window_tuning().sched_period, 4u);
+  const RunOutcome a = OutcomeOf(*s.net);
   KernelConfig seq;
   seq.type = KernelType::kSequential;
   const RunOutcome b = RunFatTreeScenario(seq, PartitionMode::kSingle);

@@ -2,7 +2,7 @@
 // Table 2 comparisons.
 #include <gtest/gtest.h>
 
-#include "src/mlsim/surrogates.h"
+#include "bench/surrogates.h"
 
 namespace unison {
 namespace {

@@ -217,7 +217,6 @@ TEST(RebalanceTuning, AutoRebalanceIsResultsNeutral) {
   cfg.seed = 1;
   cfg.tuning = TuningMode::kAuto;
   cfg.tuning_config.min_rounds = 1;
-  cfg.tuning_config.rule_patience = 1;
   cfg.tuning_config.rebalance_patience = 1;
   cfg.tuning_config.rebalance_imbalance_high = 0.01;
   cfg.tuning_config.rebalance_cooldown = 1;

@@ -714,7 +714,6 @@ TEST(SessionDecline, AutoCheckpointWritesNoFileWithALambdaPending) {
   const std::string path = ::testing::TempDir() + "unison_declined_ckpt.usnp";
   std::remove(path.c_str());
   SimConfig cfg;
-  cfg.kernel.auto_checkpoint_every = 1;
   cfg.auto_checkpoint_path = path;
   std::unique_ptr<Network> net = TickerScenario(cfg);
   for (int w = 1; w <= 3; ++w) {
@@ -946,27 +945,15 @@ TEST(SessionFork, TuningConfigSurvivesForkAndRestore) {
   cfg.kernel.threads = 2;
   cfg.tuning = TuningMode::kAuto;
   ControllerConfig& t = cfg.tuning_config;
-  t.drift_shrink = 0.31;
-  t.drift_grow = 0.06;
-  t.min_period = 2;
-  t.max_period = 512;
   t.ps_low = 0.3;
-  t.ps_high = 0.8;
   t.min_window_ps = 60'000'000;
-  t.max_window_ps = 9'000'000'000;
   t.initial_window_ps = 700'000'000;
   t.parks_per_round_high = 2.5;
-  t.min_parties = 2;
-  t.cpu_limit = 3;
   t.min_rounds = 5;
-  t.rule_patience = 5;
   t.rebalance_imbalance_high = 0.4;
   t.rebalance_patience = 6;
   t.rebalance_cooldown = 7;
-  t.cost_ewma_alpha = 0.25;
   t.spec_horizon_initial_ps = 3'000'000;
-  t.spec_horizon_min_ps = 300'000;
-  t.spec_horizon_max_ps = 900'000'000;
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
   net.Finalize();
@@ -975,27 +962,15 @@ TEST(SessionFork, TuningConfigSurvivesForkAndRestore) {
 
   auto expect_same_tuning = [&t](const Network& rebuilt) {
     const ControllerConfig& r = rebuilt.config().tuning_config;
-    EXPECT_EQ(r.drift_shrink, t.drift_shrink);
-    EXPECT_EQ(r.drift_grow, t.drift_grow);
-    EXPECT_EQ(r.min_period, t.min_period);
-    EXPECT_EQ(r.max_period, t.max_period);
     EXPECT_EQ(r.ps_low, t.ps_low);
-    EXPECT_EQ(r.ps_high, t.ps_high);
     EXPECT_EQ(r.min_window_ps, t.min_window_ps);
-    EXPECT_EQ(r.max_window_ps, t.max_window_ps);
     EXPECT_EQ(r.initial_window_ps, t.initial_window_ps);
     EXPECT_EQ(r.parks_per_round_high, t.parks_per_round_high);
-    EXPECT_EQ(r.min_parties, t.min_parties);
-    EXPECT_EQ(r.cpu_limit, t.cpu_limit);
     EXPECT_EQ(r.min_rounds, t.min_rounds);
-    EXPECT_EQ(r.rule_patience, t.rule_patience);
     EXPECT_EQ(r.rebalance_imbalance_high, t.rebalance_imbalance_high);
     EXPECT_EQ(r.rebalance_patience, t.rebalance_patience);
     EXPECT_EQ(r.rebalance_cooldown, t.rebalance_cooldown);
-    EXPECT_EQ(r.cost_ewma_alpha, t.cost_ewma_alpha);
     EXPECT_EQ(r.spec_horizon_initial_ps, t.spec_horizon_initial_ps);
-    EXPECT_EQ(r.spec_horizon_min_ps, t.spec_horizon_min_ps);
-    EXPECT_EQ(r.spec_horizon_max_ps, t.spec_horizon_max_ps);
   };
   Session session(&net);
   const SessionSnapshot snap = session.Snapshot();
@@ -1299,8 +1274,8 @@ TEST(CheckpointStoreGate, InstalledOnlyWhereAWindowCanSpeculate) {
 
 // --- Automatic resume checkpoints ---
 
-// Satellite: auto_checkpoint_every periodically saves the session to the
-// configured path mid-run; killing the process and resuming from the file
+// A non-empty auto_checkpoint_path saves the session at every window
+// boundary mid-run; killing the process and resuming from the file
 // (LoadFrom + Session::Restore) converges to the same end state as the
 // uninterrupted run — and the periodic saves never perturb the parent.
 TEST(SessionAutoCheckpoint, PeriodicSnapshotResumesBitIdentical) {
@@ -1312,7 +1287,6 @@ TEST(SessionAutoCheckpoint, PeriodicSnapshotResumesBitIdentical) {
   const std::string path = ::testing::TempDir() + "unison_auto_ckpt_test.usnp";
   SimConfig cfg;
   cfg.kernel = k;
-  cfg.kernel.auto_checkpoint_every = 1;  // Save at every window boundary.
   cfg.auto_checkpoint_path = path;
   cfg.seed = 1;
   Network net(cfg);
@@ -1370,15 +1344,6 @@ TEST(KernelConfigValidate, RejectsBadConfigs) {
   bad_ranks.type = KernelType::kHybrid;
   bad_ranks.ranks = 0;
   EXPECT_NE(bad_ranks.Validate().find("ranks"), std::string::npos);
-
-  KernelConfig huge_period = ok;
-  huge_period.sched_period = KernelConfig::kMaxSchedPeriod + 1;
-  EXPECT_NE(huge_period.Validate().find("sched_period"), std::string::npos);
-
-  // The boundary value is accepted.
-  KernelConfig max_period = ok;
-  max_period.sched_period = KernelConfig::kMaxSchedPeriod;
-  EXPECT_TRUE(max_period.Validate().empty());
 }
 
 }  // namespace
