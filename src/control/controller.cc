@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "src/sched/lpt.h"
-
 namespace unison {
 
 namespace {
@@ -64,12 +62,7 @@ double Controller::ResortDrift(const WindowTraceSegment& segment) {
   return stretches == 0 ? 0.0 : total / stretches;
 }
 
-double Controller::MeanRoundImbalance(const WindowTraceSegment& segment) {
-  return unison::MeanRoundImbalance(segment.round_p);
-}
-
-bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
-                             const OwnershipView& view) {
+bool Controller::OnWindowEnd(const WindowTraceSegment& segment) {
   const RunSummary& sum = segment.summary;
   const uint64_t rounds = segment.records.size();
   if (rounds < std::max(1u, config_.min_rounds)) {
@@ -77,23 +70,6 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
     // have no synchronization rounds at all, land here every window. Thin
     // windows neither extend nor reset the hysteresis streaks.
     return false;
-  }
-
-  // Cost smoothing for the rebalance rule: fold this window's per-LP costs
-  // into the EWMA whether or not the rule fires, so the vector it eventually
-  // schedules from reflects the whole high-imbalance stretch, not just the
-  // window that tipped the streak.
-  if (view.lp_cost_ns != nullptr) {
-    const std::vector<uint64_t>& raw = *view.lp_cost_ns;
-    if (ewma_cost_.size() != raw.size()) {
-      // First observation (or the LP domain changed): adopt the raw costs.
-      ewma_cost_.assign(raw.begin(), raw.end());
-    } else {
-      for (size_t i = 0; i < raw.size(); ++i) {
-        ewma_cost_[i] = kCostEwmaAlpha * static_cast<double>(raw[i]) +
-                        (1.0 - kCostEwmaAlpha) * ewma_cost_[i];
-      }
-    }
   }
 
   Tunables next = store_->Get();
@@ -168,7 +144,10 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
   // Rule 3 — window horizon: a sync-bound window (low P/(P+S)) gets a
   // shorter Run() slice so tuning reacts more often; a processing-bound one
   // sheds the slicing overhead again, reverting to unbounded past the cap.
-  // Same hysteresis as rule 2.
+  // Same hysteresis as rule 2. Grow also requires the ratio to clear
+  // `ps_low`, so the two signals are disjoint and shrink wins: were both
+  // raised by one window, each would zero the other's streak and neither
+  // could ever publish.
   const uint64_t p_ns = sum.processing_ns;
   const uint64_t s_ns = sum.synchronization_ns;
   if (executors > 1 && p_ns + s_ns > 0) {
@@ -187,7 +166,8 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
         fire("window-shrink");
       }
     }
-    if (StreakFire(ps_ratio > kPsHigh && next.max_window_ps > 0,
+    if (StreakFire(ps_ratio > kPsHigh && ps_ratio >= config_.ps_low &&
+                       next.max_window_ps > 0,
                    &window_grow_streak_, &window_shrink_streak_)) {
       const int64_t want = next.max_window_ps * 2;
       next.max_window_ps = want > kMaxWindowPs ? 0 : want;
@@ -195,71 +175,7 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
     }
   }
 
-  // Rule 4 — rebalance: imbalance that re-sorting keeps failing to fix
-  // means the *assignment* is skewed, not the claim order — no ordering of
-  // the same per-executor LP sets can shed load across the boundary. After
-  // `rebalance_patience` consecutive high-imbalance windows, recompute the
-  // placement outright: LPT over the recorded per-LP window costs, published
-  // as a move set the kernel applies at its next window boundary.
-  double observed_imbalance = 0.0;
-  double predicted_imbalance = 0.0;
-  bool rebalanced = false;
-  const bool rebalance_eligible =
-      view.movable && view.num_executors > 1 && view.owner_of_lp != nullptr &&
-      view.lp_cost_ns != nullptr && any_resort && executors > 1 &&
-      !segment.round_p.empty();
-  if (rebalance_cooldown_left_ > 0) {
-    --rebalance_cooldown_left_;
-    rebalance_streak_ = 0;
-  } else if (rebalance_eligible) {
-    const double imb = MeanRoundImbalance(segment);
-    if (imb > config_.rebalance_imbalance_high) {
-      ++rebalance_streak_;
-    } else {
-      rebalance_streak_ = 0;
-    }
-    if (rebalance_streak_ >= std::max(1u, config_.rebalance_patience)) {
-      // Schedule from the smoothed costs, rounded back to the LPT input
-      // units (ns; well below any value where rounding could flip a
-      // decision).
-      std::vector<uint64_t> cost(ewma_cost_.size());
-      for (size_t i = 0; i < ewma_cost_.size(); ++i) {
-        cost[i] = static_cast<uint64_t>(ewma_cost_[i] + 0.5);
-      }
-      const std::vector<uint32_t>& owner = *view.owner_of_lp;
-      uint64_t total_cost = 0;
-      for (uint64_t c : cost) {
-        total_cost += c;
-      }
-      if (cost.size() == owner.size() && total_cost > 0) {
-        std::vector<uint32_t> assign;
-        ListScheduleMakespan(cost, SortByCostDescending(cost),
-                             view.num_executors, &assign);
-        std::vector<LpMove> moves;
-        std::vector<uint64_t> load(view.num_executors, 0);
-        for (uint32_t lp = 0; lp < owner.size(); ++lp) {
-          load[assign[lp]] += cost[lp];
-          if (assign[lp] != owner[lp]) {
-            moves.push_back(LpMove{lp, assign[lp]});
-          }
-        }
-        if (!moves.empty()) {
-          observed_imbalance = imb;
-          // The post-move placement's imbalance, as one round of the LPT
-          // loads would show it.
-          RoundImbalance(load, &predicted_imbalance);
-          next.moves = std::move(moves);
-          next.rebalance_seq = store_->Get().rebalance_seq + 1;
-          fire("rebalance");
-          rebalanced = true;
-        }
-      }
-      rebalance_streak_ = 0;
-      rebalance_cooldown_left_ = config_.rebalance_cooldown;
-    }
-  }
-
-  // Rule 5 — speculation horizon: a miss means the whole window ran twice
+  // Rule 4 — speculation horizon: a miss means the whole window ran twice
   // plus a rollback (pure waste), so a miss streak halves the horizon toward
   // the floor; a streak of windows that speculated and committed cleanly
   // means the horizon is leaving free wall-clock on the table — double it
@@ -290,12 +206,8 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment,
     return false;
   }
   store_->Publish(next);
-  Decision d{store_->epoch(), sum.window_index, std::move(rule), next};
-  if (rebalanced) {
-    d.observed_imbalance = observed_imbalance;
-    d.predicted_imbalance = predicted_imbalance;
-  }
-  decisions_.push_back(std::move(d));
+  decisions_.push_back(
+      Decision{store_->epoch(), sum.window_index, std::move(rule), next});
   return true;
 }
 

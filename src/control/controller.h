@@ -19,18 +19,12 @@
 //                     | across re-sort stretches         | sched_period
 //   window horizon    | P/(P+S) ratio of the window      | halve/double the
 //                     |                                  | Run() slice bound
-//   rebalance         | mean per-round imbalance stays   | publish an LPT
-//                     | high for K windows despite       | move set; kernels
-//                     | re-sorts                         | migrate LPs at the
-//                     |                                  | next boundary
 //   spec horizon      | speculation miss / clean-commit  | halve/double the
 //                     | streaks (RunSummary spec stats)  | speculative horizon
 //
 // The re-sort, window and spec rules carry hysteresis: each direction must be
 // observed for kRulePatience consecutive eligible windows before its epoch
-// publishes, so a single noisy window cannot flip a knob and the rebalance
-// rule (which watches the same imbalance signal over a longer horizon) does
-// not oscillate against them.
+// publishes, so a single noisy window cannot flip a knob.
 //
 // PARSIR's observation (PAPERS.md) is that exploiting the *actual*
 // multiprocessor — not the nominal one — is the whole game; the
@@ -53,8 +47,10 @@ struct ControllerConfig {
   // Window-horizon rule on the P/(P+S) ratio. Below `ps_low` the windows are
   // sync-bound — halve the Run() slice so the controller gets to react more
   // often and short LBTS windows stop being amortized over a long horizon;
-  // above Controller::kPsHigh the slicing itself is overhead — double it,
-  // reverting to unbounded past the cap.
+  // above Controller::kPsHigh (and not below `ps_low`) the slicing itself is
+  // overhead — double it, reverting to unbounded past the cap. The two
+  // directions are disjoint and shrink wins, so `ps_low` >= kPsHigh means
+  // "always shrink" (1.0 keeps the observation cadence at its floor).
   double ps_low = 0.35;
   int64_t min_window_ps = 50'000'000;  // 50 us of simulated time.
   // Seed horizon installed when tuning is enabled (0 = leave unbounded). A
@@ -76,20 +72,8 @@ struct ControllerConfig {
   // (and sequential/null-message windows have no round records at all).
   uint32_t min_rounds = 8;
 
-  // Rebalance rule: when the mean per-round processing imbalance (busiest
-  // executor's share over the ideal 1/W share, minus one) stays above
-  // `rebalance_imbalance_high` for `rebalance_patience` consecutive windows
-  // *with re-sorts active* — i.e. reordering the claims could not fix it, so
-  // the assignment itself is skewed — publish an LPT move set computed from
-  // the kernel's per-LP window costs. `rebalance_cooldown` windows must pass
-  // after a publish before the streak may begin again, giving the moved
-  // placement time to show up in the signal.
-  double rebalance_imbalance_high = 0.25;
-  uint32_t rebalance_patience = 3;
-  uint32_t rebalance_cooldown = 4;
-
   // Speculation horizon seeded under SimConfig::speculation == kAuto, with
-  // or without a controller; rule 5 then moves it between
+  // or without a controller; rule 4 then moves it between
   // Controller::kSpecHorizonMinPs and kSpecHorizonMaxPs.
   int64_t spec_horizon_initial_ps = 2'000'000;  // 2 us.
 };
@@ -119,11 +103,7 @@ class Controller {
   // out-of-band signal before that direction publishes. Thin windows (below
   // min_rounds) neither extend nor reset a streak.
   static constexpr uint32_t kRulePatience = 2;
-  // Weight of the newest window in the exponential moving average of the
-  // per-LP costs the rebalance rule schedules from, so one noisy window
-  // cannot trigger a placement computed from an unrepresentative cost vector.
-  static constexpr double kCostEwmaAlpha = 0.5;
-  // Rule 5's floor and cap on the speculation horizon: 0.25 us and 1 ms.
+  // Rule 4's floor and cap on the speculation horizon: 0.25 us and 1 ms.
   static constexpr int64_t kSpecHorizonMinPs = 250'000;
   static constexpr int64_t kSpecHorizonMaxPs = 1'000'000'000;
 
@@ -134,11 +114,8 @@ class Controller {
 
   // Consumes one completed window's segment; publishes at most one tunable
   // epoch. Returns true when something was published. Call only between
-  // Run() windows. `view` is the kernel's ownership state for the rebalance
-  // rule; the default (empty) view disables that rule, which keeps synthetic
-  // single-segment callers meaningful.
-  bool OnWindowEnd(const WindowTraceSegment& segment,
-                   const OwnershipView& view = {});
+  // Run() windows.
+  bool OnWindowEnd(const WindowTraceSegment& segment);
 
   // Audit log: one entry per published epoch.
   struct Decision {
@@ -146,34 +123,18 @@ class Controller {
     uint32_t window = 0;
     std::string rule;  // "oversubscribed" | "affinity-fallback" |
                        // "resort-shrink" | "resort-grow" |
-                       // "window-shrink" | "window-grow" | "rebalance"
-                       // (comma-joined when several rules fire in one
-                       // window).
+                       // "window-shrink" | "window-grow" |
+                       // "spec-narrow" | "spec-widen" (comma-joined when
+                       // several rules fire in one window).
     Tunables tunables;
-    // Rebalance decisions only: the observed mean round imbalance that
-    // triggered the move set, and the imbalance the LPT assignment predicts
-    // for the post-move placement (RoundImbalance of its per-executor loads,
-    // i.e. makespan * W / total - 1).
-    double observed_imbalance = 0.0;
-    double predicted_imbalance = 0.0;
   };
   const std::vector<Decision>& decisions() const { return decisions_; }
 
   const ControllerConfig& config() const { return config_; }
 
-  // The smoothed per-LP cost vector the rebalance rule schedules from
-  // (empty until a window with ownership costs has been observed). Exposed
-  // for tests asserting the EWMA behaviour.
-  const std::vector<double>& smoothed_costs() const { return ewma_cost_; }
-
   // Mean growth of the per-round processing imbalance across the window's
   // re-sort stretches; exposed for tests and the trace tooling.
   static double ResortDrift(const WindowTraceSegment& segment);
-
-  // The window's mean per-round processing imbalance (the stats layer's
-  // MeanRoundImbalance over its rows) — the rebalance rule's signal, and the
-  // value a recorded segment's summary carries.
-  static double MeanRoundImbalance(const WindowTraceSegment& segment);
 
  private:
   ControllerConfig config_;
@@ -185,12 +146,8 @@ class Controller {
   uint32_t resort_grow_streak_ = 0;
   uint32_t window_shrink_streak_ = 0;
   uint32_t window_grow_streak_ = 0;
-  uint32_t rebalance_streak_ = 0;
-  uint32_t rebalance_cooldown_left_ = 0;
   uint32_t spec_narrow_streak_ = 0;
   uint32_t spec_widen_streak_ = 0;
-  // EWMA state for the rebalance cost vector, indexed by LP.
-  std::vector<double> ewma_cost_;
 };
 
 }  // namespace unison

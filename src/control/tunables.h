@@ -18,10 +18,8 @@
 #define UNISON_SRC_CONTROL_TUNABLES_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/kernel/engine/cpu_topology.h"
-#include "src/partition/partition_map.h"
 
 namespace unison {
 
@@ -49,14 +47,6 @@ struct Tunables {
   // Results-neutral: a causality miss rolls back to the window checkpoint and
   // re-runs conservatively, so fingerprints and digests never change.
   int64_t spec_horizon_ps = 0;
-  // LP-ownership move set published by the controller's rebalance rule.
-  // `rebalance_seq` is a monotone generation counter: a kernel applies
-  // `moves` (folded modulo its executor domain) exactly once, at the first
-  // window boundary where the sampled seq exceeds the last generation it
-  // applied — re-sampling the same set across later windows is a no-op.
-  // Results-neutral in deterministic mode, like every other knob here.
-  uint64_t rebalance_seq = 0;
-  std::vector<LpMove> moves;
 };
 
 class TunableStore {

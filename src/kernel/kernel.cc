@@ -59,13 +59,6 @@ void Kernel::Setup(const TopoGraph& graph, const Partition& partition) {
   session_rounds_ = 0;
   session_windows_ = 0;
   flags_.stop_requested = false;
-  // Trivial single-executor ownership; kernels with real executor domains
-  // install theirs right after this base Setup returns.
-  pmap_.ResetStrided(partition_.num_lps, 1);
-  ownership_movable_ = false;
-  applied_rebalance_seq_ = 0;
-  window_migrations_ = 0;
-  lp_window_cost_ns_.assign(partition_.num_lps, 0);
   if (trace_ != nullptr) {
     trace_->BeginSession();
   }
@@ -74,26 +67,8 @@ void Kernel::Setup(const TopoGraph& graph, const Partition& partition) {
 
 void Kernel::BeginWindow(const char* kernel_name, uint32_t executors) {
   flags_.stop_requested.store(false, std::memory_order_relaxed);
-  lp_window_cost_ns_.assign(num_lps(), 0);
   if (RunTrace* const rec = recorder()) {
     rec->BeginRun(kernel_name, executors, num_lps());
-  }
-}
-
-void Kernel::ApplyPendingMigrations() {
-  if (tunables_ != nullptr) {
-    const Tunables& live = tunables_->Get();
-    if (live.rebalance_seq > applied_rebalance_seq_) {
-      pmap_.Stage(live.moves);
-      applied_rebalance_seq_ = live.rebalance_seq;
-    }
-  }
-  window_migrations_ = 0;
-  if (pmap_.has_staged()) {
-    window_migrations_ = pmap_.ApplyStaged();
-    if (window_migrations_ > 0) {
-      OnOwnershipChanged();
-    }
   }
 }
 
@@ -243,8 +218,6 @@ RunResult Kernel::FinishRun(const char* kernel_name, uint32_t executors,
   run_summary_.tuning_epoch = tuning_.epoch;
   run_summary_.sched_period = tuning_.sched_period;
   run_summary_.parties = tuning_.parties;
-  run_summary_.migrations = window_migrations_;
-  run_summary_.ownership_epoch = pmap_.epoch();
   run_summary_.spec_rounds = spec_rounds_win_;
   run_summary_.spec_hits = spec_hits_win_;
   run_summary_.spec_misses = spec_misses_win_;

@@ -24,7 +24,6 @@
 #include "src/kernel/engine/spec_checkpoint.h"
 #include "src/kernel/lp.h"
 #include "src/partition/graph.h"
-#include "src/partition/partition_map.h"
 #include "src/stats/profiler.h"
 #include "src/stats/trace.h"
 
@@ -300,42 +299,6 @@ class Kernel {
   // captured and restored.
   const SpecCheckpoint& spec_checkpoint() const { return spec_ckpt_; }
 
-  // --- Live LP ownership (PR 9) ---
-
-  // The live lp → executor assignment this kernel resolves through. Each
-  // kernel installs its own domain in Setup (barrier/nullmsg: one executor
-  // per LP; unison: worker slots; hybrid: ranks; sequential: the trivial
-  // single-executor map).
-  const PartitionMap& partition_map() const { return pmap_; }
-
-  // Queues ownership moves to be applied at the next window boundary, before
-  // any worker is released into the window (test/tooling hook; the
-  // controller's move sets travel through the TunableStore instead).
-  // Executor targets are folded modulo the kernel's domain on apply.
-  void StageMigrations(const std::vector<LpMove>& moves) { pmap_.Stage(moves); }
-
-  // Ownership state handed to the controller at each window boundary: the
-  // live owner array plus the per-LP processing cost of the window that just
-  // completed. `movable` is false for kernels that cannot benefit from moves
-  // (sequential) — the rebalance rule then stays off.
-  OwnershipView ownership_view() const {
-    OwnershipView v;
-    v.num_executors = pmap_.num_executors();
-    v.movable = ownership_movable_;
-    v.owner_of_lp = &pmap_.owners();
-    v.lp_cost_ns = &lp_window_cost_ns_;
-    return v;
-  }
-
-  // Snapshot restore: reinstalls a captured owner array and map epoch, then
-  // rebuilds the kernel's executor-local structures. The owner values are
-  // folded modulo this kernel's domain, so a snapshot taken under one kernel
-  // restores meaningfully under another.
-  void RestoreOwnership(std::vector<uint32_t> owners, uint64_t epoch) {
-    pmap_.Restore(std::move(owners), epoch);
-    OnOwnershipChanged();
-  }
-
   // Attaches the session's run recorder (src/stats/trace.h), the only one a
   // kernel writes into. While its gate is on, every window is recorded into
   // it once: round records, per-round P/S/M rows and totals, per-LP costs.
@@ -363,11 +326,11 @@ class Kernel {
   uint64_t RunGlobalEvents(Time upto, Time stop);
 
   // Start-of-window bookkeeping shared by every kernel: clears a stale stop
-  // request (a stop ends one window, not the session), resets the window's
-  // per-LP costs, and — when recording — opens the recorder's live window
-  // under `kernel_name` with `executors` row slots. The one place a window's
-  // recording opens; RoundSync::BeginRun calls it for the round kernel (once
-  // per speculative attempt), the other kernels call it directly.
+  // request (a stop ends one window, not the session) and — when recording —
+  // opens the recorder's live window under `kernel_name` with `executors` row
+  // slots. The one place a window's recording opens; RoundSync::BeginRun
+  // calls it for the round kernel (once per speculative attempt), the other
+  // kernels call it directly.
   void BeginWindow(const char* kernel_name, uint32_t executors);
 
   // The recorder while its gate is on, else nullptr: the one recording
@@ -382,26 +345,6 @@ class Kernel {
     return rec != nullptr ? &rec->rows() : nullptr;
   }
 
-  // Window-boundary migration point, called once per Run() after the window's
-  // tunables are sampled and before any worker is released: merges the
-  // controller's move set (when the sampled rebalance_seq advances past the
-  // last generation applied), applies everything staged, and — if ownership
-  // actually changed — invokes OnOwnershipChanged() so the kernel can rebuild
-  // its executor-local structures. Records the window's migration count for
-  // FinishRun.
-  void ApplyPendingMigrations();
-
-  // Hook for kernels that mirror the partition map into their own structures
-  // (the round kernel's window layout). Called with the pool quiescent, after
-  // the map has changed (migration apply or snapshot restore). Default:
-  // nothing — kernels that read pmap_.owned() directly need no mirror.
-  virtual void OnOwnershipChanged() {}
-
-  // Adds to an LP's processing cost for the current window. Safe from
-  // concurrent workers: an LP is processed by exactly one executor at a time,
-  // and rounds are barrier-separated, so writes to one index never race.
-  void AddLpWindowCost(LpId lp, uint64_t ns) { lp_window_cost_ns_[lp] += ns; }
-
   // Fills run_summary_ from processed_events_/rounds_ — and, when recording,
   // from the window's rows via RunTrace::EndRun, which archives the window
   // with that summary — and rolls the window into the session aggregates.
@@ -415,11 +358,11 @@ class Kernel {
   Time resume_floor() const { return resume_floor_; }
 
   // Start-of-window speculation gate, called once per Run() by the opt-in
-  // round kernels after tunables are sampled, migrations are applied, and the
-  // session is quiescent. Resets the window's speculation stats, then decides
-  // eligibility (hooks installed, MaySpeculate(), positive lookahead, sampled
-  // spec_horizon_ps > 0) and captures the checkpoint
-  // (timed into capture_ns, its re-encoded bytes into capture_bytes).
+  // round kernels after tunables are sampled and the session is quiescent.
+  // Resets the window's speculation stats, then decides eligibility (hooks
+  // installed, MaySpeculate(), positive lookahead, sampled spec_horizon_ps >
+  // 0) and captures the checkpoint (timed into capture_ns, its re-encoded
+  // bytes into capture_bytes).
   // Returns true when this window may run speculative rounds.
   bool BeginSpeculativeWindow();
 
@@ -476,16 +419,6 @@ class Kernel {
   std::string lineage_;                    // Empty unless forked.
   const TunableStore* tunables_ = nullptr;  // Borrowed; see set_tunables.
   WindowTuning tuning_;  // What the current/last window ran with.
-  // Live lp → executor assignment; each kernel installs its domain in Setup.
-  PartitionMap pmap_;
-  bool ownership_movable_ = false;
-  // Last controller move-set generation applied (Tunables::rebalance_seq).
-  uint64_t applied_rebalance_seq_ = 0;
-  // LPs that changed owner at this window's boundary (for the summary).
-  uint32_t window_migrations_ = 0;
-  // Per-LP processing cost of the current window, reset by BeginWindow; the
-  // rebalance rule's LPT input.
-  std::vector<uint64_t> lp_window_cost_ns_;
   // Speculation: the window checkpoint's policy and counters, and the
   // current window's speculation stats (reset by BeginSpeculativeWindow,
   // stamped by FinishRun). Kernels without checkpoint hooks leave them all

@@ -9,10 +9,6 @@ namespace unison {
 
 void NullMessageKernel::Setup(const TopoGraph& graph, const Partition& partition) {
   Kernel::Setup(graph, partition);
-  // Executor i starts out serving LP i; migrations re-home LPs across the
-  // same executor set at window boundaries.
-  pmap_.ResetStrided(num_lps(), num_lps());
-  ownership_movable_ = true;
   channels_.clear();
   channel_of_pair_.clear();
   chans_.clear();
@@ -87,9 +83,7 @@ void NullMessageKernel::ScheduleRemote(Lp* from, LpId target, Event ev) {
 }
 
 void NullMessageKernel::Signal(LpId target) {
-  // Route to whoever serves the target this window. Ownership only changes
-  // between windows, so a mid-window lookup can never race a move.
-  ExecCtl& ctl = *ctl_[pmap_.owner(target)];
+  ExecCtl& ctl = *ctl_[target];
   {
     std::lock_guard<std::mutex> lock(ctl.mu);
     ++ctl.signal;
@@ -112,7 +106,6 @@ RunResult NullMessageKernel::Run(Time stop_time) {
   // The party count is structural (one LP loop per LP), so only placement is
   // live; re-Ensure covers a borrowed pool resized by its owner's tuning.
   tuning_ = SampleTuning(num_lps(), /*parties_tunable=*/false);
-  ApplyPendingMigrations();
   if (active_pool_ == &pool_) {
     pool_.ApplyPlacement(tuning_.affinity);
   }
@@ -180,28 +173,21 @@ RunResult NullMessageKernel::Run(Time stop_time) {
 }
 
 void NullMessageKernel::ExecLoop(uint32_t ex, Time stop, Profiler* rows) {
-  // The LP set this executor serves for the whole window; ownership only
-  // changes between windows. An executor whose LPs all migrated away returns
-  // immediately — nothing can ever signal it.
-  const std::vector<uint32_t>& owned = pmap_.owned(ex);
+  Lp* const lp = lps_[ex].get();
+  const LpChans& ch = chans_[ex];
   ExecCtl& ctl = *ctl_[ex];
   uint64_t events = 0;
   uint64_t rounds = 0;
-  // "Rounds" are executor-local sweeps here; they still key executor-private
-  // per-round rows so the rows-sum-to-totals invariant holds for this kernel
-  // too, even though iteration counts differ per executor.
+  // "Rounds" are executor-local iterations here; they still key
+  // executor-private per-round rows so the rows-sum-to-totals invariant holds
+  // for this kernel too, even though iteration counts differ per executor.
   PhaseAccountant acct(ex, rows);
-
-  // An LP is done once everything below the stop time has been processed and
-  // its final promises sent; the sweep skips it from then on.
-  std::vector<bool> done(owned.size(), false);
-  size_t remaining = owned.size();
   // The receive phase swaps each input channel with this buffer and clears
   // it after the inserts, so the channel and the buffer both keep their
   // capacity and a steady-state send never allocates.
   std::vector<Event> got;
 
-  while (remaining > 0) {
+  for (;;) {
     uint64_t sig;
     {
       std::lock_guard<std::mutex> lock(ctl.mu);
@@ -210,74 +196,54 @@ void NullMessageKernel::ExecLoop(uint32_t ex, Time stop, Profiler* rows) {
     acct.BeginRound(static_cast<uint32_t>(rounds));
     acct.OpenInterval();
 
-    // One sweep over the owned set, ascending LpId. Progress on one owned LP
-    // can unblock another owned LP in the same sweep only via its promises;
-    // those bump our own signal, so the wait below cannot miss it.
-    for (size_t k = 0; k < owned.size(); ++k) {
-      if (done[k]) {
-        continue;
+    // Receive: drain input channels, note their clocks.
+    Time safe_in = Time::Max();
+    for (Channel* c : ch.in) {
+      {
+        std::lock_guard<std::mutex> lock(c->mu);
+        got.swap(c->events);
+        safe_in = std::min(safe_in, Time::Picoseconds(c->clock_ps));
       }
-      Lp* const lp = lps_[owned[k]].get();
-      const LpChans& ch = chans_[owned[k]];
-
-      // Receive: drain input channels, note their clocks.
-      Time safe_in = Time::Max();
-      for (Channel* c : ch.in) {
-        {
-          std::lock_guard<std::mutex> lock(c->mu);
-          got.swap(c->events);
-          safe_in = std::min(safe_in, Time::Picoseconds(c->clock_ps));
-        }
-        for (Event& ev : got) {
-          lp->Insert(std::move(ev));
-        }
-        got.clear();
+      for (Event& ev : got) {
+        lp->Insert(std::move(ev));
       }
-      acct.CloseMessaging();
+      got.clear();
+    }
+    acct.CloseMessaging();
 
-      // Process below the conservative bound.
-      const Time bound = std::min(safe_in, stop);
-      const uint64_t lp_t0 = acct.timing() ? Profiler::NowNs() : 0;
-      const uint64_t n = lp->ProcessUntil(bound);
-      events += n;
-      if (acct.timing()) {
-        AddLpWindowCost(owned[k], Profiler::NowNs() - lp_t0);
-      }
-      acct.CloseProcessing();
+    // Process below the conservative bound.
+    const Time bound = std::min(safe_in, stop);
+    events += lp->ProcessUntil(bound);
+    acct.CloseProcessing();
 
-      // Refresh output promises (eager null messages).
-      const Time horizon = std::min(lp->fel().NextTimestamp(), safe_in);
-      for (Channel* c : ch.out) {
-        const int64_t promise =
-            horizon.IsMax() ? INT64_MAX
-                            : (horizon + c->lookahead).ps();
-        bool raised = false;
-        {
-          std::lock_guard<std::mutex> lock(c->mu);
-          if (promise > c->clock_ps) {
-            c->clock_ps = promise;
-            ++c->nulls;
-            raised = true;
-          }
-        }
-        if (raised) {
-          Signal(c->to);
+    // Refresh output promises (eager null messages).
+    const Time horizon = std::min(lp->fel().NextTimestamp(), safe_in);
+    for (Channel* c : ch.out) {
+      const int64_t promise =
+          horizon.IsMax() ? INT64_MAX : (horizon + c->lookahead).ps();
+      bool raised = false;
+      {
+        std::lock_guard<std::mutex> lock(c->mu);
+        if (promise > c->clock_ps) {
+          c->clock_ps = promise;
+          ++c->nulls;
+          raised = true;
         }
       }
-      acct.CloseMessaging();
-
-      if (bound >= stop) {
-        done[k] = true;  // Final promises already sent.
-        --remaining;
+      if (raised) {
+        Signal(c->to);
       }
     }
+    acct.CloseMessaging();
     ++rounds;
 
-    if (remaining == 0 || stop_requested()) {
+    // Done once everything below the stop time has been processed and the
+    // final promises sent.
+    if (bound >= stop || stop_requested()) {
       break;
     }
 
-    // Block until some input channel of some owned LP changes.
+    // Block until some input channel changes.
     {
       std::unique_lock<std::mutex> lock(ctl.mu);
       ctl.cv.wait(lock, [&ctl, sig] { return ctl.signal != sig; });

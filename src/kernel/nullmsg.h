@@ -8,13 +8,11 @@
 // its output promises to min(N_i, safe_in) + channel lookahead — the eager
 // null-message rule that guarantees deadlock freedom for positive lookahead.
 //
-// One executor per LP initially, as with the MPI-based implementations the
-// paper profiles — but ownership is live (partition map): window-boundary
-// migrations may hand several LPs to one executor, whose loop then serves
-// its whole owned set per wake-up. Runtime global events are not supported
-// (the paper's §4.2 makes the same observation about existing PDES). There
-// are no shared rounds, so only the engine's ExecutorPool and
-// PhaseAccountant apply.
+// One executor per LP, as with the MPI-based implementations the paper
+// profiles: executor i serves LP i for the whole session. Runtime global
+// events are not supported (the paper's §4.2 makes the same observation
+// about existing PDES). There are no shared rounds, so only the engine's
+// ExecutorPool and PhaseAccountant apply.
 #ifndef UNISON_SRC_KERNEL_NULLMSG_H_
 #define UNISON_SRC_KERNEL_NULLMSG_H_
 
@@ -35,8 +33,7 @@ class NullMessageKernel : public Kernel {
   void Setup(const TopoGraph& graph, const Partition& partition) override;
   RunResult Run(Time stop_time) override;
 
-  // One executor per LP initially, as in the barrier baseline; the executor
-  // count is the ceiling of the live ownership domain, not the mapping.
+  // One executor per LP, as in the barrier baseline.
   uint32_t MaxExecutors() const override { return num_lps(); }
 
   ExecutorPool* executor_pool() override { return active_pool_; }
@@ -69,16 +66,14 @@ class NullMessageKernel : public Kernel {
     uint64_t nulls = 0;
   };
 
-  // Per-LP channel endpoints: fixed wiring, independent of which executor
-  // serves the LP.
+  // Per-LP channel endpoints: fixed wiring.
   struct LpChans {
     std::vector<Channel*> in;
     std::vector<Channel*> out;
   };
 
-  // Per-executor wake-up control: signalled whenever an in-channel of any LP
-  // the executor owns changes. Signals route through the live partition map,
-  // which only changes between windows — no mid-window re-route.
+  // Per-LP wake-up control: signalled whenever one of the LP's in-channels
+  // changes.
   struct ExecCtl {
     std::mutex mu;
     std::condition_variable cv;
@@ -90,8 +85,8 @@ class NullMessageKernel : public Kernel {
   }
 
   void Signal(LpId target);
-  // Serves executor `ex`'s owned LPs up to `stop`; `rows` is the recorder's
-  // live window, or nullptr when recording is off.
+  // Executor `ex` serves LP `ex` up to `stop`; `rows` is the recorder's live
+  // window, or nullptr when recording is off.
   void ExecLoop(uint32_t ex, Time stop, Profiler* rows);
 
   ExecutorPool pool_;    // Threads spawned once at Setup, reused across runs.
@@ -103,7 +98,7 @@ class NullMessageKernel : public Kernel {
   // send path is one hash probe instead of a scan over the sender's fan-out.
   std::unordered_map<uint64_t, Channel*> channel_of_pair_;
   std::vector<LpChans> chans_;              // Indexed by LpId.
-  std::vector<std::unique_ptr<ExecCtl>> ctl_;  // Indexed by executor.
+  std::vector<std::unique_ptr<ExecCtl>> ctl_;  // Indexed by LpId.
   std::vector<uint64_t> exec_events_;
   uint64_t null_messages_ = 0;
 };

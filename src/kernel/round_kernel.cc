@@ -46,8 +46,8 @@ RoundKernel::RoundKernel(const KernelConfig& config)
 void RoundKernel::Setup(const TopoGraph& graph, const Partition& partition) {
   Kernel::Setup(graph, partition);
   if (config_.type == KernelType::kBarrier) {
-    // Rank r starts out owning LP r (the classic 1:1 pinning); the rank
-    // count stays structural, but migrations may re-home LPs across it.
+    // Rank r owns LP r (the classic 1:1 pinning); the rank count is
+    // structural.
     groups_ = num_lps();
     max_lanes_ = 1;
     pmap_.ResetStrided(num_lps(), groups_);
@@ -55,7 +55,7 @@ void RoundKernel::Setup(const TopoGraph& graph, const Partition& partition) {
     // Coarse host mapping: slice the node-id range into `ranks` blocks (the
     // static partition the barrier algorithm would use) and place each LP on
     // the rank owning its first node, so fine-grained LPs never straddle
-    // hosts — until a window-boundary migration re-homes one.
+    // hosts.
     groups_ = std::max(1u, config_.ranks);
     max_lanes_ = std::max(1u, config_.threads);
     std::vector<uint32_t> first_node(num_lps(), graph.num_nodes);
@@ -69,14 +69,12 @@ void RoundKernel::Setup(const TopoGraph& graph, const Partition& partition) {
     }
     pmap_.Reset(std::move(first_node), groups_);
   } else {
-    // The domain is the config lane ceiling, not the live count: a move set
-    // computed in ceiling units stays meaningful after tuning shrinks the
-    // lanes, because owner slots fold modulo the live count in BuildLayout.
+    // Slots in units of the config lane ceiling, folded modulo the live lane
+    // count in BuildLayout when tuning shrinks the lanes.
     groups_ = 1;
     max_lanes_ = std::max(1u, config_.threads);
     pmap_.ResetStrided(num_lps(), max_lanes_);
   }
-  ownership_movable_ = true;
   layout_workers_ = 0;
   last_round_ns_.assign(num_lps(), 0);
   shared_.workers = std::make_unique<Worker[]>(MaxExecutors());
@@ -118,7 +116,6 @@ RunResult RoundKernel::Run(Time stop_time) {
   // Re-Ensure every window (no-op when unchanged): a borrowed pool may have
   // been resized by its owner, and tuning resizes ours.
   active_pool_->Ensure(workers);
-  ApplyPendingMigrations();
   if (workers != layout_workers_) {
     BuildLayout(workers);
   }
@@ -178,7 +175,7 @@ RunResult RoundKernel::Run(Time stop_time) {
 }
 
 void RoundKernel::BuildLayout(uint32_t workers) {
-  // Own lists start from the partition map, ascending by LpId; the first
+  // Own lists start from the setup placement, ascending by LpId; the first
   // prologue of each window re-sorts them (claim order only affects wall
   // time, never results).
   const uint32_t lanes = shared_.lanes;
@@ -326,7 +323,6 @@ void RoundKernel::RoundLoop(uint32_t worker) {
       if (timing) {
         const uint64_t lp_ns = Profiler::NowNs() - lp_t0;
         last_round_ns_[lp_id] = lp_ns;
-        AddLpWindowCost(lp_id, lp_ns);
         if (record) {
           rows->AddLpRound(worker,
                            LpRoundCost{round, lp_id, static_cast<uint32_t>(n),

@@ -4,8 +4,8 @@
 // Executors are laid out as G groups of L lanes; worker ids are group-major
 // (worker = group * L + lane), so compact placement keeps a group's lanes on
 // one package. Each worker owns a list of its group's LPs: the ones it ran
-// last round (the first round starts from the partition map). Each round has
-// four phases:
+// last round (the first round starts from the preset's setup placement, a
+// PartitionMap). Each round has four phases:
 //   1. Process events  — each worker claims its own list from the head, in
 //                        LPT order, then steals from the tails of the other
 //                        lanes' lists of its group, never a victim's last
@@ -60,6 +60,7 @@
 #include "src/kernel/engine/executor_pool.h"
 #include "src/kernel/engine/round_sync.h"
 #include "src/kernel/kernel.h"
+#include "src/partition/partition_map.h"
 #include "src/sched/claim_range.h"
 #include "src/sched/combining_barrier.h"
 
@@ -94,9 +95,17 @@ class RoundKernel : public Kernel {
     return sum;
   }
 
+  // The preset's setup placement: which group (barrier or hybrid rank,
+  // unison lane slot) each LP's first own list belongs to. Fixed from Setup.
+  const PartitionMap& partition_map() const { return pmap_; }
+
+  // Per-LP wall time of the last round that ran each LP: the
+  // last-round-time metric's re-sort input, written while the metric is on
+  // (always for hybrid) or the window is recorded.
+  const std::vector<uint64_t>& last_round_ns() const { return last_round_ns_; }
+
  protected:
   void WireMailboxes() override;
-  void OnOwnershipChanged() override { layout_workers_ = 0; }
 
  private:
   // A worker's own list as the lanes of its group see it in phase 1: the
@@ -134,10 +143,10 @@ class RoundKernel : public Kernel {
     bool timing = false;
   };
 
-  // Rebuilds the workers' own lists from the partition map. Runs at a window
-  // boundary, only when ownership or the live worker count changed since the
-  // last build; otherwise each window continues from the lists the last one
-  // ended with.
+  // Rebuilds the workers' own lists from the setup placement. Runs at a
+  // window boundary, only when the live worker count changed since the last
+  // build; otherwise each window continues from the lists the last one ended
+  // with.
   void BuildLayout(uint32_t workers);
   // The start-of-round bookkeeping: window computation, termination check,
   // periodic re-sort, round record, claim-range reset. Round 0's runs on the
@@ -150,8 +159,8 @@ class RoundKernel : public Kernel {
   const char* const name_;
   const SchedulingMetric claim_metric_;  // What own lists are sorted by.
   const bool lanes_tunable_;
-  // True when the partition map assigns LPs to lanes (unison) rather than to
-  // groups (hybrid ranks, barrier ranks).
+  // True when the setup placement assigns LPs to lanes (unison) rather than
+  // to groups (hybrid ranks, barrier ranks).
   const bool lane_owned_;
 
   uint32_t groups_ = 1;
@@ -167,6 +176,7 @@ class RoundKernel : public Kernel {
   Shared shared_;
   static_assert(sizeof(Shared) == 64, "the fixed pointers fill one line");
   uint32_t layout_workers_ = 0;  // Worker count of the last build; 0 = stale.
+  PartitionMap pmap_;            // The setup placement; see partition_map().
 
   std::vector<uint64_t> last_round_ns_;  // Per-LP ByLastRoundTime estimates.
   std::vector<uint64_t> cost_buf_;

@@ -10,11 +10,8 @@ RunResult SequentialKernel::Run(Time stop_time) {
   // for nothing.
   Lp* const lp = lps_[0].get();
   // Nothing here is tunable (no rounds, no pool), but sampling stamps the
-  // window's tuning epoch into the summary like every other kernel; the
-  // migration apply is a no-op in the single-executor domain yet keeps the
-  // provenance fields (migrations, ownership epoch) uniform across kernels.
+  // window's tuning epoch into the summary like every other kernel.
   tuning_ = SampleTuning(1, /*parties_tunable=*/false);
-  ApplyPendingMigrations();
   BeginWindow("sequential", 1);
   const uint64_t t0 = Profiler::NowNs();
 

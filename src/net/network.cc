@@ -259,8 +259,7 @@ RunResult Network::Run(Time stop) {
     total.events += r.events;
     total.rounds += r.rounds;
     if (!run_trace_.segments().empty()) {
-      controller_->OnWindowEnd(run_trace_.segments().back(),
-                               kernel_->ownership_view());
+      controller_->OnWindowEnd(run_trace_.segments().back());
     }
     MaybeAutoCheckpoint();
     if (r.reason != RunReason::kWindowReached || r.end >= stop) {

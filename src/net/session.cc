@@ -21,13 +21,13 @@
 namespace unison {
 namespace {
 
-// USNP v7: little-endian, field-by-field, no alignment padding. The version
+// USNP v8: little-endian, field-by-field, no alignment padding. The version
 // gates the whole buffer — any layout change bumps it; there is no partial
 // compatibility. A buffer has three parts:
 //   header        what no window can change: magic, version, SimConfig,
 //                 topology, the realized partition, the injection epoch, the
-//                 live tunables, LP ownership, the kernel's session
-//                 accumulators, and the flow-source specs with their CDFs;
+//                 live tunables, the kernel's session accumulators, and the
+//                 flow-source specs with their CDFs;
 //   window state  everything a window can mutate (PutWindowState) — byte for
 //                 byte what CaptureWindowCheckpoint writes, and what the
 //                 speculation checkpoint store's slots assemble into;
@@ -36,11 +36,12 @@ namespace {
 // speculation plane; v5 split the buffer into header + window state +
 // trailer, so the snapshot and the checkpoint share one state encoder; v6
 // dropped the two profiler switches and wrote every ControllerConfig field;
-// v7 drops the config fields that became constants or measurements (eleven
+// v7 dropped the config fields that became constants or measurements (eleven
 // controller thresholds, the controller's CPU count, KernelConfig's
-// sched_period and auto_checkpoint_every).
+// sched_period and auto_checkpoint_every); v8 drops movable LP ownership:
+// the ownership section and the three rebalance thresholds.
 constexpr uint8_t kMagic[4] = {'U', 'S', 'N', 'P'};
-constexpr uint32_t kVersion = 7;
+constexpr uint32_t kVersion = 8;
 constexpr size_t kTrailerBytes = sizeof(uint64_t);
 
 [[noreturn]] void SnapshotFatal(const std::string& message) {
@@ -253,9 +254,6 @@ void PutSimConfig(Writer& w, const SimConfig& c) {
   w.I64(c.tuning_config.initial_window_ps);
   w.F64(c.tuning_config.parks_per_round_high);
   w.U32(c.tuning_config.min_rounds);
-  w.F64(c.tuning_config.rebalance_imbalance_high);
-  w.U32(c.tuning_config.rebalance_patience);
-  w.U32(c.tuning_config.rebalance_cooldown);
   w.I64(c.tuning_config.spec_horizon_initial_ps);
   w.U8(static_cast<uint8_t>(c.speculation));
   w.Str(c.auto_checkpoint_path);
@@ -282,9 +280,6 @@ SimConfig GetSimConfig(Reader& r) {
   c.tuning_config.initial_window_ps = r.I64();
   c.tuning_config.parks_per_round_high = r.F64();
   c.tuning_config.min_rounds = r.U32();
-  c.tuning_config.rebalance_imbalance_high = r.F64();
-  c.tuning_config.rebalance_patience = r.U32();
-  c.tuning_config.rebalance_cooldown = r.U32();
   c.tuning_config.spec_horizon_initial_ps = r.I64();
   c.speculation = r.Enum(SpeculationMode::kAuto);
   c.auto_checkpoint_path = r.Str();
@@ -1059,21 +1054,7 @@ void PutHeader(Writer& w, Network& net) {
   w.I64(tun.max_window_ps);
   w.I64(tun.spec_horizon_ps);
 
-  // The realized LP-ownership map, in the capturing kernel's executor
-  // domain; restore folds the owners modulo the restored kernel's own
-  // domain. The controller's pending move set is deliberately NOT
-  // serialized: the realized map already reflects every applied move, and a
-  // fork's kernel restarts its applied-generation counter at zero.
-  Kernel& kernel = net.kernel();
-  const PartitionMap& pmap = kernel.partition_map();
-  w.U64(pmap.epoch());
-  w.U32(pmap.num_executors());
-  w.U32(pmap.num_lps());
-  for (uint32_t lp = 0; lp < pmap.num_lps(); ++lp) {
-    w.U32(pmap.owner(lp));
-  }
-
-  const Kernel::SessionState session = kernel.session_state();
+  const Kernel::SessionState session = net.kernel().session_state();
   w.TimeVal(session.session_now);
   w.TimeVal(session.resume_floor);
   w.U64(session.session_events);
@@ -1726,20 +1707,6 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   tunables.max_window_ps = r.I64();
   tunables.spec_horizon_ps = r.I64();
   net->tunable_store().Restore(tunables, tuning_epoch);
-
-  // Reinstall the parent's realized LP placement (folded modulo this
-  // kernel's own executor domain). Results-neutral either way in
-  // deterministic mode; this preserves the parent's learned balance.
-  const uint64_t ownership_epoch = r.U64();
-  (void)r.U32();  // The capturing kernel's executor domain: informational.
-  const uint32_t ownership_lps = r.Count<uint32_t>(kU32Bytes);
-  std::vector<uint32_t> owners(ownership_lps);
-  for (uint32_t& o : owners) {
-    o = r.U32();
-  }
-  if (ownership_lps == kernel.num_lps()) {
-    kernel.RestoreOwnership(std::move(owners), ownership_epoch);
-  }
 
   Kernel::SessionState session;
   session.session_now = r.TimeVal();

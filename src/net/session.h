@@ -21,9 +21,9 @@
 // deterministic EventKey total order makes the restored FELs dequeue
 // identically regardless of heap layout.
 //
-// One state encoder serves both formats declared here. A USNP buffer (v7) is
+// One state encoder serves both formats declared here. A USNP buffer (v8) is
 // an immutable header (SimConfig, topology, realized partition, tunables,
-// ownership, session accumulators, flow-source specs), then the window-state
+// session accumulators, flow-source specs), then the window-state
 // section — byte for byte what the window checkpoint below encodes — then
 // an FNV-1a-64 digest trailer that LoadFrom verifies. Fork and Restore
 // rebuild the network from the header and read the section through the same

@@ -22,8 +22,9 @@
 // always descheduled. With exactly as many, any other runnable thread — the
 // OS, another process on a shared host — preempts a party, and its peers
 // then spin against a descheduled straggler: on a 4-vCPU VM shared with other
-// tenants, a 4-party hybrid run (bench_rebalance, static) took ~39 ms with
-// spinning waiters and ~28 ms with parking ones.
+// tenants, a 4-party hybrid 2x2 run of a k=4 fat-tree with its load
+// concentrated in one pod took ~39 ms with spinning waiters and ~28 ms with
+// parking ones.
 #ifndef UNISON_SRC_SCHED_SPIN_WAIT_H_
 #define UNISON_SRC_SCHED_SPIN_WAIT_H_
 

@@ -103,10 +103,6 @@ std::string RunSummary::ToJson() const {
   AppendU64(&out, sched_period);
   out += ",\"parties\":";
   AppendU64(&out, parties);
-  out += ",\"migrations\":";
-  AppendU64(&out, migrations);
-  out += ",\"ownership_epoch\":";
-  AppendU64(&out, ownership_epoch);
   out += ",\"imbalance\":";
   AppendF64(&out, imbalance);
   out += ",\"spec_rounds\":";
@@ -221,8 +217,6 @@ void RunTrace::EndRun(RunSummary* summary) {
   live_.round_m = rows_.round_messaging_ns();
   live_.lp_rounds = rows_.MergedLpRounds();
   rows_.BeginRun(0);  // The segment now holds the window's only copy.
-  // The observability half of the rebalance rule: a post-move window should
-  // show this dropping.
   summary->imbalance = MeanRoundImbalance(live_.round_p);
   live_.summary = *summary;
   segments_.push_back(std::move(live_));
@@ -358,8 +352,6 @@ void AppendCsvRows(std::string* out, uint32_t window,
     *out += ',';
     AppendU64(out, seg.summary.tuning_epoch);
     *out += ',';
-    AppendU64(out, seg.summary.migrations);
-    *out += ',';
     // Window-level speculation stats, repeated on each of the window's rows
     // (the flat table has no window-level rows to hang them on).
     AppendU64(out, seg.summary.spec_rounds);
@@ -409,9 +401,9 @@ std::string RunTrace::ToCsv() const {
   std::string out;
   out.reserve(64 + current().records.size() * 64);
   out += "window,round,lbts_ps,window_ps,events_before,resorted,p_total_ns,"
-         "s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,migrations,"
-         "spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,capture_bytes,"
-         "steals,messages\n";
+         "s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,spec_rounds,"
+         "spec_hits,spec_misses,rollback_ns,capture_ns,capture_bytes,steals,"
+         "messages\n";
   if (segments_.empty()) {
     // Export mid-window (EndRun not yet reached): show the live records.
     AppendCsvRows(&out, 0, live_);

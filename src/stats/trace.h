@@ -59,14 +59,8 @@ struct RunSummary {
   uint64_t tuning_epoch = 0;
   uint32_t sched_period = 0;
   uint32_t parties = 0;
-  // Movable-ownership provenance: how many LPs changed executor at this
-  // window's boundary, and the partition-map epoch the window ran under
-  // (0 = the setup-time placement, never migrated).
-  uint32_t migrations = 0;
-  uint64_t ownership_epoch = 0;
   // Mean per-round processing imbalance of the window (MeanRoundImbalance);
-  // 0 when no usable per-round rows were recorded. Filled by RunTrace::EndRun
-  // — the post-move balance observability for the rebalance rule.
+  // 0 when no usable per-round rows were recorded. Filled by RunTrace::EndRun.
   double imbalance = 0.0;
   // Speculative window execution (DESIGN.md §3k): rounds this window ran
   // past the conservative Eq. 2 bound, how many of those committed (hits) or
@@ -131,8 +125,7 @@ struct WindowTraceSegment {
 bool RoundImbalance(const std::vector<uint64_t>& row, double* out);
 
 // Mean RoundImbalance over the usable rows of a [round][executor] matrix; 0
-// when none is usable. RunSummary::imbalance and the controller's rebalance
-// signal are both this value.
+// when none is usable. RunSummary::imbalance is this value.
 double MeanRoundImbalance(const std::vector<std::vector<uint64_t>>& round_p);
 
 class RunTrace {
@@ -212,9 +205,8 @@ class RunTrace {
   // Flat per-round table across every window of the session:
   // window,round,lbts_ps,window_ps,events_before,resorted,
   // p_total_ns,s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,
-  // migrations,spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,
-  // capture_bytes,steals,messages (the last nine are window-level, repeated
-  // per row).
+  // spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,capture_bytes,
+  // steals,messages (the last eight are window-level, repeated per row).
   std::string ToCsv() const;
   bool WriteJsonFile(const std::string& path) const;
   bool WriteCsvFile(const std::string& path) const;

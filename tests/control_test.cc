@@ -272,6 +272,29 @@ TEST(Controller, WindowGrowRevertsToUnboundedPastTheCap) {
   EXPECT_EQ(ctl.decisions()[0].rule, "window-grow");
 }
 
+// With ps_low at or above kPsHigh, a window between the two thresholds
+// signals shrink only: the directions are disjoint, so ps_low 1.0 means
+// "always shrink" instead of two streaks that zero each other every window.
+TEST(Controller, WindowShrinkWinsWhenPsLowIsAbovePsHigh) {
+  TunableStore store;
+  Tunables seed;
+  seed.max_window_ps = 1'000'000'000;  // 1 ms, as tuning=auto seeds it.
+  store.Seed(seed);
+  ControllerConfig cfg = TestConfig();
+  cfg.ps_low = 1.0;
+  Controller ctl(cfg, kCpus, &store);
+  SegmentSpec spec;
+  spec.p_ns = 900;
+  spec.s_ns = 100;  // P/(P+S) = 0.9: above kPsHigh, below ps_low.
+  for (uint32_t w = 1; w < Controller::kRulePatience; ++w) {
+    EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
+  }
+  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
+  EXPECT_EQ(store.Get().max_window_ps, 500'000'000);
+  ASSERT_EQ(ctl.decisions().size(), 1u);
+  EXPECT_EQ(ctl.decisions()[0].rule, "window-shrink");
+}
+
 // --- Hysteresis (kRulePatience) ---
 
 TEST(Controller, HysteresisDelaysRuleUntilPatienceWindows) {
@@ -301,152 +324,15 @@ TEST(Controller, HysteresisStreakResetsOnAQuietWindow) {
   EXPECT_EQ(store.epoch(), 1u);
 }
 
-// --- Rebalance rule ---
+// --- Round imbalance ---
 
 TEST(Controller, MeanRoundImbalanceAveragesUsableRounds) {
   SegmentSpec spec;
   spec.imb_first = 0.3;  // Constant 0.3 per round (no ramp without re-sorts).
-  EXPECT_NEAR(Controller::MeanRoundImbalance(MakeSegment(spec)), 0.3, 1e-3);
+  EXPECT_NEAR(MeanRoundImbalance(MakeSegment(spec).round_p), 0.3, 1e-3);
 }
 
-TEST(Controller, RebalancePublishesLptMovesAfterPatience) {
-  TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.rebalance_patience = 2;
-  Controller ctl(cfg, kCpus, &store);
-  SegmentSpec spec;
-  spec.resort_every = 4;
-  spec.imb_first = 0.40;
-  spec.imb_last = 0.55;  // Drift 0.15: rule 2's dead band; mean imb > 0.25.
-  // Executor 0 carries 500 of 700 ns; LPT moves lp 1 over to executor 1.
-  const std::vector<uint32_t> owner = {0, 0, 1, 1};
-  const std::vector<uint64_t> cost = {400, 100, 100, 100};
-  OwnershipView view;
-  view.num_executors = 2;
-  view.movable = true;
-  view.owner_of_lp = &owner;
-  view.lp_cost_ns = &cost;
-
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec), view));  // Streak 1 of 2.
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec), view));   // Fires.
-  EXPECT_EQ(store.epoch(), 1u);
-  EXPECT_EQ(store.Get().rebalance_seq, 1u);
-  ASSERT_EQ(store.Get().moves.size(), 1u);
-  EXPECT_EQ(store.Get().moves[0].lp, 1u);
-  EXPECT_EQ(store.Get().moves[0].to, 1u);
-  ASSERT_EQ(ctl.decisions().size(), 1u);
-  EXPECT_EQ(ctl.decisions()[0].rule, "rebalance");
-  EXPECT_GT(ctl.decisions()[0].observed_imbalance, 0.25);
-  // LPT makespan 400 over an ideal 350: predicted imbalance 1/7.
-  EXPECT_NEAR(ctl.decisions()[0].predicted_imbalance, 400.0 * 2 / 700 - 1,
-              1e-6);
-
-  // Cooldown: the same signal cannot re-fire until it expires...
-  for (uint32_t i = 0; i < cfg.rebalance_cooldown; ++i) {
-    EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec), view));
-  }
-  // ...after which the streak rebuilds from zero and fires again.
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec), view));
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec), view));
-  EXPECT_EQ(store.Get().rebalance_seq, 2u);
-}
-
-TEST(Controller, RebalanceStaysOffWithoutAnOwnershipView) {
-  TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.rebalance_patience = 1;
-  Controller ctl(cfg, kCpus, &store);
-  SegmentSpec spec;
-  spec.resort_every = 4;
-  spec.imb_first = 0.40;
-  spec.imb_last = 0.55;  // Strong imbalance — but no view, so no rule 4.
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_EQ(store.epoch(), 0u);
-}
-
-TEST(Controller, RebalanceSkipsBalancedWindows) {
-  TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.rebalance_patience = 1;
-  Controller ctl(cfg, kCpus, &store);
-  SegmentSpec spec;
-  spec.resort_every = 4;
-  spec.imb_first = 0.10;
-  spec.imb_last = 0.20;  // Mean ~0.15 < rebalance_imbalance_high 0.25.
-  const std::vector<uint32_t> owner = {0, 1};
-  const std::vector<uint64_t> cost = {100, 100};
-  OwnershipView view;
-  view.num_executors = 2;
-  view.movable = true;
-  view.owner_of_lp = &owner;
-  view.lp_cost_ns = &cost;
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec), view));
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec), view));
-  EXPECT_EQ(store.epoch(), 0u);
-}
-
-// --- Cost EWMA (rebalance input smoothing) ---
-
-TEST(Controller, CostEwmaBlendsWindowCosts) {
-  TunableStore store;
-  Controller ctl(TestConfig(), kCpus, &store);
-  SegmentSpec spec;  // Quiet: no rule fires, but the estimator still updates.
-  const std::vector<uint32_t> owner = {0, 1};
-  std::vector<uint64_t> cost = {400, 100};
-  OwnershipView view;
-  view.num_executors = 2;
-  view.movable = true;
-  view.owner_of_lp = &owner;
-  view.lp_cost_ns = &cost;
-
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec), view));
-  ASSERT_EQ(ctl.smoothed_costs().size(), 2u);
-  EXPECT_DOUBLE_EQ(ctl.smoothed_costs()[0], 400.0);  // First window: assign.
-  EXPECT_DOUBLE_EQ(ctl.smoothed_costs()[1], 100.0);
-
-  cost = {100, 300};
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec), view));
-  EXPECT_DOUBLE_EQ(ctl.smoothed_costs()[0], 250.0);  // 0.5*100 + 0.5*400.
-  EXPECT_DOUBLE_EQ(ctl.smoothed_costs()[1], 200.0);
-}
-
-TEST(Controller, RebalanceConsumesSmoothedCostsNotRawSpikes) {
-  TunableStore store;
-  ControllerConfig cfg = TestConfig();
-  cfg.rebalance_patience = 1;
-  Controller ctl(cfg, kCpus, &store);
-  SegmentSpec quiet;
-  SegmentSpec hot;
-  hot.resort_every = 4;
-  hot.imb_first = 0.40;
-  hot.imb_last = 0.55;  // Mean imbalance above the rebalance threshold.
-  const std::vector<uint32_t> owner = {0, 0, 1, 1};
-  std::vector<uint64_t> cost = {400, 100, 100, 100};
-  OwnershipView view;
-  view.num_executors = 2;
-  view.movable = true;
-  view.owner_of_lp = &owner;
-  view.lp_cost_ns = &cost;
-
-  // Establish history: lp 0 is the heavy one.
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(quiet), view));
-  // A one-window spike claims lp 1 is heavy — but at alpha 0.5 the smoothed
-  // estimate is {250, 250, 100, 100}, so LPT keeps lp 0 in place, moves lp 1
-  // to executor 1 and lp 2 to executor 0 (the raw costs alone would have
-  // moved lp 0 to executor 1 and lp 1 to executor 0 instead).
-  cost = {100, 400, 100, 100};
-  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(hot), view));
-  EXPECT_EQ(ctl.smoothed_costs(), (std::vector<double>{250, 250, 100, 100}));
-  ASSERT_EQ(store.Get().moves.size(), 2u);
-  EXPECT_EQ(store.Get().moves[0].lp, 1u);
-  EXPECT_EQ(store.Get().moves[0].to, 1u);
-  EXPECT_EQ(store.Get().moves[1].lp, 2u);
-  EXPECT_EQ(store.Get().moves[1].to, 0u);
-}
-
-// --- Spec-horizon rule (rule 5) ---
+// --- Spec-horizon rule (rule 4) ---
 
 WindowTraceSegment SpecWindow(uint32_t spec_rounds, uint32_t spec_misses) {
   WindowTraceSegment seg = MakeSegment(SegmentSpec{});  // Otherwise quiet.

@@ -1,14 +1,13 @@
 // Randomized cross-axis differential test. The fixed matrices each sweep one
 // transparency axis; here every seed draws a point across all of them at
 // once — kernel preset (the three round-kernel presets and null-message),
-// thread count, window split, speculation, staged migrations at every window
-// boundary, and a snapshot/fork at one of the window stops — and the
-// sequential kernel is the oracle: the fingerprint and the digest must match
-// it exactly (deterministic total ordering makes any other outcome a bug).
-// Draws with speculation also check the incremental checkpoint store against
-// the full reference encoder after every window that captured. A
-// failure prints a one-line reproducer holding the seed and every drawn axis
-// value.
+// thread count, window split, speculation, and a snapshot/fork at one of the
+// window stops — and the sequential kernel is the oracle: the fingerprint
+// and the digest must match it exactly (deterministic total ordering makes
+// any other outcome a bug). Draws with speculation also check the
+// incremental checkpoint store against the full reference encoder after
+// every window that captured. A failure prints a one-line reproducer holding
+// the seed and every drawn axis value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,7 +32,6 @@ struct Axes {
   PartitionMode partition = PartitionMode::kAuto;
   std::vector<int64_t> stops_ps;  // Window stop times, ascending.
   int64_t spec_horizon_ps = 0;    // 0 = speculation off.
-  uint32_t move_pct = 0;          // Chance per LP of a staged move per boundary.
   int64_t fork_at_ps = 0;         // A window stop to fork at; 0 = no fork.
 };
 
@@ -75,7 +73,6 @@ Axes Draw(uint64_t seed) {
     const double exponent = 5.0 + 5.0 * static_cast<double>(rng() % 1001) / 1000.0;
     a.spec_horizon_ps = static_cast<int64_t>(std::pow(10.0, exponent));
   }
-  a.move_pct = static_cast<uint32_t>(rng() % 101);
   const size_t fork_pick = rng() % (a.stops_ps.size() + 1);
   if (fork_pick < a.stops_ps.size()) {
     a.fork_at_ps = a.stops_ps[fork_pick];
@@ -101,7 +98,6 @@ std::string Reproducer(const Axes& a) {
   s += a.spec_horizon_ps > 0
            ? " speculation=auto horizon_ps=" + std::to_string(a.spec_horizon_ps)
            : std::string(" speculation=off");
-  s += " move_pct=" + std::to_string(a.move_pct);
   s += a.fork_at_ps > 0 ? " fork_at=" + std::to_string(a.fork_at_ps)
                         : std::string(" fork_at=none");
   return s;
@@ -109,9 +105,8 @@ std::string Reproducer(const Axes& a) {
 
 // The k=4 fat-tree scenario with permutation flows plus streaming Poisson
 // load, traffic drawn from the case seed. Runs one Run() per stop time and,
-// when `a` is non-null, stages a random move set before each of them and
-// forks at `a->fork_at_ps`: the windows after it run on the fork, which
-// borrows the parent's executors.
+// when `a` is non-null, forks at `a->fork_at_ps`: the windows after it run on
+// the fork, which borrows the parent's executors.
 RunDigest RunScenario(const KernelConfig& kernel, PartitionMode partition,
                       uint64_t seed, const Axes* a) {
   SimConfig cfg;
@@ -157,21 +152,11 @@ RunDigest RunScenario(const KernelConfig& kernel, PartitionMode partition,
         },
         [n] { RollBackCheckpointStore(*n); });
   };
-  std::mt19937_64 moves_rng(a->seed ^ 0x9e3779b97f4a7c15ULL);
   std::unique_ptr<Network> fork;
   Network* live = &net;
   check_store(live);
   for (int64_t stop_ps : a->stops_ps) {
     Kernel& k = live->kernel();
-    const uint32_t domain = k.partition_map().num_executors();
-    std::vector<LpMove> moves;
-    for (uint32_t lp = 0; lp < k.num_lps(); ++lp) {
-      if (moves_rng() % 100 < a->move_pct) {
-        // Targets past the domain must fold modulo it.
-        moves.push_back({lp, static_cast<uint32_t>(moves_rng() % (domain + 2))});
-      }
-    }
-    k.StageMigrations(moves);
     const uint64_t captures = k.spec_checkpoint().captures();
     live->Run(Time::Picoseconds(stop_ps));
     if (k.spec_checkpoint().captures() > captures) {

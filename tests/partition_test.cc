@@ -1,4 +1,5 @@
-// Fine-grained partition (Algorithm 1) and the manual baselines.
+// Fine-grained partition (Algorithm 1), the manual baselines, and the round
+// kernel's setup placement (PartitionMap).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -6,6 +7,7 @@
 #include "src/net/network.h"
 #include "src/partition/fine_grained.h"
 #include "src/partition/manual.h"
+#include "src/partition/partition_map.h"
 #include "src/topo/bcube.h"
 #include "src/topo/fat_tree.h"
 #include "src/topo/torus.h"
@@ -190,6 +192,16 @@ TEST(ValidatePartition, DetectsSplitLp) {
   p.lp_of_node = {0, 1, 0};
   FinalizePartition(g, &p);
   EXPECT_FALSE(ValidatePartition(g, p));
+}
+
+TEST(PartitionMap, ResetStridedAssignsRoundRobinAtEpochZero) {
+  PartitionMap map;
+  map.ResetStrided(6, 2);
+  EXPECT_EQ(map.num_lps(), 6u);
+  EXPECT_EQ(map.num_executors(), 2u);
+  EXPECT_EQ(map.owners(), (std::vector<uint32_t>{0, 1, 0, 1, 0, 1}));
+  EXPECT_EQ(map.owned(0), (std::vector<uint32_t>{0, 2, 4}));
+  EXPECT_EQ(map.owned(1), (std::vector<uint32_t>{1, 3, 5}));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <string>
 
-#include "src/control/controller.h"
 #include "src/stats/trace.h"
 #include "tests/test_util.h"
 
@@ -191,8 +190,8 @@ TEST(RunTraceExport, CsvHasHeaderAndOneLinePerRound) {
   EXPECT_EQ(lines, 1 + run.records.size());
   EXPECT_EQ(run.csv.rfind("window,round,lbts_ps,window_ps,events_before,"
                           "resorted,p_total_ns,s_total_ns,m_total_ns,"
-                          "barrier_ns,parked,tuning_epoch,migrations,"
-                          "spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,"
+                          "barrier_ns,parked,tuning_epoch,spec_rounds,"
+                          "spec_hits,spec_misses,rollback_ns,capture_ns,"
                           "capture_bytes,steals,messages\n",
                           0),
             0u);
@@ -338,7 +337,7 @@ TEST(RunTraceConfig, NothingIsRecordedWhenOff) {
 
 // One summary per window: the kernel's run_summary() is the value the
 // window's segment archives, imbalance included, and that imbalance is the
-// controller's rebalance signal for the same segment.
+// mean over the segment's own per-round rows.
 TEST(RunTraceSession, KernelSummaryIsTheSegmentSummary) {
   SimConfig cfg;
   cfg.trace = true;
@@ -351,7 +350,7 @@ TEST(RunTraceSession, KernelSummaryIsTheSegmentSummary) {
     EXPECT_EQ(summary.ToJson(), seg.summary.ToJson());
     EXPECT_EQ(summary.imbalance, seg.summary.imbalance);
     EXPECT_GT(seg.summary.imbalance, 0.0);  // Two timed executors never tie.
-    EXPECT_EQ(seg.summary.imbalance, Controller::MeanRoundImbalance(seg));
+    EXPECT_EQ(seg.summary.imbalance, MeanRoundImbalance(seg.round_p));
     EXPECT_EQ(summary.processing_ns, trace.summary().processing_ns);
   });
 }

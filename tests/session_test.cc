@@ -950,9 +950,6 @@ TEST(SessionFork, TuningConfigSurvivesForkAndRestore) {
   t.initial_window_ps = 700'000'000;
   t.parks_per_round_high = 2.5;
   t.min_rounds = 5;
-  t.rebalance_imbalance_high = 0.4;
-  t.rebalance_patience = 6;
-  t.rebalance_cooldown = 7;
   t.spec_horizon_initial_ps = 3'000'000;
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
@@ -967,9 +964,6 @@ TEST(SessionFork, TuningConfigSurvivesForkAndRestore) {
     EXPECT_EQ(r.initial_window_ps, t.initial_window_ps);
     EXPECT_EQ(r.parks_per_round_high, t.parks_per_round_high);
     EXPECT_EQ(r.min_rounds, t.min_rounds);
-    EXPECT_EQ(r.rebalance_imbalance_high, t.rebalance_imbalance_high);
-    EXPECT_EQ(r.rebalance_patience, t.rebalance_patience);
-    EXPECT_EQ(r.rebalance_cooldown, t.rebalance_cooldown);
     EXPECT_EQ(r.spec_horizon_initial_ps, t.spec_horizon_initial_ps);
   };
   Session session(&net);
