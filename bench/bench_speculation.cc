@@ -1,7 +1,8 @@
 // Speculative window execution on a low-lookahead multi-site WAN:
 // conservative Eq. 2 windows vs optimistic rounds past the LBTS bound with
 // checkpoint rollback (speculation=auto), plus a horizon sweep reporting the
-// miss rate.
+// miss rate, and the best static setting beside them: one conservative lane,
+// which steps each LP to its own safe bound with no rounds at all.
 //
 // The scenario is built to be synchronization-bound: S sites, each a small
 // star of hosts behind a router, joined by a short-delay inter-site ring.
@@ -17,7 +18,9 @@
 // fingerprints and event counts vs speculation=off for every horizon, at
 // least one observed miss + rollback (the inter-site bursts force them), and
 // wall clock no worse than conservative (the CI floor 0.9 absorbs runner
-// noise). It also reports how much of the window state each capture of the
+// noise). The one-lane run joins the fingerprint check; its wall time and
+// speedup_vs_one_lane (one-lane wall / speculative wall) are reported, not
+// gated. It also reports how much of the window state each capture of the
 // incremental checkpoint store re-encoded (reencoded_share): the bytes
 // captured over windows 2..N, over the full reference encoder's size at the
 // same boundaries, taken in an untimed replay.
@@ -123,15 +126,17 @@ struct SpecRun {
   uint64_t reference_bytes = 0;  // Windows 2..N; a replay only.
 };
 
-// Runs the scenario sliced into fixed 50 us session windows (one checkpoint
-// and at most one rollback per window). horizon_ps == 0 is the conservative
-// baseline; both paths pay identical boundary overhead, so the measured gap
-// is the synchronization rounds alone. A `replay` also sizes the full
-// reference encoding at every boundary, which its wall time then includes.
-SpecRun RunOnce(int64_t horizon_ps, Time duration, bool replay = false) {
+// Runs the scenario on `threads` lanes, sliced into fixed 50 us session
+// windows (one checkpoint and at most one rollback per window). horizon_ps
+// == 0 is the conservative baseline; both paths pay identical boundary
+// overhead, so the measured gap is the synchronization rounds alone. A
+// `replay` also sizes the full reference encoding at every boundary, which
+// its wall time then includes.
+SpecRun RunOnce(uint32_t threads, int64_t horizon_ps, Time duration,
+                bool replay = false) {
   SimConfig cfg;
   cfg.kernel.type = KernelType::kUnison;
-  cfg.kernel.threads = 2;
+  cfg.kernel.threads = threads;
   cfg.partition = PartitionMode::kManual;
   if (horizon_ps > 0) {
     cfg.speculation = SpeculationMode::kAuto;
@@ -177,10 +182,12 @@ int main(int argc, char** argv) {
   const Time duration = Time::Milliseconds(quick ? 2 : 5);
 
   std::printf(
-      "speculation: %u-site WAN ring, 100 ns lookahead, unison 2t, %s\n",
+      "speculation: %u-site WAN ring, 100 ns lookahead, unison 2t (one lane: "
+      "1t), %s\n",
       kSites, quick ? "quick" : "full");
 
-  const SpecRun cons = RunOnce(0, duration);
+  const SpecRun cons = RunOnce(2, 0, duration);
+  const SpecRun one_lane = RunOnce(1, 0, duration);
 
   // Horizon sweep: the default 50 us covers a whole session window in one
   // optimistic stretch; the short and long horizons bracket it.
@@ -191,22 +198,26 @@ int main(int argc, char** argv) {
   };
   std::vector<SpecRun> runs;
   for (int64_t h : horizons) {
-    runs.push_back(RunOnce(h, duration));
+    runs.push_back(RunOnce(2, h, duration));
   }
   const SpecRun& spec = runs[1];  // The 50 us default is what CI gates.
-  const SpecRun replay = RunOnce(horizons[1], duration, /*replay=*/true);
+  const SpecRun replay = RunOnce(2, horizons[1], duration, /*replay=*/true);
   const double reencoded_share =
       replay.reference_bytes == 0
           ? 0.0
           : static_cast<double>(spec.capture_bytes) /
                 static_cast<double>(replay.reference_bytes);
 
-  bool fingerprint_match = true;
+  bool fingerprint_match = one_lane.fingerprint == cons.fingerprint &&
+                           one_lane.events == cons.events;
   Table table({"horizon us", "wall ms", "rounds", "spec rounds", "hits",
                "misses", "rollback ms", "match"});
   table.Row({"conservative", Fmt("%.1f", cons.wall_ns * 1e-6),
              Fmt("%llu", static_cast<unsigned long long>(cons.rounds)), "0",
              "0", "0", "0.0", "-"});
+  table.Row({"one lane", Fmt("%.1f", one_lane.wall_ns * 1e-6),
+             Fmt("%llu", static_cast<unsigned long long>(one_lane.rounds)),
+             "0", "0", "0", "0.0", fingerprint_match ? "yes" : "DIVERGE"});
   for (size_t i = 0; i < runs.size(); ++i) {
     const SpecRun& r = runs[i];
     const bool match =
@@ -225,17 +236,22 @@ int main(int argc, char** argv) {
       spec.wall_ns == 0 ? 0.0
                         : static_cast<double>(cons.wall_ns) /
                               static_cast<double>(spec.wall_ns);
+  const double speedup_vs_one_lane =
+      spec.wall_ns == 0 ? 0.0
+                        : static_cast<double>(one_lane.wall_ns) /
+                              static_cast<double>(spec.wall_ns);
   const double miss_rate =
       spec.spec_misses + spec.spec_hits == 0
           ? 0.0
           : static_cast<double>(spec.spec_misses) /
                 static_cast<double>(spec.windows);
   std::printf(
-      "  speedup %.2fx (rounds %llu -> %llu), fingerprints %s, "
+      "  speedup %.2fx (rounds %llu -> %llu), %.2fx against one lane, "
+      "fingerprints %s, "
       "miss rate %.2f/window, checkpoints %llu captured / %llu restored, "
       "%.3f of the window state re-encoded per capture\n",
       speedup, static_cast<unsigned long long>(cons.rounds),
-      static_cast<unsigned long long>(spec.rounds),
+      static_cast<unsigned long long>(spec.rounds), speedup_vs_one_lane,
       fingerprint_match ? "match" : "DIVERGE", miss_rate,
       static_cast<unsigned long long>(spec.captures),
       static_cast<unsigned long long>(spec.restores), reencoded_share);
@@ -253,7 +269,8 @@ int main(int argc, char** argv) {
         out,
         "{\n  \"bench\": \"speculation\",\n  \"quick\": %s,\n"
         "  \"conservative_wall_ns\": %llu,\n  \"speculative_wall_ns\": %llu,\n"
-        "  \"speedup\": %.4f,\n  \"fingerprint_match\": %s,\n"
+        "  \"speedup\": %.4f,\n  \"one_lane_wall_ns\": %llu,\n"
+        "  \"speedup_vs_one_lane\": %.4f,\n  \"fingerprint_match\": %s,\n"
         "  \"conservative_rounds\": %llu,\n  \"speculative_rounds\": %llu,\n"
         "  \"windows\": %u,\n  \"spec_rounds\": %u,\n  \"spec_hits\": %u,\n"
         "  \"spec_misses\": %u,\n  \"miss_rate_per_window\": %.4f,\n"
@@ -264,6 +281,7 @@ int main(int argc, char** argv) {
         quick ? "true" : "false",
         static_cast<unsigned long long>(cons.wall_ns),
         static_cast<unsigned long long>(spec.wall_ns), speedup,
+        static_cast<unsigned long long>(one_lane.wall_ns), speedup_vs_one_lane,
         fingerprint_match ? "true" : "false",
         static_cast<unsigned long long>(cons.rounds),
         static_cast<unsigned long long>(spec.rounds), spec.windows,

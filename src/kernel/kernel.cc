@@ -153,20 +153,26 @@ Kernel::WindowTuning Kernel::SampleTuning(uint32_t default_parties,
 bool Kernel::MaySpeculate() const {
   // Speculation re-executes a stretch after a rollback; without deterministic
   // tie-breaking the re-run could legally diverge, voiding the transparency
-  // contract. Infinite lookahead means windows already extend to the global
-  // horizon (nothing to speculate past); it stays infinite, since link
-  // changes move cut-link delays but never create a cut link.
-  return RunsSpeculativeRounds() && config_.deterministic &&
-         !partition_.lookahead.IsMax();
+  // contract. One executor runs no rounds to extend: the round kernel steps
+  // each LP to its own safe bound instead, and tuning never grows the lanes
+  // past the ceiling. Infinite lookahead means windows already extend to the
+  // global horizon (nothing to speculate past); it stays infinite, since
+  // link changes move cut-link delays but never create a cut link.
+  return RunsSpeculativeRounds() && MaxExecutors() > 1 &&
+         config_.deterministic && !partition_.lookahead.IsMax();
 }
 
-bool Kernel::BeginSpeculativeWindow() {
+void Kernel::ClearSpecWindowStats() {
   spec_rounds_win_ = 0;
   spec_hits_win_ = 0;
   spec_misses_win_ = 0;
   rollback_ns_win_ = 0;
   capture_ns_win_ = 0;
   capture_bytes_win_ = 0;
+}
+
+bool Kernel::BeginSpeculativeWindow() {
+  ClearSpecWindowStats();
   if (tuning_.spec_horizon_ps <= 0 || !spec_ckpt_.installed() || !MaySpeculate()) {
     return false;
   }

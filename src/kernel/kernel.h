@@ -172,8 +172,8 @@ class Kernel {
   // no executor id at all — 1 is a safe upper bound.
   virtual uint32_t MaxExecutors() const { return 1; }
 
-  // True for the kernels whose Run() calls BeginSpeculativeWindow (the round
-  // kernels).
+  // True for the kernels whose Run() calls BeginSpeculativeWindow: the round
+  // kernels, in the windows that run rounds (round_kernel.h).
   virtual bool RunsSpeculativeRounds() const { return false; }
 
   // Invoked at the end of every Run() window, after the final barrier
@@ -281,10 +281,12 @@ class Kernel {
   // --- Speculative window execution (DESIGN.md §3k) ---
 
   // Whether any window of this session may speculate: a kernel that runs
-  // speculative rounds, deterministic tie-breaking, and a partition with cut
-  // links (finite lookahead). Fixed from Setup on, so Network::Finalize
-  // installs the checkpoint hooks only when it holds; the horizon, the
-  // lookahead's sign and the capture itself are still decided per window.
+  // speculative rounds on more than one executor, deterministic
+  // tie-breaking, and a partition with cut links (finite lookahead). At one
+  // executor speculation never arms, as in the sequential and null-message
+  // kernels. Fixed from Setup on, so Network::Finalize installs the
+  // checkpoint hooks only when it holds; the horizon, the lookahead's sign
+  // and the capture itself are still decided per window.
   bool MaySpeculate() const;
 
   // Installs the session-level capture/restore hooks the window checkpoint
@@ -357,6 +359,10 @@ class Kernel {
   // lies below it. Zero for a fresh session or after an early stop.
   Time resume_floor() const { return resume_floor_; }
 
+  // Zeroes the window's speculation stats, for a window that runs no rounds.
+  // The checkpoint and its marks are untouched, as for a declined capture.
+  void ClearSpecWindowStats();
+
   // Start-of-window speculation gate, called once per Run() by the opt-in
   // round kernels after tunables are sampled and the session is quiescent.
   // Resets the window's speculation stats, then decides eligibility (hooks
@@ -420,7 +426,7 @@ class Kernel {
   const TunableStore* tunables_ = nullptr;  // Borrowed; see set_tunables.
   WindowTuning tuning_;  // What the current/last window ran with.
   // Speculation: the window checkpoint's policy and counters, and the
-  // current window's speculation stats (reset by BeginSpeculativeWindow,
+  // current window's speculation stats (reset by ClearSpecWindowStats,
   // stamped by FinishRun). Kernels without checkpoint hooks leave them all
   // zero.
   SpecCheckpoint spec_ckpt_;

@@ -1,9 +1,9 @@
 // A logical process: one spatial partition of the simulated network, with its
 // own future event list, clock, outboxes, and deterministic sequence counters.
 //
-// Exactly one thread executes a given LP at a time (each LP is processed once
-// per round); the kernels guarantee this, which lets all LP state be plain
-// non-atomic data.
+// Exactly one thread executes a given LP at a time (each LP is processed at
+// most once per round, or by the one worker of a step-loop window); the
+// kernels guarantee this, which lets all LP state be plain non-atomic data.
 #ifndef UNISON_SRC_KERNEL_LP_H_
 #define UNISON_SRC_KERNEL_LP_H_
 

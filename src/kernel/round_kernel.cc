@@ -1,6 +1,8 @@
 #include "src/kernel/round_kernel.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "src/kernel/engine/phase_accountant.h"
 #include "src/sched/lpt.h"
@@ -32,6 +34,11 @@ SchedulingMetric ClaimMetric(const KernelConfig& config) {
   }
   return config.type == KernelType::kHybrid ? SchedulingMetric::kByLastRoundTime
                                             : config.metric;
+}
+
+// a + b for b >= 0, where INT64_MAX (Time::Max) means no bound.
+int64_t SaturatingAdd(int64_t a, int64_t b) {
+  return a > INT64_MAX - b ? INT64_MAX : a + b;
 }
 
 }  // namespace
@@ -121,6 +128,28 @@ RunResult RoundKernel::Run(Time stop_time) {
   }
 
   const uint64_t run_t0 = Profiler::NowNs();
+  // One worker owns every LP, so nothing needs a round: step each LP to its
+  // own safe bound. Windows that record per-LP round costs keep rounds — the
+  // cost model and InstrumentedRun consume them.
+  Profiler* const rows = window_rows();
+  if (workers == 1 && partition_.lookahead > Time::Zero() &&
+      (rows == nullptr || !rows->per_lp)) {
+    ClearSpecWindowStats();
+    BeginWindow(name_, 1);
+    const RunReason reason = StepLoop(stop_time);
+    const uint64_t wall_ns = Profiler::NowNs() - run_t0;
+    processed_events_ = shared_.workers[0].events;
+    rounds_ = 0;
+    window_steals_ = 0;
+    window_messages_ = rows != nullptr ? shared_.workers[0].messages : 0;
+    if (rows != nullptr) {
+      // As the sequential kernel records it: one executor, the whole window P.
+      rows->executor(0).processing_ns = wall_ns;
+      rows->executor(0).events = processed_events_;
+    }
+    return FinishRun(name_, 1, wall_ns, stop_time, reason);
+  }
+
   // Speculation (DESIGN.md §3k): capture the window checkpoint while the
   // session is quiescent; rounds may then extend past the LBTS bound. A
   // causality miss aborts the attempt without touching the session
@@ -172,6 +201,102 @@ RunResult RoundKernel::Run(Time stop_time) {
   }
   return FinishRun(name_, workers, Profiler::NowNs() - run_t0, stop_time,
                    sync_.reason());
+}
+
+void RoundKernel::ScheduleRemote(Lp* from, LpId target, Event ev) {
+  Kernel::ScheduleRemote(from, target, std::move(ev));
+  // The step loop lowers heads from wired outboxes only; an overflow send
+  // makes it re-read every LP. One worker means one writer.
+  if (live_workers_ == 1) {
+    overflowed_ = true;
+  }
+}
+
+RunReason RoundKernel::StepLoop(Time stop) {
+  const uint32_t n = num_lps();
+  std::vector<int64_t>& head = head_ps_;
+  head.resize(n);
+  uint64_t events = 0;
+  uint64_t messages = 0;
+  // Moves every mailbox into its FEL and re-reads every head from it.
+  const auto settle = [&] {
+    for (uint32_t i = 0; i < n; ++i) {
+      messages += lps_[i]->DrainInboxes();
+      head[i] = lps_[i]->fel().NextTimestamp().ps();
+    }
+    overflowed_ = false;
+  };
+  settle();
+  int64_t lookahead = partition_.lookahead.ps();
+  RunReason reason = RunReason::kStopRequested;
+  while (!stop_requested()) {
+    // The earliest head, and the earliest among the other LPs.
+    uint32_t a = 0;
+    int64_t first = INT64_MAX;
+    int64_t second = INT64_MAX;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (head[i] < first) {
+        second = first;
+        first = head[i];
+        a = i;
+      } else if (head[i] < second) {
+        second = head[i];
+      }
+    }
+    const int64_t npub = public_lp_->fel().NextTimestamp().ps();
+    if (first == INT64_MAX && npub == INT64_MAX) {
+      reason = RunReason::kExhausted;
+      break;
+    }
+    if (std::min(first, npub) >= stop.ps()) {
+      reason = RunReason::kWindowReached;
+      break;
+    }
+    if (npub <= first) {
+      // LP events below the global ran; the globals at npub run before the
+      // LP events at npub. Every mailbox is delivered first, so a global sees
+      // each pending event in its LP's FEL, as under the sequential kernel.
+      // Globals may insert into any FEL or change the lookahead.
+      settle();
+      shared_.workers[0].events = events;  // LiveEvents, for the globals.
+      events += RunGlobalEvents(Time::Picoseconds(npub), stop);
+      settle();
+      lookahead = partition_.lookahead.ps();
+      continue;
+    }
+    // Safe bound: another LP's events send no earlier than its head plus the
+    // lookahead, and a reply to this step's own sends lands no earlier than
+    // two lookaheads past this LP's head.
+    const int64_t bound =
+        std::min({SaturatingAdd(second, lookahead),
+                  SaturatingAdd(SaturatingAdd(first, lookahead), lookahead),
+                  npub, stop.ps()});
+    Lp* const lp = lps_[a].get();
+    const std::vector<std::unique_ptr<Outbox>>& boxes = lp->outboxes();
+    sent_before_.clear();
+    for (const std::unique_ptr<Outbox>& box : boxes) {
+      sent_before_.push_back(box->events.size());
+    }
+    messages += lp->DrainInboxes();
+    events += lp->ProcessUntil(Time::Picoseconds(bound));
+    head[a] = lp->fel().NextTimestamp().ps();
+    // Lazy delivery: the sends stay in the outboxes until their target's
+    // next step; only the target's head learns of them now.
+    for (size_t k = 0; k < boxes.size(); ++k) {
+      const std::vector<Event>& sent = boxes[k]->events;
+      int64_t& target = head[boxes[k]->target];
+      for (size_t e = sent_before_[k]; e < sent.size(); ++e) {
+        target = std::min(target, sent[e].key.ts.ps());
+      }
+    }
+    if (overflowed_) {
+      settle();
+    }
+  }
+  settle();
+  shared_.workers[0].events = events;
+  shared_.workers[0].messages = messages;
+  return reason;
 }
 
 void RoundKernel::BuildLayout(uint32_t workers) {

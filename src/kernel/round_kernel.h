@@ -50,6 +50,19 @@
 // indeterminism when the run is non-deterministic (Fig. 11). Stock barrier
 // sync all-reduces *before* each round; here that reduction is the
 // end-of-round one, and the leading reduce is RoundSync::SeedMinFromLps.
+//
+// A window with one live worker (unison at 1 thread, hybrid 1 x 1, barrier
+// with one LP, or lanes tuned down to 1) and a positive lookahead runs no
+// rounds unless it records per-LP round costs. The caller alone steps the LP
+// with the earliest head — its next event, lowered by the events waiting in
+// its inboxes — after draining its inboxes, up to
+//   min(other LPs' heads + L, its own head + 2L, next global, stop):
+// any later send from another LP lands at or past its head + L, and a reply
+// to this step's own sends at or past this head + 2L, so every event the
+// step runs is final. Sends stay in the outboxes until their target's next
+// step; each step lowers its targets' heads from the events it appended.
+// Every inbox is drained before globals run and when the window ends. Such a
+// window never speculates, crosses no barrier and counts 0 rounds.
 #ifndef UNISON_SRC_KERNEL_ROUND_KERNEL_H_
 #define UNISON_SRC_KERNEL_ROUND_KERNEL_H_
 
@@ -106,6 +119,7 @@ class RoundKernel : public Kernel {
 
  protected:
   void WireMailboxes() override;
+  void ScheduleRemote(Lp* from, LpId target, Event ev) override;
 
  private:
   // A worker's own list as the lanes of its group see it in phase 1: the
@@ -142,6 +156,11 @@ class RoundKernel : public Kernel {
     // metric.
     bool timing = false;
   };
+
+  // Runs the window on the caller alone, step by step: each step drains the
+  // LP with the earliest head and runs it to its own safe bound. Returns why
+  // the window ended.
+  RunReason StepLoop(Time stop);
 
   // Rebuilds the workers' own lists from the setup placement. Runs at a
   // window boundary, only when the live worker count changed since the last
@@ -181,6 +200,13 @@ class RoundKernel : public Kernel {
   std::vector<uint64_t> last_round_ns_;  // Per-LP ByLastRoundTime estimates.
   std::vector<uint64_t> cost_buf_;
   std::vector<uint32_t> claim_order_;  // Recorded group priority orders.
+
+  // Step loop state: per-LP heads (lower bounds on each LP's next event, in
+  // ps), the stepped LP's outbox sizes before its step, and whether a send
+  // took the overflow box since the heads were last re-read.
+  std::vector<int64_t> head_ps_;
+  std::vector<size_t> sent_before_;
+  bool overflowed_ = false;
 };
 
 }  // namespace unison

@@ -15,12 +15,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <random>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "src/kernel/engine/executor_pool.h"
+#include "src/kernel/round_kernel.h"
 #include "src/net/model_events.h"
 #include "src/net/session.h"
 #include "src/net/udp.h"
@@ -1091,6 +1093,66 @@ struct WanStoreRun {
   uint32_t declined = 0;   // Windows whose capture declined.
 };
 
+// A 4-site WAN ring: four hosts behind each site's router on 1 us links, the
+// routers joined by `cut_delay` links, one LP per site when `partition` is
+// manual. Until `until`, TCP flows inside and across sites start every
+// 150 us, over streaming Poisson load.
+struct WanRing {
+  std::vector<std::vector<NodeId>> hosts;  // [site][host]
+  TrafficSpec streaming;                   // As installed.
+  uint32_t ring_link = 0;                  // The last ring link.
+};
+
+WanRing BuildWanRing(Network& net, Time cut_delay, Time until,
+                     PartitionMode partition) {
+  constexpr uint32_t kSites = 4;
+  constexpr uint32_t kHostsPerSite = 4;
+  constexpr uint64_t kBps = 10'000'000'000ULL;
+  WanRing wan;
+  wan.hosts.resize(kSites);
+  std::vector<NodeId> routers;
+  std::vector<NodeId> all_hosts;
+  std::vector<LpId> lp_of_node;
+  for (uint32_t s = 0; s < kSites; ++s) {
+    routers.push_back(net.AddNode());
+    lp_of_node.push_back(s);
+    for (uint32_t h = 0; h < kHostsPerSite; ++h) {
+      wan.hosts[s].push_back(net.AddNode());
+      all_hosts.push_back(wan.hosts[s].back());
+      lp_of_node.push_back(s);
+      net.AddLink(wan.hosts[s][h], routers[s], kBps, Time::Microseconds(1));
+    }
+  }
+  for (uint32_t s = 0; s < kSites; ++s) {
+    wan.ring_link = net.AddLink(routers[s], routers[(s + 1) % kSites], kBps,
+                                cut_delay);
+  }
+  if (partition == PartitionMode::kManual) {
+    net.SetManualPartition(kSites, std::move(lp_of_node));
+  }
+  net.Finalize();
+
+  FlowSpec flow;
+  for (int64_t t = 0; t < until.ps(); t += Time::Microseconds(150).ps()) {
+    for (uint32_t s = 0; s < kSites; ++s) {
+      for (uint32_t h = 0; h < kHostsPerSite; ++h) {
+        flow.src = wan.hosts[s][h];
+        flow.dst = h == 0 ? wan.hosts[(s + 1) % kSites][1]
+                          : wan.hosts[s][(h + 1) % kHostsPerSite];
+        flow.bytes = 16 * 1024 + 4096 * h;
+        flow.start = Time::Picoseconds(t + 7000 * (s * kHostsPerSite + h));
+        InstallFlow(net, flow);
+      }
+    }
+  }
+  wan.streaming.hosts = all_hosts;
+  wan.streaming.bisection_bps = kBps;
+  wan.streaming.load = 0.2;
+  wan.streaming.duration = until;
+  InstallFlowSources(net, wan.streaming);
+  return wan;
+}
+
 // A 4-site WAN ring (one LP per site, 100 ns cut links) run in 50 us windows
 // with every kind of change a window can make: TCP flows inside and across
 // sites, streaming flow sources, a cross-site UDP flow installed mid-session
@@ -1102,9 +1164,6 @@ struct WanStoreRun {
 // reference encoder must read back those boundary bytes, and after every
 // window whose capture succeeded the store's slots must assemble into them.
 WanStoreRun RunWanStoreScenario(uint32_t threads, bool speculate) {
-  constexpr uint32_t kSites = 4;
-  constexpr uint32_t kHostsPerSite = 4;
-  constexpr uint64_t kBps = 10'000'000'000ULL;
   constexpr int kWindows = 48;
   const Time window = Time::Microseconds(50);
   SimConfig cfg;
@@ -1117,46 +1176,10 @@ WanStoreRun RunWanStoreScenario(uint32_t threads, bool speculate) {
     cfg.tuning_config.spec_horizon_initial_ps = window.ps();
   }
   Network net(cfg);
-  std::vector<NodeId> routers;
-  std::vector<std::vector<NodeId>> hosts(kSites);
-  std::vector<NodeId> all_hosts;
-  std::vector<LpId> lp_of_node;
-  for (uint32_t s = 0; s < kSites; ++s) {
-    routers.push_back(net.AddNode());
-    lp_of_node.push_back(s);
-    for (uint32_t h = 0; h < kHostsPerSite; ++h) {
-      hosts[s].push_back(net.AddNode());
-      all_hosts.push_back(hosts[s].back());
-      lp_of_node.push_back(s);
-      net.AddLink(hosts[s][h], routers[s], kBps, Time::Microseconds(1));
-    }
-  }
-  for (uint32_t s = 0; s < kSites; ++s) {
-    net.AddLink(routers[s], routers[(s + 1) % kSites], kBps,
-                Time::Nanoseconds(100));
-  }
-  net.SetManualPartition(kSites, std::move(lp_of_node));
-  net.Finalize();
-
-  FlowSpec flow;
-  for (int64_t t = 0; t < kWindows * window.ps(); t += Time::Microseconds(150).ps()) {
-    for (uint32_t s = 0; s < kSites; ++s) {
-      for (uint32_t h = 0; h < kHostsPerSite; ++h) {
-        flow.src = hosts[s][h];
-        flow.dst = h == 0 ? hosts[(s + 1) % kSites][1]
-                          : hosts[s][(h + 1) % kHostsPerSite];
-        flow.bytes = 16 * 1024 + 4096 * h;
-        flow.start = Time::Picoseconds(t + 7000 * (s * kHostsPerSite + h));
-        InstallFlow(net, flow);
-      }
-    }
-  }
-  TrafficSpec streaming;
-  streaming.hosts = all_hosts;
-  streaming.bisection_bps = kBps;
-  streaming.load = 0.2;
-  streaming.duration = window * kWindows;
-  InstallFlowSources(net, streaming);
+  const WanRing wan = BuildWanRing(net, Time::Nanoseconds(100),
+                                   window * kWindows, PartitionMode::kManual);
+  const std::vector<std::vector<NodeId>>& hosts = wan.hosts;
+  const TrafficSpec& streaming = wan.streaming;
 
   WanStoreRun out;
   std::vector<uint8_t> boundary;
@@ -1228,10 +1251,191 @@ TEST_P(CheckpointStoreWan, SlotsMatchTheReferenceAndRollbacksRestoreTheBoundary)
   EXPECT_TRUE(spec.digest == off.digest);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, CheckpointStoreWan, ::testing::Values(1u, 2u),
+// At one worker nothing is captured: StepLoop checks that, and the digest
+// equality the t1 case used to check.
+INSTANTIATE_TEST_SUITE_P(Threads, CheckpointStoreWan, ::testing::Values(2u, 3u),
                          [](const ::testing::TestParamInfo<uint32_t>& info) {
                            return "t" + std::to_string(info.param);
                          });
+
+// --- One worker: the step loop ---
+
+struct StepCase {
+  const char* name;
+  bool wan;        // The 4-site WAN ring, one LP per site; else a k=4 fat-tree.
+  Time cut_delay;  // WAN only: the delay of the inter-site ring links.
+};
+
+// Test listings print the case by name, not as bytes holding a pointer.
+void PrintTo(const StepCase& c, std::ostream* os) { *os << c.name; }
+
+struct StepRun {
+  RunDigest digest;
+  uint32_t crossings = 0;  // Parent and fork.
+  bool store = false;      // Parent or fork built a checkpoint store.
+  uint64_t captures = 0;   // Parent and fork.
+  uint32_t early_stops = 0;
+};
+
+// Six windows under speculation=auto: a fork after the second, then on the
+// fork a progress ticker (its first tick lies past the fork), a FailLink in
+// the fourth window and a Stop() in the fifth, which ends that window early;
+// it is run again to its stop time.
+StepRun RunStepScenario(const StepCase& c, const KernelConfig& kernel,
+                        PartitionMode partition) {
+  SimConfig cfg;
+  cfg.kernel = kernel;
+  cfg.partition = partition;
+  cfg.seed = 11;
+  cfg.speculation = SpeculationMode::kAuto;
+  Network net(cfg);
+  Time total;
+  uint32_t fail_link = 0;
+  if (c.wan) {
+    total = Time::Microseconds(900);
+    fail_link = BuildWanRing(net, c.cut_delay, total, partition).ring_link;
+  } else {
+    total = Time::Milliseconds(3);
+    FatTreeTopo topo =
+        BuildFatTree(net, 4, 10'000'000'000ULL, Time::Microseconds(3));
+    net.Finalize();
+    GeneratePermutation(net, topo.hosts, 200 * 1024, Time::Zero());
+    TrafficSpec traffic;
+    traffic.hosts = topo.hosts;
+    traffic.bisection_bps = topo.bisection_bps;
+    traffic.load = 0.3;
+    traffic.duration = total;
+    InstallFlowSources(net, traffic);
+    fail_link = static_cast<uint32_t>(net.links().size()) - 1;  // A core link.
+  }
+
+  StepRun out;
+  std::unique_ptr<Network> fork;
+  Network* live = &net;
+  for (int w = 1; w <= 6; ++w) {
+    const Time stop = Time::Picoseconds(total.ps() * w / 6);
+    while (live->Run(stop).reason == RunReason::kStopRequested) {
+      ++out.early_stops;
+    }
+    if (w != 2) {
+      continue;
+    }
+    Session session(&net);
+    fork = session.Fork(session.Snapshot());
+    live = fork.get();
+    live->EnableProgressReport(Time::Picoseconds(total.ps() * 7 / 18),
+                               [](Time, uint64_t) {});
+    live->FailLink(fail_link, Time::Picoseconds(total.ps() * 5 / 9));
+    live->sim().ScheduleGlobal(Time::Picoseconds(total.ps() * 3 / 4),
+                               [live] { live->sim().Stop(); });
+  }
+  for (Network* n : {&net, live}) {
+    if (auto* round_kernel = dynamic_cast<RoundKernel*>(&n->kernel())) {
+      out.crossings += round_kernel->barrier_crossings();
+      EXPECT_EQ(n->kernel().session_rounds(), 0u);
+    }
+    out.store = out.store || n->checkpoint_store() != nullptr;
+    out.captures += n->kernel().spec_checkpoint().captures();
+  }
+  EXPECT_FALSE(live->links()[fail_link].up);
+  out.digest = DigestOf(*live);
+  return out;
+}
+
+class StepLoop : public ::testing::TestWithParam<StepCase> {};
+
+// One worker steps each LP to its own safe bound, with no round, no barrier
+// crossing and no speculation checkpoint, and matches the sequential kernel
+// across windows, a fork, globals, a topology change and an early stop. With
+// a 1 ps cut link each step covers at most 2 ps past its LP's head.
+TEST_P(StepLoop, OneWorkerMatchesSequentialWithNoRoundsOrCaptures) {
+  const StepCase& c = GetParam();
+  KernelConfig seq;
+  seq.type = KernelType::kSequential;
+  const StepRun want = RunStepScenario(c, seq, PartitionMode::kSingle);
+  EXPECT_GT(want.digest.event_count, 10'000u);
+  EXPECT_EQ(want.early_stops, 1u);
+
+  KernelConfig unison;
+  unison.type = KernelType::kUnison;
+  unison.threads = 1;
+  KernelConfig hybrid;
+  hybrid.type = KernelType::kHybrid;
+  hybrid.ranks = 1;
+  hybrid.threads = 1;
+  for (const KernelConfig& k : {unison, hybrid}) {
+    SCOPED_TRACE(k.type == KernelType::kUnison ? "unison" : "hybrid");
+    const StepRun got = RunStepScenario(
+        c, k, c.wan ? PartitionMode::kManual : PartitionMode::kAuto);
+    EXPECT_EQ(got.digest.flow_fingerprint, want.digest.flow_fingerprint);
+    EXPECT_EQ(got.digest.event_count, want.digest.event_count);
+    EXPECT_TRUE(got.digest == want.digest);
+    EXPECT_EQ(got.early_stops, 1u);
+    EXPECT_EQ(got.crossings, 0u);
+    EXPECT_FALSE(got.store);
+    EXPECT_EQ(got.captures, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, StepLoop,
+    ::testing::Values(StepCase{"wan_100ns", true, Time::Nanoseconds(100)},
+                      StepCase{"wan_1ps", true, Time::Picoseconds(1)},
+                      StepCase{"fattree_k4", false, Time::Zero()}),
+    [](const ::testing::TestParamInfo<StepCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// The bound's tight terms, on two LPs joined by one 10 us cut link: host A
+// and host C behind switch S on LP 0, host B on LP 1. A local C -> A flow
+// keeps LP 0 busy throughout. A sends B a short flow every 250 us, and B is
+// idle in between, so when A starts one, LP 0 steps two lookaheads ahead:
+// B's first ACK lands just past that, and a step that ran to 3L would have
+// passed it. At 1.2 ms, while B is idle, a global starts a B -> A flow: the
+// event it inserts lowers B's head, or LP 0 would run past B's first packet.
+TEST(StepBound, RepliesAndGlobalInsertsLandPastTheStep) {
+  const auto run = [](const KernelConfig& kernel, PartitionMode partition) {
+    SimConfig cfg;
+    cfg.kernel = kernel;
+    cfg.partition = partition;
+    Network net(cfg);
+    constexpr uint64_t kBps = 100'000'000'000ULL;
+    const NodeId s = net.AddNode();
+    const NodeId a = net.AddNode();
+    const NodeId c = net.AddNode();
+    const NodeId b = net.AddNode();
+    net.AddLink(a, s, kBps, Time::Microseconds(1));
+    net.AddLink(c, s, kBps, Time::Microseconds(1));
+    net.AddLink(s, b, kBps, Time::Microseconds(10));
+    if (partition == PartitionMode::kManual) {
+      net.SetManualPartition(2, {0, 0, 0, 1});
+    }
+    net.Finalize();
+    InstallFlow(net, FlowSpec{c, a, 64 * 1024 * 1024, Time::Zero(), {}});
+    for (int64_t us = 50; us < 2000; us += 250) {
+      InstallFlow(net, FlowSpec{a, b, 16 * 1024, Time::Microseconds(us), {}});
+    }
+    const Time start = Time::Microseconds(1200);
+    const uint32_t flow = net.flow_monitor().Register(b, a, 16 * 1024, start);
+    Network* const n = &net;
+    net.sim().ScheduleGlobal(start, [n, flow, a, b, start] {
+      n->kernel().ScheduleOnNode(
+          b, start, FlowStartEvent{n, flow, b, a, 16 * 1024, n->config().tcp});
+    });
+    net.Run(Time::Milliseconds(2));
+    return DigestOf(net);
+  };
+  KernelConfig seq;
+  seq.type = KernelType::kSequential;
+  const RunDigest want = run(seq, PartitionMode::kSingle);
+  KernelConfig unison;
+  unison.type = KernelType::kUnison;
+  unison.threads = 1;
+  const RunDigest got = run(unison, PartitionMode::kManual);
+  EXPECT_EQ(got.flow_fingerprint, want.flow_fingerprint);
+  EXPECT_EQ(got.event_count, want.event_count);
+  EXPECT_TRUE(got == want);
+}
 
 // Under speculation=auto, only a session some window of which could capture
 // and speculate gets a store (and with it, touch marking): a round kernel in
