@@ -175,33 +175,6 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment) {
     }
   }
 
-  // Rule 4 — speculation horizon: a miss means the whole window ran twice
-  // plus a rollback (pure waste), so a miss streak halves the horizon toward
-  // the floor; a streak of windows that speculated and committed cleanly
-  // means the horizon is leaving free wall-clock on the table — double it
-  // toward the cap. Gated on the knob being live: Finalize seeds it only
-  // under SimConfig::speculation == kAuto, so for every other session the
-  // rule is inert. Results-neutral by the speculation contract.
-  const int64_t horizon = store_->Get().spec_horizon_ps;
-  if (horizon > 0) {
-    if (StreakFire(sum.spec_misses > 0, &spec_narrow_streak_,
-                   &spec_widen_streak_)) {
-      const int64_t want = std::max(kSpecHorizonMinPs, horizon / 2);
-      if (want != next.spec_horizon_ps) {
-        next.spec_horizon_ps = want;
-        fire("spec-narrow");
-      }
-    }
-    if (StreakFire(sum.spec_rounds > 0 && sum.spec_misses == 0,
-                   &spec_widen_streak_, &spec_narrow_streak_)) {
-      const int64_t want = std::min(kSpecHorizonMaxPs, horizon * 2);
-      if (want != next.spec_horizon_ps) {
-        next.spec_horizon_ps = want;
-        fire("spec-widen");
-      }
-    }
-  }
-
   if (rule.empty()) {
     return false;
   }

@@ -19,10 +19,8 @@
 //                     | across re-sort stretches         | sched_period
 //   window horizon    | P/(P+S) ratio of the window      | halve/double the
 //                     |                                  | Run() slice bound
-//   spec horizon      | speculation miss / clean-commit  | halve/double the
-//                     | streaks (RunSummary spec stats)  | speculative horizon
 //
-// The re-sort, window and spec rules carry hysteresis: each direction must be
+// The re-sort and window rules carry hysteresis: each direction must be
 // observed for kRulePatience consecutive eligible windows before its epoch
 // publishes, so a single noisy window cannot flip a knob.
 //
@@ -72,10 +70,9 @@ struct ControllerConfig {
   // (and sequential/null-message windows have no round records at all).
   uint32_t min_rounds = 8;
 
-  // Speculation horizon seeded under SimConfig::speculation == kAuto, with
-  // or without a controller; rule 4 then moves it between
-  // Controller::kSpecHorizonMinPs and kSpecHorizonMaxPs.
-  int64_t spec_horizon_initial_ps = 2'000'000;  // 2 us.
+  // Ignored: speculative execution is gone (DESIGN.md §3k). It stays only
+  // because perfbench/workload.cc's wan-spec workload sets it.
+  int64_t spec_horizon_initial_ps = 2'000'000;
 };
 
 class Controller {
@@ -98,14 +95,11 @@ class Controller {
   static constexpr int64_t kMaxWindowPs = 1'000'000'000'000;
   // Oversubscription rule: the party count it never goes below.
   static constexpr uint32_t kMinParties = 1;
-  // Hysteresis for the re-sort cadence, window-horizon and spec-horizon
-  // rules: how many consecutive eligible windows must show the same
-  // out-of-band signal before that direction publishes. Thin windows (below
-  // min_rounds) neither extend nor reset a streak.
+  // Hysteresis for the re-sort cadence and window-horizon rules: how many
+  // consecutive eligible windows must show the same out-of-band signal
+  // before that direction publishes. Thin windows (below min_rounds) neither
+  // extend nor reset a streak.
   static constexpr uint32_t kRulePatience = 2;
-  // Rule 4's floor and cap on the speculation horizon: 0.25 us and 1 ms.
-  static constexpr int64_t kSpecHorizonMinPs = 250'000;
-  static constexpr int64_t kSpecHorizonMaxPs = 1'000'000'000;
 
   // `cpus` is the machine size the oversubscription rule fits the party
   // count to: the CPUs the process may use (Network passes
@@ -123,9 +117,8 @@ class Controller {
     uint32_t window = 0;
     std::string rule;  // "oversubscribed" | "affinity-fallback" |
                        // "resort-shrink" | "resort-grow" |
-                       // "window-shrink" | "window-grow" |
-                       // "spec-narrow" | "spec-widen" (comma-joined when
-                       // several rules fire in one window).
+                       // "window-shrink" | "window-grow" (comma-joined
+                       // when several rules fire in one window).
     Tunables tunables;
   };
   const std::vector<Decision>& decisions() const { return decisions_; }
@@ -146,8 +139,6 @@ class Controller {
   uint32_t resort_grow_streak_ = 0;
   uint32_t window_shrink_streak_ = 0;
   uint32_t window_grow_streak_ = 0;
-  uint32_t spec_narrow_streak_ = 0;
-  uint32_t spec_widen_streak_ = 0;
 };
 
 }  // namespace unison

@@ -40,13 +40,6 @@ struct Tunables {
   // picoseconds; 0 = unbounded (the caller's stop time is the horizon).
   // Network::Run slices its stop time by this when a controller is attached.
   int64_t max_window_ps = 0;
-  // Speculative execution horizon: how far past the Eq. 2 LBTS bound a round
-  // may optimistically extend, in picoseconds. 0 disables speculation (the
-  // default; Network::Finalize seeds it only under speculation=auto). The
-  // controller's spec rule widens/narrows it from the observed miss rate.
-  // Results-neutral: a causality miss rolls back to the window checkpoint and
-  // re-runs conservatively, so fingerprints and digests never change.
-  int64_t spec_horizon_ps = 0;
 };
 
 class TunableStore {

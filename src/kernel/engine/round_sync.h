@@ -38,7 +38,7 @@ class alignas(64) RoundSync {
   RoundSync(const RoundSync&) = delete;
   RoundSync& operator=(const RoundSync&) = delete;
 
-  // Once per Run window (and per speculative retry): opens the window under
+  // Once per Run window that runs rounds: opens the window under
   // `kernel_name` (Kernel::BeginWindow — stale stop request, recorder),
   // caches the recording gate, and resets the round/termination state.
   // Session state — LP clocks, FELs, mailboxes — is deliberately untouched:
@@ -62,44 +62,7 @@ class alignas(64) RoundSync {
   // reason() — when the window is over. "Window boundary reached" (events
   // remain past the stop time; the session can continue) is distinguished
   // from genuine termination (every FEL empty, or an early stop request).
-  //
-  // Under speculation (EnableSpeculation after BeginRun) the round bound may
-  // additionally extend up to spec_horizon_ps past the conservative LBTS —
-  // capped at the public LP's next event, so a pending global never executes
-  // with LP state it could not have seen conservatively. lbts() itself stays
-  // the conservative Eq. 2 value. ComputeWindow also runs the miss checks: a
-  // worker-flagged causality violation (kSpecMissFlag), a straggler global
-  // that landed below the already-covered bound, or a stop request arriving
-  // after optimistic rounds ran, each latch spec_miss() and end the attempt
-  // without a valid reason() — the kernel then rolls back and re-runs the
-  // window conservatively.
   bool ComputeWindow();
-
-  // Arms speculation for this attempt; call right after BeginRun, only when
-  // the window checkpoint was captured (Kernel::BeginSpeculativeWindow).
-  void EnableSpeculation(int64_t horizon_ps) {
-    spec_enabled_ = horizon_ps > 0;
-    spec_horizon_ps_ = horizon_ps;
-  }
-
-  // True once at least one round of this attempt extended past the LBTS:
-  // workers gate the per-LP arrival check on it (in conservative rounds the
-  // check is vacuous — arrivals always land at or above the round's LBTS).
-  // Coordinator-written between barriers, worker-read after them.
-  bool spec_active() const { return spec_enabled_ && spec_rounds_ > 0; }
-
-  // Phase-2 guard, coordinator-only, before RunGlobalEvents: false when a
-  // straggler global (scheduled mid-round from an LP event) landed below the
-  // covered bound — executing it would observe speculative state, and its
-  // side effects (topology mutations) are not all in the checkpoint. The
-  // caller skips the global phase; the next ComputeWindow latches the miss.
-  bool SpecAllowsGlobals() const;
-
-  // Whether this attempt ended in a causality miss; the kernel's retry loop
-  // restores the checkpoint and re-runs conservatively when set.
-  bool spec_miss() const { return spec_miss_; }
-  // Rounds of this attempt whose bound extended past the conservative LBTS.
-  uint32_t spec_rounds() const { return spec_rounds_; }
 
   // Opens round round_index(): records it when recording, then advances the
   // index. `events_before` is the kernel's live event count.
@@ -158,15 +121,6 @@ class alignas(64) RoundSync {
   uint64_t reduced_events_ = 0;
   bool reduced_stop_ = false;
   uint64_t parks_baseline_ = 0;
-  // Speculation state (reset by BeginRun, armed by EnableSpeculation).
-  // covered_ is the maximum round bound issued this attempt — the watermark
-  // the straggler and global-phase guards compare the public FEL against.
-  bool spec_enabled_ = false;
-  bool spec_miss_ = false;
-  bool reduced_spec_miss_ = false;
-  int64_t spec_horizon_ps_ = 0;
-  uint32_t spec_rounds_ = 0;
-  Time covered_;
 };
 
 }  // namespace unison

@@ -142,62 +142,7 @@ Kernel::WindowTuning Kernel::SampleTuning(uint32_t default_parties,
   t.sched_period = period;
   t.parties = std::max(1u, parties);
   t.affinity = affinity;
-  if (tunables_ != nullptr) {
-    // No config fallback: speculation is live-plane-only (Network::Finalize
-    // seeds the horizon under speculation=auto; the controller revises it).
-    t.spec_horizon_ps = tunables_->Get().spec_horizon_ps;
-  }
   return t;
-}
-
-bool Kernel::MaySpeculate() const {
-  // Speculation re-executes a stretch after a rollback; without deterministic
-  // tie-breaking the re-run could legally diverge, voiding the transparency
-  // contract. One executor runs no rounds to extend: the round kernel steps
-  // each LP to its own safe bound instead, and tuning never grows the lanes
-  // past the ceiling. Infinite lookahead means windows already extend to the
-  // global horizon (nothing to speculate past); it stays infinite, since
-  // link changes move cut-link delays but never create a cut link.
-  return RunsSpeculativeRounds() && MaxExecutors() > 1 &&
-         config_.deterministic && !partition_.lookahead.IsMax();
-}
-
-void Kernel::ClearSpecWindowStats() {
-  spec_rounds_win_ = 0;
-  spec_hits_win_ = 0;
-  spec_misses_win_ = 0;
-  rollback_ns_win_ = 0;
-  capture_ns_win_ = 0;
-  capture_bytes_win_ = 0;
-}
-
-bool Kernel::BeginSpeculativeWindow() {
-  ClearSpecWindowStats();
-  if (tuning_.spec_horizon_ps <= 0 || !spec_ckpt_.installed() || !MaySpeculate()) {
-    return false;
-  }
-  // Non-positive lookahead would make the per-LP arrival check ambiguous at
-  // t=0 ties.
-  if (partition_.lookahead <= Time::Zero()) {
-    return false;
-  }
-  const uint64_t t0 = Profiler::NowNs();
-  const bool captured = spec_ckpt_.Capture();
-  capture_ns_win_ = Profiler::NowNs() - t0;
-  capture_bytes_win_ = captured ? spec_ckpt_.last_capture_bytes() : 0;
-  return captured;
-}
-
-void Kernel::NoteSpecAttempt(uint32_t spec_rounds, bool miss) {
-  spec_rounds_win_ += spec_rounds;
-  if (miss) {
-    ++spec_misses_win_;
-    const uint64_t t0 = Profiler::NowNs();
-    spec_ckpt_.Restore();
-    rollback_ns_win_ += Profiler::NowNs() - t0;
-  } else {
-    spec_hits_win_ += spec_rounds;
-  }
 }
 
 RunResult Kernel::FinishRun(const char* kernel_name, uint32_t executors,
@@ -224,12 +169,6 @@ RunResult Kernel::FinishRun(const char* kernel_name, uint32_t executors,
   run_summary_.tuning_epoch = tuning_.epoch;
   run_summary_.sched_period = tuning_.sched_period;
   run_summary_.parties = tuning_.parties;
-  run_summary_.spec_rounds = spec_rounds_win_;
-  run_summary_.spec_hits = spec_hits_win_;
-  run_summary_.spec_misses = spec_misses_win_;
-  run_summary_.rollback_ns = rollback_ns_win_;
-  run_summary_.capture_ns = capture_ns_win_;
-  run_summary_.capture_bytes = capture_bytes_win_;
   run_summary_.steals = window_steals_;
   run_summary_.messages = window_messages_;
   if (RunTrace* const rec = recorder()) {

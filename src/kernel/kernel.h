@@ -15,13 +15,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/control/tunables.h"
 #include "src/core/event.h"
 #include "src/core/time.h"
 #include "src/kernel/engine/cpu_topology.h"
-#include "src/kernel/engine/spec_checkpoint.h"
 #include "src/kernel/lp.h"
 #include "src/partition/graph.h"
 #include "src/stats/profiler.h"
@@ -172,10 +172,6 @@ class Kernel {
   // no executor id at all — 1 is a safe upper bound.
   virtual uint32_t MaxExecutors() const { return 1; }
 
-  // True for the kernels whose Run() calls BeginSpeculativeWindow: the round
-  // kernels, in the windows that run rounds (round_kernel.h).
-  virtual bool RunsSpeculativeRounds() const { return false; }
-
   // Invoked at the end of every Run() window, after the final barrier
   // reduction has quiesced all executors — the single point where
   // per-executor state can be merged without synchronization. Installed by
@@ -274,32 +270,8 @@ class Kernel {
     uint32_t sched_period = 0;
     uint32_t parties = 0;  // Kernel-native knob units (see Tunables).
     AffinityPolicy affinity = AffinityPolicy::kNone;
-    int64_t spec_horizon_ps = 0;  // 0 = speculation off this window.
   };
   const WindowTuning& window_tuning() const { return tuning_; }
-
-  // --- Speculative window execution (DESIGN.md §3k) ---
-
-  // Whether any window of this session may speculate: a kernel that runs
-  // speculative rounds on more than one executor, deterministic
-  // tie-breaking, and a partition with cut links (finite lookahead). At one
-  // executor speculation never arms, as in the sequential and null-message
-  // kernels. Fixed from Setup on, so Network::Finalize installs the
-  // checkpoint hooks only when it holds; the horizon, the lookahead's sign
-  // and the capture itself are still decided per window.
-  bool MaySpeculate() const;
-
-  // Installs the session-level capture/restore hooks the window checkpoint
-  // serializes through. Done by Network::Finalize under speculation=auto
-  // when MaySpeculate(); kernels without hooks never speculate.
-  void set_checkpoint_hooks(SpecCheckpoint::CaptureFn capture,
-                            SpecCheckpoint::RestoreFn restore) {
-    spec_ckpt_.InstallHooks(std::move(capture), std::move(restore));
-  }
-
-  // Counter introspection for tests and benches: how many checkpoints were
-  // captured and restored.
-  const SpecCheckpoint& spec_checkpoint() const { return spec_ckpt_; }
 
   // Attaches the session's run recorder (src/stats/trace.h), the only one a
   // kernel writes into. While its gate is on, every window is recorded into
@@ -331,8 +303,8 @@ class Kernel {
   // request (a stop ends one window, not the session) and — when recording —
   // opens the recorder's live window under `kernel_name` with `executors` row
   // slots. The one place a window's recording opens; RoundSync::BeginRun
-  // calls it for the round kernel (once per speculative attempt), the other
-  // kernels call it directly.
+  // calls it for the round kernel's rounds, the other kernels call it
+  // directly.
   void BeginWindow(const char* kernel_name, uint32_t executors);
 
   // The recorder while its gate is on, else nullptr: the one recording
@@ -358,25 +330,6 @@ class Kernel {
   // (null-message channel clocks): no event pending anywhere in the session
   // lies below it. Zero for a fresh session or after an early stop.
   Time resume_floor() const { return resume_floor_; }
-
-  // Zeroes the window's speculation stats, for a window that runs no rounds.
-  // The checkpoint and its marks are untouched, as for a declined capture.
-  void ClearSpecWindowStats();
-
-  // Start-of-window speculation gate, called once per Run() by the opt-in
-  // round kernels after tunables are sampled and the session is quiescent.
-  // Resets the window's speculation stats, then decides eligibility (hooks
-  // installed, MaySpeculate(), positive lookahead, sampled spec_horizon_ps >
-  // 0) and captures the checkpoint (timed into capture_ns, its re-encoded
-  // bytes into capture_bytes).
-  // Returns true when this window may run speculative rounds.
-  bool BeginSpeculativeWindow();
-
-  // Accounts one speculation attempt: `spec_rounds` optimistic rounds ran; on
-  // a miss, rolls the session back to the window checkpoint (timed into
-  // rollback_ns); on a hit, the rounds commit. FinishRun stamps the window's
-  // totals into the RunSummary.
-  void NoteSpecAttempt(uint32_t spec_rounds, bool miss);
 
   // Resolves this window's tunables: live store values where published,
   // config defaults otherwise, ceil(log2 n) when no period is set (§4.3).
@@ -425,17 +378,6 @@ class Kernel {
   std::string lineage_;                    // Empty unless forked.
   const TunableStore* tunables_ = nullptr;  // Borrowed; see set_tunables.
   WindowTuning tuning_;  // What the current/last window ran with.
-  // Speculation: the window checkpoint's policy and counters, and the
-  // current window's speculation stats (reset by ClearSpecWindowStats,
-  // stamped by FinishRun). Kernels without checkpoint hooks leave them all
-  // zero.
-  SpecCheckpoint spec_ckpt_;
-  uint32_t spec_rounds_win_ = 0;
-  uint32_t spec_hits_win_ = 0;
-  uint32_t spec_misses_win_ = 0;
-  uint64_t rollback_ns_win_ = 0;
-  uint64_t capture_ns_win_ = 0;
-  uint64_t capture_bytes_win_ = 0;
   // LPs claimed from another lane's list, and events received through
   // mailboxes and overflow boxes, this window, summed over the round
   // kernel's workers while recording; FinishRun stamps them. 0 elsewhere.

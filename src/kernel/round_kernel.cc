@@ -134,7 +134,6 @@ RunResult RoundKernel::Run(Time stop_time) {
   Profiler* const rows = window_rows();
   if (workers == 1 && partition_.lookahead > Time::Zero() &&
       (rows == nullptr || !rows->per_lp)) {
-    ClearSpecWindowStats();
     BeginWindow(name_, 1);
     const RunReason reason = StepLoop(stop_time);
     const uint64_t wall_ns = Profiler::NowNs() - run_t0;
@@ -150,44 +149,23 @@ RunResult RoundKernel::Run(Time stop_time) {
     return FinishRun(name_, 1, wall_ns, stop_time, reason);
   }
 
-  // Speculation (DESIGN.md §3k): capture the window checkpoint while the
-  // session is quiescent; rounds may then extend past the LBTS bound. A
-  // causality miss aborts the attempt without touching the session
-  // accumulators (FinishRun is skipped), rolls back to the checkpoint, and
-  // the loop re-runs the window conservatively — at most one retry, and the
-  // conservative attempt cannot miss.
-  bool speculate = BeginSpeculativeWindow();
-  for (;;) {
-    sync_.BeginRun(name_, workers, stop_time);
-    if (speculate) {
-      sync_.EnableSpeculation(tuning_.spec_horizon_ps);
-    }
-    sync_.SetParkBaseline(shared_.barrier->parks());
-    shared_.timing = sync_.recording() ||
-                     claim_metric_ == SchedulingMetric::kByLastRoundTime;
-    for (uint32_t w = 0; w < workers; ++w) {
-      shared_.workers[w].events = 0;
-      shared_.workers[w].steals = 0;
-      shared_.workers[w].messages = 0;
-    }
-    // Round 0's prologue runs here, on the caller, before the workers start;
-    // every later one runs in the completion step of the previous round's
-    // end-of-round crossing. Workers contribute their partial minima at the
-    // end of each round, so round 0's reduction is seeded from the LPs.
-    sync_.SeedMinFromLps();
-    Prologue();
-
-    active_pool_->Run([this](uint32_t worker) { RoundLoop(worker); });
-
-    if (!speculate) {
-      break;
-    }
-    NoteSpecAttempt(sync_.spec_rounds(), sync_.spec_miss());
-    if (!sync_.spec_miss()) {
-      break;
-    }
-    speculate = false;
+  sync_.BeginRun(name_, workers, stop_time);
+  sync_.SetParkBaseline(shared_.barrier->parks());
+  shared_.timing = sync_.recording() ||
+                   claim_metric_ == SchedulingMetric::kByLastRoundTime;
+  for (uint32_t w = 0; w < workers; ++w) {
+    shared_.workers[w].events = 0;
+    shared_.workers[w].steals = 0;
+    shared_.workers[w].messages = 0;
   }
+  // Round 0's prologue runs here, on the caller, before the workers start;
+  // every later one runs in the completion step of the previous round's
+  // end-of-round crossing. Workers contribute their partial minima at the
+  // end of each round, so round 0's reduction is seeded from the LPs.
+  sync_.SeedMinFromLps();
+  Prologue();
+
+  active_pool_->Run([this](uint32_t worker) { RoundLoop(worker); });
 
   processed_events_ = LiveEvents();
   rounds_ = sync_.round_index();
@@ -471,14 +449,10 @@ void RoundKernel::RoundLoop(uint32_t worker) {
     // barrier above publishes the flag). Every worker reads the same two
     // inputs after the same crossing, so all of them cross or skip the
     // phase's barrier together. While worker 0 runs it, everyone else waits
-    // at that barrier, so direct cross-LP insertion is safe. Under
-    // speculation the guard skips the events when a straggler global landed
-    // below the covered bound — the next prologue latches the miss.
+    // at that barrier, so direct cross-LP insertion is safe.
     if (sync_.globals_due() || flags_.global_scheduled) {
       if (worker == 0) {
-        if (sync_.SpecAllowsGlobals()) {
-          events += RunGlobalEvents(sync_.lbts(), sync_.stop());
-        }
+        events += RunGlobalEvents(sync_.lbts(), sync_.stop());
         acct.CloseProcessing();
       }
       barrier.Arrive(worker);
@@ -496,25 +470,16 @@ void RoundKernel::RoundLoop(uint32_t worker) {
     // barrier's fused reduction. No barrier separates it from phase 3: a
     // worker folds exactly the LPs it just drained, so no FEL is read across
     // workers between the two. No shared CAS line: the tree combine IS the
-    // all-reduce. When speculative rounds ran, the same fold doubles as the
-    // miss check: an inbound arrival at or below an LP's already-advanced
-    // clock is a causality violation, flagged into the fused reduction.
-    uint32_t flags = stop_requested() ? CombiningBarrier::kStopFlag : 0;
-    const bool check_spec = sync_.spec_active();
+    // all-reduce.
+    const uint32_t flags = stop_requested() ? CombiningBarrier::kStopFlag : 0;
     int64_t local_min_ps = INT64_MAX;
     for (uint32_t id : self.list) {
-      Lp* const lp = lps[id].get();
-      const Time next = lp->fel().NextTimestamp();
-      local_min_ps = std::min(local_min_ps, next.ps());
-      if (check_spec && !next.IsMax() && next <= lp->now() &&
-          lp->now() > Time::Zero()) {
-        flags |= CombiningBarrier::kSpecMissFlag;
-      }
+      local_min_ps = std::min(local_min_ps, lps[id]->fel().NextTimestamp().ps());
     }
     acct.CloseMessaging();
     // End-of-round crossing: its completer runs the next round's prologue,
     // so the crossing's wait — prologue included — closes into this round's
-    // S. The speculation miss latches there too.
+    // S.
     const uint64_t barrier_t0 =
         worker == 0 && sync_.recording() ? Profiler::NowNs() : 0;
     barrier.Arrive(worker, local_min_ps, events, flags, next_round);

@@ -22,7 +22,6 @@
 //                        result and runs the next round's prologue (Eq. 2
 //                        LBTS, re-sort, claim-range reset; RoundSync) before
 //                        it releases the others.
-// Under speculation the phase-4 fold doubles as the causality-miss check.
 //
 // A round crosses the barrier twice: after phase 1, and at the end of round.
 // Phase 2 adds a third crossing only in rounds where a global event is due
@@ -62,7 +61,7 @@
 // step runs is final. Sends stay in the outboxes until their target's next
 // step; each step lowers its targets' heads from the events it appended.
 // Every inbox is drained before globals run and when the window ends. Such a
-// window never speculates, crosses no barrier and counts 0 rounds.
+// window crosses no barrier and counts 0 rounds.
 #ifndef UNISON_SRC_KERNEL_ROUND_KERNEL_H_
 #define UNISON_SRC_KERNEL_ROUND_KERNEL_H_
 
@@ -90,8 +89,6 @@ class RoundKernel : public Kernel {
   // The ceiling, not the live count: tuning may shrink lanes between
   // windows, but per-executor state sized at Finalize must cover every one.
   uint32_t MaxExecutors() const override { return groups_ * max_lanes_; }
-
-  bool RunsSpeculativeRounds() const override { return true; }
 
   ExecutorPool* executor_pool() override { return active_pool_; }
 

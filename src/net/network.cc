@@ -112,12 +112,14 @@ void Network::EnableProgressReport(Time interval,
     std::function<void(Time, uint64_t)> cb;
     void Fire() {
       const Time now = self->sim().Now();
-      cb(now, self->kernel().LiveEvents());
+      // LiveEvents counts the current window only.
+      cb(now, self->kernel().session_events() + self->kernel().LiveEvents());
       self->sim().ScheduleGlobal(now + interval, [t = this] { t->Fire(); });
     }
   };
   auto ticker = std::make_shared<Ticker>(Ticker{this, interval, std::move(callback)});
-  sim().ScheduleGlobal(interval, [t = ticker.get()] { t->Fire(); });
+  sim().ScheduleGlobal(kernel().session_now() + interval,
+                       [t = ticker.get()] { t->Fire(); });
   Keep(std::move(ticker));
 }
 
@@ -171,13 +173,6 @@ void Network::Finalize() {
     // caller's stop time, not only at it (slicing is results-neutral).
     seed.max_window_ps = config_.tuning_config.initial_window_ps;
   }
-  if (config_.speculation == SpeculationMode::kAuto) {
-    // Live the horizon from the start; under tuning=kAuto the controller's
-    // spec-horizon rule revises it between windows. A zero horizon is how
-    // every other session stays on the conservative path — the kernels never
-    // even capture a checkpoint then.
-    seed.spec_horizon_ps = config_.tuning_config.spec_horizon_initial_ps;
-  }
   tunable_store_.Seed(seed);
   kernel_->set_tunables(&tunable_store_);
   if (config_.tuning == TuningMode::kAuto) {
@@ -198,20 +193,6 @@ void Network::Finalize() {
   // barrier reduction has quiesced the pool.
   flow_monitor_.ConfigureShards(1 + kernel_->MaxExecutors());
   kernel_->set_window_end_hook([this] { flow_monitor_.MergeWindow(); });
-
-  if (config_.speculation == SpeculationMode::kAuto && !use_dv_ &&
-      kernel_->MaySpeculate()) {
-    // Checkpoint hooks for speculative window execution. The kernel owns
-    // the policy (when to capture, when to roll back); the session layer
-    // owns the representation, an incremental store. Sessions that could
-    // never capture (distance-vector routing state is not serializable) or
-    // never speculate get neither, so their nodes and endpoints mark nothing.
-    // Capture may still decline (lambda events) — the kernel then runs that
-    // window conservatively.
-    checkpoint_store_ = MakeCheckpointStore();
-    kernel_->set_checkpoint_hooks([this] { return CaptureCheckpointStore(*this); },
-                                  [this] { RollBackCheckpointStore(*this); });
-  }
 
   if (use_dv_) {
     dv_routing_ = std::make_unique<DistanceVectorRouting>(this, dv_period_);

@@ -40,15 +40,8 @@
 
 namespace unison {
 
-class CheckpointStore;
 class ExecutorPool;
 class FlowSourceSet;
-
-// Deletes the speculation checkpoint store, a type src/net/session.cc alone
-// completes.
-struct CheckpointStoreDeleter {
-  void operator()(CheckpointStore* store) const;
-};
 
 enum class PartitionMode {
   kAuto,    // Fine-grained partition (Algorithm 1). Unison's default.
@@ -77,15 +70,8 @@ enum class TuningMode : uint8_t {
   kAuto = 1,
 };
 
-// Speculative window execution (DESIGN.md §3k). kOff runs every window at the
-// conservative Eq. 2 bound. kAuto captures a cheap in-memory checkpoint at
-// each window boundary and lets rounds extend up to the live spec-horizon
-// tunable past the bound; a causality miss rolls the session back and re-runs
-// the window conservatively. Results are bit-identical either way — that is
-// the feature's contract, enforced by the transparency matrix in
-// tests/session_test.cc. Opt-in kernels: barrier, unison, hybrid (the
-// sequential kernel has nothing to speculate past; null-message's channel
-// protocol pins its bounds).
+// Ignored: every window runs conservatively (DESIGN.md §3k). It stays only
+// because perfbench/workload.cc's wan-spec workload sets it.
 enum class SpeculationMode : uint8_t {
   kOff = 0,
   kAuto = 1,
@@ -111,9 +97,8 @@ struct SimConfig {
   // segments are the controller's input.
   TuningMode tuning = TuningMode::kOff;
   ControllerConfig tuning_config;
-  // Speculative window execution; kAuto seeds the live spec-horizon tunable
-  // from tuning_config.spec_horizon_initial_ps and installs the checkpoint
-  // hooks at Finalize. Requires kernel.deterministic (the default).
+  // Ignored, and not carried by snapshots. It stays only because
+  // perfbench/workload.cc's wan-spec workload sets it.
   SpeculationMode speculation = SpeculationMode::kOff;
   // Automatic resume checkpoints: at every completed Run() window, Run()
   // saves a full USNP snapshot to this path (overwritten in place), so a
@@ -168,8 +153,10 @@ class Network {
 
   // Periodic progress report via a self-rescheduling global event (§4.2's
   // "printing the simulation progress"). The callback runs on the public LP
-  // every `interval` of simulated time; the default prints to stderr. Call
-  // after Finalize, before Run.
+  // every `interval` of simulated time, starting one interval past the
+  // session time it was enabled at, with the session's events so far; the
+  // default prints to stderr. Call between Run() windows (or before the
+  // first).
   void EnableProgressReport(Time interval,
                             std::function<void(Time now, uint64_t events)> callback = {});
 
@@ -234,11 +221,6 @@ class Network {
   // The attached controller, or nullptr when tuning is kOff.
   Controller* controller() { return controller_.get(); }
   FlowMonitor& flow_monitor() { return flow_monitor_; }
-  // The speculation checkpoint store (src/net/session.h), present from
-  // Finalize under speculation=auto when the kernel may speculate
-  // (Kernel::MaySpeculate) and routing is global. While it is, nodes and TCP
-  // endpoints mark what they change for it.
-  CheckpointStore* checkpoint_store() const { return checkpoint_store_.get(); }
   RunTrace& run_trace() { return run_trace_; }
   GlobalRouting& routing() { return routing_; }
   DistanceVectorRouting* dv_routing() { return dv_routing_.get(); }
@@ -321,7 +303,6 @@ class Network {
   std::unique_ptr<Controller> controller_;  // Present only under kAuto.
   Simulator sim_;
   FlowMonitor flow_monitor_;
-  std::unique_ptr<CheckpointStore, CheckpointStoreDeleter> checkpoint_store_;
   RunTrace run_trace_;
   GlobalRouting routing_;
   std::unique_ptr<DistanceVectorRouting> dv_routing_;

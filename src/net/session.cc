@@ -21,7 +21,7 @@
 namespace unison {
 namespace {
 
-// USNP v8: little-endian, field-by-field, no alignment padding. The version
+// USNP v9: little-endian, field-by-field, no alignment padding. The version
 // gates the whole buffer — any layout change bumps it; there is no partial
 // compatibility. A buffer has three parts:
 //   header        what no window can change: magic, version, SimConfig,
@@ -29,8 +29,7 @@ namespace {
 //                 live tunables, the kernel's session accumulators, and the
 //                 flow-source specs with their CDFs;
 //   window state  everything a window can mutate (PutWindowState) — byte for
-//                 byte what CaptureWindowCheckpoint writes, and what the
-//                 speculation checkpoint store's slots assemble into;
+//                 byte what CaptureWindowCheckpoint writes;
 //   trailer       FNV-1a-64 over every preceding byte.
 // v2 added the live-tuning plane, v3 the LP-ownership map, v4 the
 // speculation plane; v5 split the buffer into header + window state +
@@ -39,9 +38,11 @@ namespace {
 // v7 dropped the config fields that became constants or measurements (eleven
 // controller thresholds, the controller's CPU count, KernelConfig's
 // sched_period and auto_checkpoint_every); v8 drops movable LP ownership:
-// the ownership section and the three rebalance thresholds.
+// the ownership section and the three rebalance thresholds; v9 drops
+// speculative execution: the speculation mode and the initial horizon from
+// the SimConfig, and the horizon from the tunables (17 bytes).
 constexpr uint8_t kMagic[4] = {'U', 'S', 'N', 'P'};
-constexpr uint32_t kVersion = 8;
+constexpr uint32_t kVersion = 9;
 constexpr size_t kTrailerBytes = sizeof(uint64_t);
 
 [[noreturn]] void SnapshotFatal(const std::string& message) {
@@ -80,9 +81,6 @@ class Writer {
     U32(static_cast<uint32_t>(s.size()));
     Raw(s.data(), s.size());
   }
-  // Bytes another Writer already encoded, verbatim.
-  void Bytes(const std::vector<uint8_t>& b) { Raw(b.data(), b.size()); }
-  void Bytes(std::pair<const uint8_t*, size_t> b) { Raw(b.first, b.second); }
   void Trailer() { U64(Fnv1a64(buf_.data(), buf_.size())); }
 
   // Records why the state is not representable. Sticky: the first reason
@@ -156,10 +154,6 @@ class Reader {
   }
 
   size_t remaining() const { return size_ - pos_; }
-  // The unread bytes.
-  std::pair<const uint8_t*, size_t> Rest() const {
-    return {data_ + pos_, remaining()};
-  }
 
  private:
   template <typename T>
@@ -254,8 +248,6 @@ void PutSimConfig(Writer& w, const SimConfig& c) {
   w.I64(c.tuning_config.initial_window_ps);
   w.F64(c.tuning_config.parks_per_round_high);
   w.U32(c.tuning_config.min_rounds);
-  w.I64(c.tuning_config.spec_horizon_initial_ps);
-  w.U8(static_cast<uint8_t>(c.speculation));
   w.Str(c.auto_checkpoint_path);
   PutTcpConfig(w, c.tcp);
   PutQueueConfig(w, c.queue);
@@ -280,8 +272,6 @@ SimConfig GetSimConfig(Reader& r) {
   c.tuning_config.initial_window_ps = r.I64();
   c.tuning_config.parks_per_round_high = r.F64();
   c.tuning_config.min_rounds = r.U32();
-  c.tuning_config.spec_horizon_initial_ps = r.I64();
-  c.speculation = r.Enum(SpeculationMode::kAuto);
   c.auto_checkpoint_path = r.Str();
   c.tcp = GetTcpConfig(r);
   c.queue = GetQueueConfig(r);
@@ -564,8 +554,7 @@ TcpSender::Image GetSenderImage(Reader& r) {
 
 // --- The window-state section: one Put/Get per component ---
 
-// Per-link administrative state. A LinkUpDown global executes even in a
-// speculative attempt, and a snapshot may follow a FailLink; restore
+// Per-link administrative state: a snapshot may follow a FailLink. Restore
 // re-applies only actual changes, since each setter recomputes routing and
 // the kernel lookahead.
 void PutLinks(Writer& w, Network& net) {
@@ -757,8 +746,6 @@ void PutSender(Writer& w, TcpSender& s) {
   PutSenderImage(w, s.Save());
 }
 
-// Restores the sender in place when `node` has it (a rollback), and
-// constructs it otherwise (fork, restore).
 void GetSender(Reader& r, Network& net, Node& node) {
   const uint32_t flow_id = r.U32();
   const NodeId dst = r.U32();
@@ -768,12 +755,9 @@ void GetSender(Reader& r, Network& net, Node& node) {
   if (dst >= net.num_nodes()) {
     SnapshotFatal("TCP sender destination is not a node (corrupt buffer)");
   }
-  TcpSender* sender = node.FindSender(flow_id);
-  if (sender == nullptr) {
-    sender = node.AddSender(
-        flow_id, std::make_unique<TcpSender>(&net, &node, flow_id, dst, bytes, tcp));
-  }
-  sender->Restore(im);
+  node.AddSender(flow_id, std::make_unique<TcpSender>(&net, &node, flow_id, dst,
+                                                     bytes, tcp))
+      ->Restore(im);
 }
 
 void PutReceiver(Writer& w, TcpReceiver& recv) {
@@ -788,7 +772,6 @@ void PutReceiver(Writer& w, TcpReceiver& recv) {
   }
 }
 
-// In place or constructed, as GetSender.
 void GetReceiver(Reader& r, Network& net, Node& node) {
   const uint32_t flow_id = r.U32();
   const NodeId src = r.U32();
@@ -802,12 +785,8 @@ void GetReceiver(Reader& r, Network& net, Node& node) {
   if (src >= net.num_nodes()) {
     SnapshotFatal("TCP receiver source is not a node (corrupt buffer)");
   }
-  TcpReceiver* receiver = node.FindReceiver(flow_id);
-  if (receiver == nullptr) {
-    receiver = node.AddReceiver(
-        flow_id, std::make_unique<TcpReceiver>(&net, &node, flow_id, src));
-  }
-  receiver->Restore(im);
+  node.AddReceiver(flow_id, std::make_unique<TcpReceiver>(&net, &node, flow_id, src))
+      ->Restore(im);
 }
 
 // An endpoint map's flow ids in ascending order: the map iteration order is
@@ -870,9 +849,8 @@ void PutMonitor(Writer& w, FlowMonitor& monitor) {
   w.U32(monitor.windows_merged());
 }
 
-// Valid on a fresh monitor (fork, restore) and on one whose live state is a
-// superset of the captured one. The shard count must match: flow ids embed
-// the shard/slot split, so a mismatched restore would corrupt every
+// Into a fresh monitor (fork, restore). The shard count must match: flow ids
+// embed the shard/slot split, so a mismatched restore would corrupt every
 // outstanding id.
 void GetMonitor(Reader& r, FlowMonitor& monitor) {
   if (r.U32() != monitor.num_shards()) {
@@ -959,9 +937,8 @@ void PutWindowState(Writer& w, Network& net) {
   PutFlowSources(w, net);
 }
 
-// Rolls `net` to the captured window state, in place: valid on the network
-// the state was captured from (speculation rollback) and on a fresh one
-// rebuilt from the same header (fork, restore).
+// Reads the captured window state into a fresh network rebuilt from the same
+// header (fork, restore).
 void GetWindowState(Reader& r, Network& net) {
   GetLinks(r, net);
   GetLps(r, net);
@@ -986,7 +963,8 @@ void CheckQuiescent(Lp* lp, const char* what) {
   }
 }
 
-// The capture precondition shared by the snapshot and the window checkpoint:
+// The capture precondition shared by the snapshot and the window-state
+// section alone (CaptureWindowCheckpoint):
 // a finalized session without distance-vector routing (both representability
 // limits, recorded on `w`), transport residue drained into the owning FELs,
 // and every mailbox empty — the format has no mailbox section, so a violation
@@ -1052,7 +1030,6 @@ void PutHeader(Writer& w, Network& net) {
   w.U32(tun.parties);
   w.U8(static_cast<uint8_t>(tun.affinity));
   w.I64(tun.max_window_ps);
-  w.I64(tun.spec_horizon_ps);
 
   const Kernel::SessionState session = net.kernel().session_state();
   w.TimeVal(session.session_now);
@@ -1101,415 +1078,6 @@ const char* WriteSnapshot(Network& net, std::vector<uint8_t>* out) {
 }
 
 }  // namespace
-
-// --- The speculation checkpoint store ---
-
-namespace {
-
-// Slots for a component whose encoding has one fixed size (a sender, a flow
-// record), packed at that stride in slot order with no per-slot allocation.
-// The first slot stored sets the stride.
-class FixedSlots {
- public:
-  uint32_t size() const {
-    return stride_ == 0 ? 0 : static_cast<uint32_t>(bytes_.size() / stride_);
-  }
-  void Reserve(size_t bytes) { bytes_.reserve(bytes); }
-  // Overwrites slot `slot`, or appends it when slot == size().
-  void Store(uint32_t slot, const std::vector<uint8_t>& enc) {
-    if (stride_ == 0) stride_ = enc.size();
-    if (slot == size()) {
-      bytes_.insert(bytes_.end(), enc.begin(), enc.end());
-    } else {
-      std::memcpy(bytes_.data() + slot * stride_, enc.data(), stride_);
-    }
-  }
-  Reader Read(uint32_t slot) const {
-    return Reader(bytes_.data() + slot * stride_, stride_);
-  }
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-
- private:
-  size_t stride_ = 0;
-  std::vector<uint8_t> bytes_;
-};
-
-// Slots for a component whose encoding varies in size (a receiver, with its
-// out-of-order ranges), each allocated at its exact size.
-class VarSlots {
- public:
-  uint32_t size() const { return static_cast<uint32_t>(slots_.size()); }
-  // Overwrites slot `slot`, or appends it when slot == size().
-  void Store(uint32_t slot, const std::vector<uint8_t>& enc) {
-    if (slot == size()) slots_.emplace_back();
-    slots_[slot].assign(enc.begin(), enc.end());
-  }
-  Reader Read(uint32_t slot) const { return Reader(slots_[slot]); }
-  const std::vector<uint8_t>& bytes(uint32_t slot) const { return slots_[slot]; }
-
- private:
-  std::vector<std::vector<uint8_t>> slots_;
-};
-
-}  // namespace
-
-// The window-state section kept as slots, so a capture re-encodes only what
-// changed since the previous one (DESIGN.md §3k, session.h). Every slot
-// holds exactly the bytes the full section encodes for its component,
-// through the same Put/Get functions.
-class CheckpointStore {
- public:
-  std::optional<uint64_t> Capture(Network& net);
-  void RollBack(Network& net);
-  std::vector<uint8_t> Assemble(Network& net) const;
-  // Forgets the slots: the endpoint set was rebuilt under them, so the next
-  // capture re-encodes everything.
-  void Reset() { primed_ = false; }
-  size_t Footprint() const;
-
- private:
-  struct NodeSlots {
-    std::vector<uint32_t> senders;  // Indices into senders_.
-    VarSlots receivers;
-  };
-
-  bool EncodeLive(Network& net);
-  uint64_t CaptureAll(Network& net);
-  uint64_t CaptureTouched(Network& net);
-  template <typename Endpoint, typename Slots, typename PutFn>
-  uint64_t EncodeSlot(Endpoint* e, Slots* slots, PutFn put);
-  // EncodeSlot into senders_, listing a new slot under node `n`.
-  uint64_t EncodeSender(TcpSender* s, NodeId n);
-  uint64_t EncodeRecord(FlowMonitor& monitor, uint32_t s, uint32_t slot);
-  // Appends the flow ids on `node`'s touched-UDP list to touched_flows_.
-  void CollectTouchedUdp(const Node& node, const FlowMonitor& monitor);
-  // Rewinds every endpoint on `head`'s touched list to its slot, erasing the
-  // ones created since the capture; collects their flow ids.
-  template <typename Endpoint, typename Slots, typename GetFn, typename EraseFn>
-  void RollBackEndpoints(Endpoint* head, const Slots& slots, GetFn get,
-                         EraseFn erase);
-
-  bool primed_ = false;  // Slots match the last successful capture.
-  // Re-encoded at every capture.
-  std::vector<uint8_t> lead_;                 // Links, LPs, devices.
-  std::vector<std::vector<uint8_t>> deltas_;  // [shard] window delta.
-  std::vector<uint8_t> totals_;               // Merged counters, windows.
-  std::vector<uint8_t> sources_;              // Flow-source cursors.
-  // Delta-encoded. A sender's CheckpointMark::slot indexes senders_, a
-  // receiver's its node's slots, and a record's slot is its monitor slot.
-  FixedSlots senders_;
-  std::vector<NodeSlots> nodes_;
-  std::vector<FixedSlots> records_;  // [shard].
-  std::vector<uint8_t> scratch_;
-  std::vector<uint32_t> touched_flows_;
-};
-
-// Re-encodes the sections bounded by live state; false when the state is
-// not representable.
-bool CheckpointStore::EncodeLive(Network& net) {
-  Writer lead(std::move(lead_));
-  if (BeginCapture(net, lead)) {
-    PutLinks(lead, net);
-    PutLps(lead, net.kernel());
-    if (lead.error() == nullptr) PutDevices(lead, net);
-  }
-  if (lead.Finish(&lead_) != nullptr) return false;
-  FlowMonitor& monitor = net.flow_monitor();
-  deltas_.resize(monitor.num_shards());
-  for (uint32_t s = 0; s < monitor.num_shards(); ++s) {
-    Writer delta(std::move(deltas_[s]));
-    PutFlowCounters(delta, monitor.shard_delta(s));
-    delta.Finish(&deltas_[s]);
-  }
-  Writer totals(std::move(totals_));
-  PutFlowCounters(totals, monitor.merged());
-  totals.U32(monitor.windows_merged());
-  totals.Finish(&totals_);
-  Writer sources(std::move(sources_));
-  PutFlowSources(sources, net);
-  sources.Finish(&sources_);
-  return true;
-}
-
-std::optional<uint64_t> CheckpointStore::Capture(Network& net) {
-  // A declined capture leaves the slots and the touched lists as they were,
-  // so the next successful one still sees every change since this store's
-  // last capture.
-  if (!EncodeLive(net)) {
-    return std::nullopt;
-  }
-  uint64_t bytes = lead_.size() + totals_.size() + sources_.size();
-  for (const std::vector<uint8_t>& d : deltas_) {
-    bytes += d.size();
-  }
-  bytes += primed_ ? CaptureTouched(net) : CaptureAll(net);
-  primed_ = true;
-  return bytes;
-}
-
-template <typename Endpoint, typename Slots, typename PutFn>
-uint64_t CheckpointStore::EncodeSlot(Endpoint* e, Slots* slots, PutFn put) {
-  CheckpointMark<Endpoint>& mark = e->checkpoint_mark();
-  if (mark.slot == CheckpointMark<Endpoint>::kNoSlot) {
-    mark.slot = slots->size();
-  }
-  Writer w(std::move(scratch_));
-  put(w, *e);
-  w.Finish(&scratch_);
-  slots->Store(mark.slot, scratch_);
-  mark.clean = true;
-  mark.next = nullptr;
-  return scratch_.size();
-}
-
-uint64_t CheckpointStore::EncodeSender(TcpSender* s, NodeId n) {
-  if (s->checkpoint_mark().slot == CheckpointMark<TcpSender>::kNoSlot) {
-    nodes_[n].senders.push_back(senders_.size());
-  }
-  return EncodeSlot(s, &senders_, PutSender);
-}
-
-uint64_t CheckpointStore::EncodeRecord(FlowMonitor& monitor, uint32_t s,
-                                       uint32_t slot) {
-  FlowRecord& record = monitor.record(s, slot);
-  record.rx_marked = false;  // Its slot holds it now.
-  Writer w(std::move(scratch_));
-  PutFlowRecord(w, record);
-  w.Finish(&scratch_);
-  records_[s].Store(slot, scratch_);
-  return scratch_.size();
-}
-
-void CheckpointStore::CollectTouchedUdp(const Node& node,
-                                        const FlowMonitor& monitor) {
-  uint32_t id = node.touched_udp_head();
-  for (uint32_t i = 0; i < node.touched_udp_count(); ++i) {
-    touched_flows_.push_back(id);
-    id = monitor.flow(id).rx_next;
-  }
-}
-
-// The first capture of a store, or the first after Reset: every endpoint
-// and record.
-uint64_t CheckpointStore::CaptureAll(Network& net) {
-  uint64_t bytes = 0;
-  senders_ = FixedSlots{};
-  nodes_.assign(net.num_nodes(), NodeSlots{});
-  for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    Node& node = net.node(n);
-    for (const auto& [id, sender] : node.senders()) {
-      sender->checkpoint_mark().slot = CheckpointMark<TcpSender>::kNoSlot;
-      bytes += EncodeSender(sender.get(), n);
-    }
-    for (const auto& [id, receiver] : node.receivers()) {
-      receiver->checkpoint_mark().slot = CheckpointMark<TcpReceiver>::kNoSlot;
-      bytes += EncodeSlot(receiver.get(), &nodes_[n].receivers, PutReceiver);
-    }
-    node.ClearTouched();
-  }
-  FlowMonitor& monitor = net.flow_monitor();
-  records_.assign(monitor.num_shards(), FixedSlots{});
-  for (uint32_t s = 0; s < monitor.num_shards(); ++s) {
-    records_[s].Reserve(size_t{monitor.shard_flows(s)} * kFlowRecordBytes);
-    for (uint32_t slot = 0; slot < monitor.shard_flows(s); ++slot) {
-      bytes += EncodeRecord(monitor, s, slot);
-    }
-  }
-  return bytes;
-}
-
-// Drains every node's touched lists into the slots, then re-encodes the
-// records of the touched flows and appends the records registered since the
-// last capture. Work is proportional to what was touched, plus one pass
-// over nodes and shards.
-uint64_t CheckpointStore::CaptureTouched(Network& net) {
-  FlowMonitor& monitor = net.flow_monitor();
-  uint64_t bytes = 0;
-  touched_flows_.clear();
-  for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    Node& node = net.node(n);
-    for (TcpSender* s = node.touched_senders(); s != nullptr;) {
-      TcpSender* next = s->checkpoint_mark().next;
-      touched_flows_.push_back(s->flow_id());
-      bytes += EncodeSender(s, n);
-      s = next;
-    }
-    for (TcpReceiver* r = node.touched_receivers(); r != nullptr;) {
-      TcpReceiver* next = r->checkpoint_mark().next;
-      touched_flows_.push_back(r->flow_id());
-      bytes += EncodeSlot(r, &nodes_[n].receivers, PutReceiver);
-      r = next;
-    }
-    CollectTouchedUdp(node, monitor);
-    node.ClearTouched();
-  }
-  std::sort(touched_flows_.begin(), touched_flows_.end());
-  touched_flows_.erase(std::unique(touched_flows_.begin(), touched_flows_.end()),
-                       touched_flows_.end());
-  for (uint32_t id : touched_flows_) {
-    const uint32_t s = monitor.shard_of(id);
-    const uint32_t slot = monitor.slot_of(id);
-    if (slot < records_[s].size()) {
-      bytes += EncodeRecord(monitor, s, slot);
-    }
-  }
-  for (uint32_t s = 0; s < monitor.num_shards(); ++s) {
-    for (uint32_t slot = records_[s].size(); slot < monitor.shard_flows(s);
-         ++slot) {
-      bytes += EncodeRecord(monitor, s, slot);
-    }
-  }
-  return bytes;
-}
-
-template <typename Endpoint, typename Slots, typename GetFn, typename EraseFn>
-void CheckpointStore::RollBackEndpoints(Endpoint* head, const Slots& slots,
-                                        GetFn get, EraseFn erase) {
-  for (Endpoint* e = head; e != nullptr;) {
-    CheckpointMark<Endpoint>& mark = e->checkpoint_mark();
-    Endpoint* next = mark.next;
-    touched_flows_.push_back(e->flow_id());
-    if (mark.slot == CheckpointMark<Endpoint>::kNoSlot) {
-      erase(e->flow_id());  // Destroys `e`.
-    } else {
-      Reader r = slots.Read(mark.slot);
-      get(r);
-      mark.clean = true;
-      mark.next = nullptr;
-    }
-    e = next;
-  }
-}
-
-// Restores, in place, everything touched since the capture: endpoints with
-// a slot are rewound to it, endpoints created since are erased, touched
-// records are rewound and the records registered since are dropped. The
-// sections re-encoded at every capture are restored whole.
-void CheckpointStore::RollBack(Network& net) {
-  Reader lead(lead_);
-  GetLinks(lead, net);
-  GetLps(lead, net);
-  GetDevices(lead, net);
-  FlowMonitor& monitor = net.flow_monitor();
-  touched_flows_.clear();
-  for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    Node& node = net.node(n);
-    RollBackEndpoints(
-        node.touched_senders(), senders_,
-        [&](Reader& r) { GetSender(r, net, node); },
-        [&node](uint32_t id) { node.EraseSender(id); });
-    RollBackEndpoints(
-        node.touched_receivers(), nodes_[n].receivers,
-        [&](Reader& r) { GetReceiver(r, net, node); },
-        [&node](uint32_t id) { node.EraseReceiver(id); });
-    CollectTouchedUdp(node, monitor);
-    node.ClearTouched();
-  }
-  for (uint32_t s = 0; s < monitor.num_shards(); ++s) {
-    monitor.ResizeShard(s, records_[s].size());
-    Reader d(deltas_[s]);
-    monitor.set_shard_delta(s, GetFlowCounters(d));
-  }
-  for (uint32_t id : touched_flows_) {
-    const uint32_t s = monitor.shard_of(id);
-    const uint32_t slot = monitor.slot_of(id);
-    if (slot < records_[s].size()) {
-      Reader r = records_[s].Read(slot);
-      monitor.record(s, slot) = GetFlowRecord(r);
-    }
-  }
-  Reader totals(totals_);
-  const FlowCounters merged = GetFlowCounters(totals);
-  monitor.set_merged(merged, totals.U32());
-  Reader sources(sources_);
-  GetFlowSources(sources, net);
-}
-
-// The slots in the full section's order: what CaptureWindowCheckpoint
-// returned at the last successful capture.
-std::vector<uint8_t> CheckpointStore::Assemble(Network& net) const {
-  Writer w;
-  w.Bytes(lead_);
-  // Each endpoint slot leads with its flow id; the section sorts by it.
-  std::vector<std::pair<uint32_t, Reader>> order;
-  auto add = [&order](Reader slot) {
-    order.emplace_back(Reader(slot).U32(), slot);
-  };
-  auto put_sorted = [&w, &order] {
-    std::sort(order.begin(), order.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.U32(static_cast<uint32_t>(order.size()));
-    for (auto& [id, slot] : order) {
-      w.Bytes(slot.Rest());
-    }
-    order.clear();
-  };
-  for (NodeId n = 0; n < net.num_nodes(); ++n) {
-    for (uint32_t slot : nodes_[n].senders) {
-      add(senders_.Read(slot));
-    }
-    put_sorted();
-    for (uint32_t slot = 0; slot < nodes_[n].receivers.size(); ++slot) {
-      add(nodes_[n].receivers.Read(slot));
-    }
-    put_sorted();
-  }
-  w.U32(static_cast<uint32_t>(records_.size()));
-  for (uint32_t s = 0; s < records_.size(); ++s) {
-    w.U32(records_[s].size());
-    w.Bytes(records_[s].bytes());
-    w.Bytes(deltas_[s]);
-  }
-  w.Bytes(totals_);
-  w.Bytes(sources_);
-  std::vector<uint8_t> out;
-  w.Finish(&out);
-  return out;
-}
-
-size_t CheckpointStore::Footprint() const {
-  size_t bytes = lead_.capacity() + totals_.capacity() + sources_.capacity() +
-                 scratch_.capacity() + touched_flows_.capacity() * sizeof(uint32_t);
-  for (const std::vector<uint8_t>& d : deltas_) {
-    bytes += d.capacity();
-  }
-  bytes += senders_.bytes().capacity();
-  for (const FixedSlots& r : records_) {
-    bytes += r.bytes().capacity();
-  }
-  for (const NodeSlots& node : nodes_) {
-    bytes += node.senders.capacity() * sizeof(uint32_t);
-    for (uint32_t i = 0; i < node.receivers.size(); ++i) {
-      bytes += node.receivers.bytes(i).capacity();
-    }
-  }
-  return bytes;
-}
-
-void CheckpointStoreDeleter::operator()(CheckpointStore* store) const {
-  delete store;
-}
-
-std::unique_ptr<CheckpointStore, CheckpointStoreDeleter> MakeCheckpointStore() {
-  return std::unique_ptr<CheckpointStore, CheckpointStoreDeleter>(
-      new CheckpointStore());
-}
-
-std::optional<uint64_t> CaptureCheckpointStore(Network& net) {
-  return net.checkpoint_store()->Capture(net);
-}
-
-void RollBackCheckpointStore(Network& net) {
-  net.checkpoint_store()->RollBack(net);
-}
-
-std::vector<uint8_t> AssembleCheckpointStore(Network& net) {
-  return net.checkpoint_store()->Assemble(net);
-}
-
-size_t CheckpointStoreFootprint(const Network& net) {
-  return net.checkpoint_store()->Footprint();
-}
 
 // --- SessionSnapshot ---
 
@@ -1595,17 +1163,6 @@ bool CaptureWindowCheckpoint(Network& net, std::vector<uint8_t>* out) {
 }
 
 // --- Restore ---
-
-void RestoreWindowCheckpoint(Network& net, const std::vector<uint8_t>& buf) {
-  Reader r(buf);
-  GetWindowState(r, net);
-  if (r.remaining() != 0) {
-    SnapshotFatal("trailing bytes after the window state (corrupt buffer)");
-  }
-  if (net.checkpoint_store() != nullptr) {
-    net.checkpoint_store()->Reset();  // Every endpoint was re-created.
-  }
-}
 
 namespace {
 
@@ -1705,7 +1262,6 @@ std::unique_ptr<Network> RestoreImpl(const SessionSnapshot& snap,
   tunables.parties = r.U32();
   tunables.affinity = r.Enum(AffinityPolicy::kScatter);
   tunables.max_window_ps = r.I64();
-  tunables.spec_horizon_ps = r.I64();
   net->tunable_store().Restore(tunables, tuning_epoch);
 
   Kernel::SessionState session;

@@ -26,15 +26,7 @@ TcpSender::TcpSender(Network* net, Node* node, uint32_t flow_id, NodeId dst, uin
   path_tag_ = EcmpPathTag(node->id(), dst, bytes, net->sim().Now().ps());
 }
 
-inline void TcpSender::Touch() {
-  if (mark_.clean) {
-    mark_.clean = false;
-    node_->QueueTouched(this);
-  }
-}
-
 void TcpSender::Start() {
-  Touch();
   if (size_ == 0) {
     Complete();  // Empty flow: nothing to transfer.
     return;
@@ -105,7 +97,6 @@ void TcpSender::ArmRto() {
 }
 
 void TcpSender::OnRto(uint64_t /*generation*/) {
-  Touch();
   rto_pending_ = false;
   if (completed_ || snd_una_ >= size_) {
     return;  // Flow finished; nothing outstanding.
@@ -168,7 +159,6 @@ void TcpSender::OnAck(const Packet& ack) {
   if (completed_) {
     return;
   }
-  Touch();
   if (ack.ts_echo.ps() > 0) {
     UpdateRtt(net_->sim().Now() - ack.ts_echo);
   }
@@ -295,15 +285,7 @@ void TcpSender::Complete() {
 TcpReceiver::TcpReceiver(Network* net, Node* node, uint32_t flow_id, NodeId src)
     : net_(net), node_(node), flow_id_(flow_id), src_(src) {}
 
-inline void TcpReceiver::Touch() {
-  if (mark_.clean) {
-    mark_.clean = false;
-    node_->QueueTouched(this);
-  }
-}
-
 void TcpReceiver::OnData(const Packet& pkt) {
-  Touch();
   const uint64_t seg_start = pkt.seq;
   const uint64_t seg_end = pkt.seq + pkt.payload;
   uint64_t advanced = 0;

@@ -22,20 +22,6 @@ namespace unison {
 class Network;
 class Node;
 
-// Speculation-checkpoint bookkeeping for one endpoint (DESIGN.md §3k),
-// confined to the endpoint's LP like the rest of its state. `clean` means the
-// checkpoint store's slot holds the endpoint's live state; the endpoint's
-// first change after a capture clears it and queues the endpoint on its
-// node's touched list. Without a store it stays false, so marking costs one
-// predictable branch.
-template <typename Endpoint>
-struct CheckpointMark {
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
-  bool clean = false;
-  uint32_t slot = kNoSlot;   // The endpoint's slot in the store, once captured.
-  Endpoint* next = nullptr;  // Next endpoint on the node's touched list.
-};
-
 struct TcpConfig {
   uint32_t mss = kMss;
   uint32_t init_cwnd_segments = 10;
@@ -101,7 +87,6 @@ class TcpSender {
   static constexpr uint8_t kNumStates = 3;  // Valid Image::state values.
 
   uint32_t flow_id() const { return flow_id_; }
-  CheckpointMark<TcpSender>& checkpoint_mark() { return mark_; }
 
  private:
   friend struct TcpRtoEvent;  // Invokes OnRto() when the timer fires.
@@ -116,15 +101,9 @@ class TcpSender {
   void OnRto(uint64_t generation);
   void OnEcnEcho(uint64_t newly_acked, bool ece);
   void Complete();
-  // Called before the first mutation of each entry point (Start, OnAck,
-  // OnRto): marks the endpoint for the checkpoint store.
-  void Touch();
 
   Network* const net_;
   Node* const node_;
-  // Beside net_ and node_, which every entry point reads: the mark check
-  // adds no cache line.
-  CheckpointMark<TcpSender> mark_;
   const uint32_t flow_id_;
   const NodeId dst_;
   const uint64_t size_;
@@ -173,7 +152,6 @@ class TcpReceiver {
   uint64_t rcv_nxt() const { return rcv_nxt_; }
   NodeId src() const { return src_; }
   uint32_t flow_id() const { return flow_id_; }
-  CheckpointMark<TcpReceiver>& checkpoint_mark() { return mark_; }
 
   struct Image {
     uint64_t rcv_nxt = 0;
@@ -186,11 +164,8 @@ class TcpReceiver {
   }
 
  private:
-  void Touch();  // As TcpSender::Touch, from OnData.
-
   Network* const net_;
   Node* const node_;
-  CheckpointMark<TcpReceiver> mark_;  // Beside net_ and node_, as in TcpSender.
   const uint32_t flow_id_;
   const NodeId src_;
   uint64_t rcv_nxt_ = 0;

@@ -41,13 +41,8 @@ class CombiningBarrier {
  public:
   static constexpr uint32_t kFanIn = 4;
   // Reduced-flags bits. kStopFlag ORs the parties' stop votes so the
-  // coordinator's stop check needs no extra shared load. kSpecMissFlag rides
-  // the same reduction: a worker that detected a causality violation while a
-  // speculative window is active (an inbound arrival at or below an LP's
-  // already-advanced clock) ORs it into its end-of-round arrival, and the
-  // coordinator's next RoundSync::ComputeWindow latches the miss.
+  // coordinator's stop check needs no extra shared load.
   static constexpr uint32_t kStopFlag = 1u << 0;
-  static constexpr uint32_t kSpecMissFlag = 1u << 1;
 
   explicit CombiningBarrier(uint32_t parties);
 

@@ -190,8 +190,6 @@ FlowSummary FlowMonitor::Summarize() const {
 
 void FlowMonitor::ResizeShard(uint32_t s, uint32_t count) {
   Shard& shard = *shards_[s];
-  // Slabs stay allocated past a shrink: the re-run re-registers into the
-  // same slots.
   for (uint32_t seg = 0; seg < kMaxSegments && SegmentFirstSlot(seg) < count;
        ++seg) {
     if (shard.segments[seg] == nullptr) {

@@ -57,12 +57,6 @@ struct FlowRecord {
   // Receiver-side results.
   uint64_t rx_bytes = 0;
   Time last_rx;
-  // Receiver-side bookkeeping for the speculation checkpoint store, never
-  // serialized: while rx_marked, the flow is on its destination node's
-  // touched-UDP list (Node::Deliver), linked through rx_next. The store
-  // unmarks the record when it re-encodes or restores it.
-  bool rx_marked = false;
-  uint32_t rx_next = 0;
 };
 
 struct FlowSummary {
@@ -179,7 +173,7 @@ class FlowMonitor {
   // Records registered in shard `s` so far.
   uint32_t shard_flows(uint32_t s) const { return shards_[s]->count; }
 
-  // --- Slot access for session snapshots and speculation checkpoints ---
+  // --- Slot access for session snapshots ---
   // Quiescent contexts only, like size(). A flow id encodes its record's
   // shard and slot.
   uint32_t shard_of(uint32_t id) const { return id >> slot_bits_; }
@@ -187,10 +181,9 @@ class FlowMonitor {
   FlowRecord& record(uint32_t s, uint32_t slot) {
     return LocateSlot(*shards_[s], slot);
   }
-  // Sets shard `s`'s record count. Shrinking abandons the slots registered
-  // after a checkpoint (a rollback: slots are never reused, so speculative
-  // rounds can only have appended); growing allocates slabs for records a
-  // restore is about to write through record().
+  // Sets shard `s`'s record count on a fresh monitor (fork, restore) and
+  // allocates slabs for the records the restore is about to write through
+  // record().
   void ResizeShard(uint32_t s, uint32_t count);
   void set_shard_delta(uint32_t s, const FlowCounters& delta) {
     shards_[s]->delta = delta;

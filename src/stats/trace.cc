@@ -105,18 +105,6 @@ std::string RunSummary::ToJson() const {
   AppendU64(&out, parties);
   out += ",\"imbalance\":";
   AppendF64(&out, imbalance);
-  out += ",\"spec_rounds\":";
-  AppendU64(&out, spec_rounds);
-  out += ",\"spec_hits\":";
-  AppendU64(&out, spec_hits);
-  out += ",\"spec_misses\":";
-  AppendU64(&out, spec_misses);
-  out += ",\"rollback_ns\":";
-  AppendU64(&out, rollback_ns);
-  out += ",\"capture_ns\":";
-  AppendU64(&out, capture_ns);
-  out += ",\"capture_bytes\":";
-  AppendU64(&out, capture_bytes);
   out += ",\"steals\":";
   AppendU64(&out, steals);
   out += ",\"messages\":";
@@ -234,12 +222,6 @@ RunSummary RunTrace::Cumulative() const {
   total.processing_ns = 0;
   total.synchronization_ns = 0;
   total.messaging_ns = 0;
-  total.spec_rounds = 0;
-  total.spec_hits = 0;
-  total.spec_misses = 0;
-  total.rollback_ns = 0;
-  total.capture_ns = 0;
-  total.capture_bytes = 0;
   total.steals = 0;
   total.messages = 0;
   for (const WindowTraceSegment& seg : segments_) {
@@ -249,12 +231,6 @@ RunSummary RunTrace::Cumulative() const {
     total.processing_ns += seg.summary.processing_ns;
     total.synchronization_ns += seg.summary.synchronization_ns;
     total.messaging_ns += seg.summary.messaging_ns;
-    total.spec_rounds += seg.summary.spec_rounds;
-    total.spec_hits += seg.summary.spec_hits;
-    total.spec_misses += seg.summary.spec_misses;
-    total.rollback_ns += seg.summary.rollback_ns;
-    total.capture_ns += seg.summary.capture_ns;
-    total.capture_bytes += seg.summary.capture_bytes;
     total.steals += seg.summary.steals;
     total.messages += seg.summary.messages;
   }
@@ -352,20 +328,8 @@ void AppendCsvRows(std::string* out, uint32_t window,
     *out += ',';
     AppendU64(out, seg.summary.tuning_epoch);
     *out += ',';
-    // Window-level speculation stats, repeated on each of the window's rows
-    // (the flat table has no window-level rows to hang them on).
-    AppendU64(out, seg.summary.spec_rounds);
-    *out += ',';
-    AppendU64(out, seg.summary.spec_hits);
-    *out += ',';
-    AppendU64(out, seg.summary.spec_misses);
-    *out += ',';
-    AppendU64(out, seg.summary.rollback_ns);
-    *out += ',';
-    AppendU64(out, seg.summary.capture_ns);
-    *out += ',';
-    AppendU64(out, seg.summary.capture_bytes);
-    *out += ',';
+    // Window-level counters, repeated on each of the window's rows (the flat
+    // table has no window-level rows to hang them on).
     AppendU64(out, seg.summary.steals);
     *out += ',';
     AppendU64(out, seg.summary.messages);
@@ -401,8 +365,7 @@ std::string RunTrace::ToCsv() const {
   std::string out;
   out.reserve(64 + current().records.size() * 64);
   out += "window,round,lbts_ps,window_ps,events_before,resorted,p_total_ns,"
-         "s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,spec_rounds,"
-         "spec_hits,spec_misses,rollback_ns,capture_ns,capture_bytes,steals,"
+         "s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,steals,"
          "messages\n";
   if (segments_.empty()) {
     // Export mid-window (EndRun not yet reached): show the live records.

@@ -62,20 +62,12 @@ struct RunSummary {
   // Mean per-round processing imbalance of the window (MeanRoundImbalance);
   // 0 when no usable per-round rows were recorded. Filled by RunTrace::EndRun.
   double imbalance = 0.0;
-  // Speculative window execution (DESIGN.md §3k): rounds this window ran
-  // past the conservative Eq. 2 bound, how many of those committed (hits) or
-  // were discarded by a rollback (misses — at most 1 per window, since a
-  // miss aborts the attempt), and the wall time spent restoring the window
-  // checkpoint. All zero when speculation is off or never extended a round.
+  // Always 0, and not exported: no window speculates (DESIGN.md §3k). They
+  // stay only because perfbench/workload.cc prints them.
   uint32_t spec_rounds = 0;
   uint32_t spec_hits = 0;
   uint32_t spec_misses = 0;
   uint64_t rollback_ns = 0;
-  // The window's checkpoint capture: wall time (a declined capture counts)
-  // and the bytes it re-encoded (0 when declined). Zero in windows that did
-  // not try to speculate.
-  uint64_t capture_ns = 0;
-  uint64_t capture_bytes = 0;
   // Round kernel: LPs a worker claimed from another lane's own list, i.e.
   // that left the core that ran them the round before (DESIGN.md §3d).
   // Counted only while recording; 0 for the other kernels.
@@ -148,8 +140,8 @@ class RunTrace {
   // *current* window's state and, with keep_history, leaves prior segments
   // intact.
   void BeginSession();
-  // Opens the live window (again, when a speculative attempt re-runs it),
-  // first dropping the previous window's segment unless keep_history is set.
+  // Opens the live window, first dropping the previous window's segment
+  // unless keep_history is set.
   void BeginRun(std::string kernel, uint32_t executors, uint32_t lps);
   void BeginRound(uint32_t round, Time lbts, Time window, uint64_t events_before);
   // Attaches the scheduler order to the most recent round record.
@@ -205,8 +197,7 @@ class RunTrace {
   // Flat per-round table across every window of the session:
   // window,round,lbts_ps,window_ps,events_before,resorted,
   // p_total_ns,s_total_ns,m_total_ns,barrier_ns,parked,tuning_epoch,
-  // spec_rounds,spec_hits,spec_misses,rollback_ns,capture_ns,capture_bytes,
-  // steals,messages (the last eight are window-level, repeated per row).
+  // steals,messages (the last three are window-level, repeated per row).
   std::string ToCsv() const;
   bool WriteJsonFile(const std::string& path) const;
   bool WriteCsvFile(const std::string& path) const;

@@ -332,69 +332,6 @@ TEST(Controller, MeanRoundImbalanceAveragesUsableRounds) {
   EXPECT_NEAR(MeanRoundImbalance(MakeSegment(spec).round_p), 0.3, 1e-3);
 }
 
-// --- Spec-horizon rule (rule 4) ---
-
-WindowTraceSegment SpecWindow(uint32_t spec_rounds, uint32_t spec_misses) {
-  WindowTraceSegment seg = MakeSegment(SegmentSpec{});  // Otherwise quiet.
-  seg.summary.spec_rounds = spec_rounds;
-  seg.summary.spec_misses = spec_misses;
-  return seg;
-}
-
-TEST(Controller, SpecNarrowHalvesHorizonOnMissWindows) {
-  TunableStore store;
-  Tunables seed;
-  seed.spec_horizon_ps = 2'000'000;
-  store.Seed(seed);
-  Controller ctl(TestConfig(), kCpus, &store);
-
-  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 1)));  // Streak 1 of 2.
-  EXPECT_TRUE(ctl.OnWindowEnd(SpecWindow(3, 1)));
-  EXPECT_EQ(store.Get().spec_horizon_ps, 1'000'000);
-  ASSERT_EQ(ctl.decisions().size(), 1u);
-  EXPECT_EQ(ctl.decisions()[0].rule, "spec-narrow");
-
-  // Repeated misses saturate at the floor, then stop publishing.
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 1)));
-    EXPECT_TRUE(ctl.OnWindowEnd(SpecWindow(3, 1)));
-  }
-  EXPECT_EQ(store.Get().spec_horizon_ps, Controller::kSpecHorizonMinPs);
-  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 1)));
-  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 1)));
-}
-
-TEST(Controller, SpecWidenDoublesHorizonOnCleanSpecWindows) {
-  TunableStore store;
-  Tunables seed;
-  seed.spec_horizon_ps = 500'000'000;  // 0.5 ms: one doubling to the cap.
-  store.Seed(seed);
-  Controller ctl(TestConfig(), kCpus, &store);
-
-  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(4, 0)));  // Streak 1 of 2.
-  EXPECT_TRUE(ctl.OnWindowEnd(SpecWindow(4, 0)));
-  EXPECT_EQ(store.Get().spec_horizon_ps, Controller::kSpecHorizonMaxPs);
-  ASSERT_EQ(ctl.decisions().size(), 1u);
-  EXPECT_EQ(ctl.decisions()[0].rule, "spec-widen");
-
-  // At the cap the rule goes quiet; and a window that never speculated is no
-  // signal in either direction.
-  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(4, 0)));
-  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(4, 0)));
-  EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(0, 0)));
-  EXPECT_EQ(store.Get().spec_horizon_ps, Controller::kSpecHorizonMaxPs);
-}
-
-TEST(Controller, SpecRuleStaysOffWithoutALiveHorizon) {
-  TunableStore store;  // No seed: horizon 0 = speculation off this session.
-  Controller ctl(TestConfig(), kCpus, &store);
-  for (uint32_t i = 0; i < Controller::kRulePatience; ++i) {
-    EXPECT_FALSE(ctl.OnWindowEnd(SpecWindow(3, 2)));
-  }
-  EXPECT_EQ(store.epoch(), 0u);
-  EXPECT_TRUE(ctl.decisions().empty());
-}
-
 TEST(Controller, MinRoundsGateSkipsThinWindows) {
   TunableStore store;
   ControllerConfig cfg = TestConfig();

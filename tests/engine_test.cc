@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -20,9 +19,8 @@
 #include "src/kernel/engine/cpu_topology.h"
 #include "src/kernel/engine/executor_pool.h"
 #include "src/kernel/engine/phase_accountant.h"
-#include "src/kernel/engine/spec_checkpoint.h"
 #include "src/kernel/kernel.h"
-#include "src/net/session.h"
+#include "src/net/network.h"
 #include "src/partition/manual.h"
 #include "tests/test_util.h"
 
@@ -413,95 +411,6 @@ TEST_P(EngineReuseTest, SecondRunReusesPoolThreadsAndStaysDeterministic) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.log[0], b.log[0]);
   EXPECT_EQ(a.log[1], b.log[1]);
-}
-
-// --- SpecCheckpoint ---
-
-TEST(SpecCheckpoint, CaptureRestoreCountersAndDeclines) {
-  SpecCheckpoint ck;
-  EXPECT_FALSE(ck.installed());
-  EXPECT_FALSE(ck.Capture());  // No hooks: refuse, never speculate.
-  EXPECT_FALSE(ck.valid());
-
-  int restored = 0;
-  bool refuse = false;
-  uint64_t reencoded = 1000;
-  ck.InstallHooks(
-      [&refuse, &reencoded]() -> std::optional<uint64_t> {
-        if (refuse) {
-          return std::nullopt;
-        }
-        return reencoded;
-      },
-      [&restored] { ++restored; });
-  EXPECT_TRUE(ck.installed());
-  ASSERT_TRUE(ck.Capture());
-  EXPECT_TRUE(ck.valid());
-  EXPECT_EQ(ck.captures(), 1u);
-  EXPECT_EQ(ck.last_capture_bytes(), 1000u);
-
-  ck.Restore();
-  EXPECT_EQ(ck.restores(), 1u);
-  EXPECT_EQ(restored, 1);
-  EXPECT_TRUE(ck.valid());  // A restore keeps the checkpoint.
-
-  // A declined capture invalidates the prior checkpoint, and Restore
-  // without a valid checkpoint is a no-op.
-  refuse = true;
-  EXPECT_FALSE(ck.Capture());
-  EXPECT_FALSE(ck.valid());
-  EXPECT_EQ(ck.captures(), 1u);
-  ck.Restore();
-  EXPECT_EQ(ck.restores(), 1u);
-  EXPECT_EQ(restored, 1);
-
-  // Each capture reports what it re-encoded: a quieter window less.
-  refuse = false;
-  reencoded = 40;
-  ASSERT_TRUE(ck.Capture());
-  EXPECT_EQ(ck.captures(), 2u);
-  EXPECT_EQ(ck.last_capture_bytes(), 40u);
-}
-
-// A live speculative session: one checkpoint per eligible window, rollbacks
-// on forced misses, the checkpoint store settling at its high-water mark, and —
-// the engine's core reuse promise — zero OS threads spawned across
-// speculative windows and their conservative re-runs.
-TEST(SpecCheckpoint, SpeculativeWindowsReuseBufferAndSpawnNoThreads) {
-  SimConfig cfg;
-  cfg.kernel.type = KernelType::kUnison;
-  cfg.kernel.threads = 2;
-  cfg.speculation = SpeculationMode::kAuto;
-  // Horizon far past the 3 us lookahead: busy windows overshoot and roll
-  // back, so Restore runs on top of Capture.
-  cfg.tuning_config.spec_horizon_initial_ps = Time::Milliseconds(10).ps();
-  Network net(cfg);
-  FatTreeTopo topo =
-      BuildFatTree(net, 4, 10'000'000'000ULL, Time::Microseconds(3));
-  net.Finalize();
-  GeneratePermutation(net, topo.hosts, 200 * 1024, Time::Zero());
-
-  const uint32_t windows = 5;
-  uint64_t spawned_before = 0;
-  size_t cap_mid = 0;
-  for (uint32_t w = 1; w <= windows; ++w) {
-    if (w == 2) {
-      spawned_before = ExecutorPool::TotalThreadsSpawned();
-    }
-    net.Run(Time::Milliseconds(w));
-    if (w == 3) {
-      cap_mid = CheckpointStoreFootprint(net);
-    }
-  }
-  EXPECT_EQ(ExecutorPool::TotalThreadsSpawned() - spawned_before, 0u);
-
-  const SpecCheckpoint& ck = net.kernel().spec_checkpoint();
-  EXPECT_EQ(ck.captures(), windows);  // Every boundary captured exactly once.
-  EXPECT_GE(ck.restores(), 1u);       // The overshooting window rolled back.
-  // The permutation drains inside window 1, so the store's high-water mark
-  // is set early and later captures reuse it — no regrowth.
-  EXPECT_EQ(CheckpointStoreFootprint(net), cap_mid);
-  EXPECT_LE(ck.last_capture_bytes(), CheckpointStoreFootprint(net));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllParallelKernels, EngineReuseTest,

@@ -52,6 +52,48 @@ TEST(Misc, ProgressReportFiresAtConfiguredInterval) {
   EXPECT_LE(reports.back().second, net.kernel().processed_events());
 }
 
+// A ticker enabled between windows starts one interval past the session
+// time, and reports the session's events so far, not the window's.
+TEST(Misc, ProgressReportEnabledMidSessionTicksFromTheSessionTime) {
+  KernelConfig sequential;
+  sequential.type = KernelType::kSequential;
+  KernelConfig unison;
+  unison.type = KernelType::kUnison;
+  unison.threads = 2;
+  for (const KernelConfig& k : {sequential, unison}) {
+    SCOPED_TRACE(k.type == KernelType::kSequential ? "sequential" : "unison");
+    SimConfig cfg;
+    cfg.kernel = k;
+    Network net(cfg);
+    FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
+    net.Finalize();
+    TrafficSpec traffic;
+    traffic.hosts = topo.hosts;
+    traffic.bisection_bps = topo.bisection_bps;
+    traffic.load = 0.2;
+    traffic.duration = Time::Milliseconds(4);
+    GenerateTraffic(net, traffic);
+    net.Run(Time::Milliseconds(2));
+    const uint64_t before = net.kernel().session_events();
+    std::vector<std::pair<Time, uint64_t>> reports;
+    net.EnableProgressReport(Time::Microseconds(500),
+                             [&reports](Time now, uint64_t events) {
+                               reports.emplace_back(now, events);
+                             });
+    net.Run(Time::Milliseconds(4));
+    // Ticks at 2.5, 3 and 3.5 ms (4 ms is >= stop).
+    ASSERT_EQ(reports.size(), 3u);
+    EXPECT_EQ(reports[0].first, Time::Microseconds(2500));
+    EXPECT_EQ(reports[1].first, Time::Microseconds(3000));
+    EXPECT_EQ(reports[2].first, Time::Microseconds(3500));
+    EXPECT_GE(reports[0].second, before);
+    for (size_t i = 1; i < reports.size(); ++i) {
+      EXPECT_GE(reports[i].second, reports[i - 1].second);
+    }
+    EXPECT_LE(reports.back().second, net.kernel().session_events());
+  }
+}
+
 TEST(Misc, ProgressReportDoesNotPerturbResults) {
   auto run = [](bool report) {
     SimConfig cfg;

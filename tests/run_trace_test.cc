@@ -190,9 +190,8 @@ TEST(RunTraceExport, CsvHasHeaderAndOneLinePerRound) {
   EXPECT_EQ(lines, 1 + run.records.size());
   EXPECT_EQ(run.csv.rfind("window,round,lbts_ps,window_ps,events_before,"
                           "resorted,p_total_ns,s_total_ns,m_total_ns,"
-                          "barrier_ns,parked,tuning_epoch,spec_rounds,"
-                          "spec_hits,spec_misses,rollback_ns,capture_ns,"
-                          "capture_bytes,steals,messages\n",
+                          "barrier_ns,parked,tuning_epoch,steals,"
+                          "messages\n",
                           0),
             0u);
   // Single-window session: every row belongs to window 0.

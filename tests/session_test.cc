@@ -623,23 +623,6 @@ TEST(SessionSnapshotIoDeathTest, OlderVersionIsRejected) {
 
 // --- One state format ---
 
-// Capture → RestoreWindowCheckpoint → capture is byte-stable: the restore
-// reads back exactly what the capture wrote.
-TEST(SessionStateFormat, CheckpointRestoreRecaptureIsByteStable) {
-  KernelConfig k;
-  k.type = KernelType::kUnison;
-  k.threads = 2;
-  FatTreeScenario parent = BuildFatTreeScenarioStreaming(k, PartitionMode::kAuto);
-  parent.net->Run(Time::Milliseconds(2));
-  std::vector<uint8_t> first;
-  ASSERT_TRUE(CaptureWindowCheckpoint(*parent.net, &first));
-  EXPECT_GT(first.size(), 0u);
-  RestoreWindowCheckpoint(*parent.net, first);
-  std::vector<uint8_t> second;
-  ASSERT_TRUE(CaptureWindowCheckpoint(*parent.net, &second));
-  EXPECT_EQ(first, second);
-}
-
 // Snapshot → Fork → Snapshot of the un-run fork is byte-stable. The parent
 // runs on the manual pod partition, the mode every fork replays (under
 // kAuto the fork would rewrite the partition-mode byte).
@@ -659,7 +642,7 @@ TEST(SessionStateFormat, ForkResnapshotIsByteStable) {
 }
 
 // The snapshot is header + window-state section + trailer, and the section
-// is byte for byte the speculation checkpoint taken at the same boundary.
+// is byte for byte what CaptureWindowCheckpoint writes at the same boundary.
 TEST(SessionStateFormat, SnapshotEndsWithTheCheckpointSection) {
   KernelConfig k;
   k.type = KernelType::kUnison;
@@ -679,9 +662,8 @@ TEST(SessionStateFormat, SnapshotEndsWithTheCheckpointSection) {
 // --- Declined captures ---
 
 // A progress-report ticker is a lambda event the state format cannot hold.
-// At such a boundary every capture declines: the speculation checkpoint
-// runs the window conservatively, the auto-checkpoint writes no file, and
-// Snapshot() dies naming the event.
+// At such a boundary every capture declines: the auto-checkpoint writes no
+// file, and Snapshot() dies naming the event.
 std::unique_ptr<Network> TickerScenario(SimConfig cfg) {
   cfg.kernel.type = KernelType::kUnison;
   cfg.kernel.threads = 2;
@@ -692,24 +674,6 @@ std::unique_ptr<Network> TickerScenario(SimConfig cfg) {
   GeneratePermutation(*net, topo.hosts, 200 * 1024, Time::Zero());
   net->EnableProgressReport(Time::Microseconds(500), [](Time, uint64_t) {});
   return net;
-}
-
-TEST(SessionDecline, SpeculationRunsConservativelyWithALambdaPending) {
-  SimConfig off;
-  std::unique_ptr<Network> conservative = TickerScenario(off);
-  SimConfig spec;
-  spec.speculation = SpeculationMode::kAuto;
-  spec.trace = true;
-  std::unique_ptr<Network> declined = TickerScenario(spec);
-  for (int w = 1; w <= 3; ++w) {
-    conservative->Run(Time::Milliseconds(w));
-    declined->Run(Time::Milliseconds(w));
-  }
-  EXPECT_EQ(declined->run_trace().Cumulative().spec_rounds, 0u);
-  EXPECT_EQ(declined->kernel().spec_checkpoint().captures(), 0u);
-  EXPECT_EQ(declined->flow_monitor().Fingerprint(),
-            conservative->flow_monitor().Fingerprint());
-  EXPECT_TRUE(DigestOf(*declined) == DigestOf(*conservative));
 }
 
 TEST(SessionDecline, AutoCheckpointWritesNoFileWithALambdaPending) {
@@ -952,7 +916,6 @@ TEST(SessionFork, TuningConfigSurvivesForkAndRestore) {
   t.initial_window_ps = 700'000'000;
   t.parks_per_round_high = 2.5;
   t.min_rounds = 5;
-  t.spec_horizon_initial_ps = 3'000'000;
   Network net(cfg);
   FatTreeTopo topo = BuildFatTree(net, 4, 10000000000ULL, Time::Microseconds(3));
   net.Finalize();
@@ -966,7 +929,6 @@ TEST(SessionFork, TuningConfigSurvivesForkAndRestore) {
     EXPECT_EQ(r.initial_window_ps, t.initial_window_ps);
     EXPECT_EQ(r.parks_per_round_high, t.parks_per_round_high);
     EXPECT_EQ(r.min_rounds, t.min_rounds);
-    EXPECT_EQ(r.spec_horizon_initial_ps, t.spec_horizon_initial_ps);
   };
   Session session(&net);
   const SessionSnapshot snap = session.Snapshot();
@@ -980,136 +942,19 @@ TEST(SessionFork, TuningConfigSurvivesForkAndRestore) {
   }
 }
 
-// --- Speculative window execution ---
-
-// The kernels that opt into speculation (indices into AllKernels()): the
-// round-engine kernels barrier, unison, hybrid. Sequential has no window to
-// speculate past; null-message has no barrier round to extend.
-constexpr int kSpecKernels[3] = {1, 3, 4};
-
-class SpeculationTransparency
-    : public ::testing::TestWithParam<std::tuple<int, uint32_t>> {};
-
-// The speculation-transparency matrix: every opt-in kernel, every window
-// split, speculation=off vs =auto, produces bit-identical FlowMonitor
-// fingerprints and full-state digests. Speculation only ever changes *when*
-// events execute relative to the wall clock — a miss rolls the window back
-// to the boundary checkpoint and re-runs conservatively, a hit commits
-// rounds whose event order the npub cap and deterministic tie-breaking
-// already pinned.
-TEST_P(SpeculationTransparency, SpeculativeRunMatchesConservative) {
-  const KernelCase kc = AllKernels()[kSpecKernels[std::get<0>(GetParam())]];
-  const uint32_t windows = std::get<1>(GetParam());
-  SCOPED_TRACE(std::string(kc.name) + " x " + std::to_string(windows));
-
-  SimConfig off;
-  off.kernel = kc.config;
-  off.partition = kc.partition;
-  RunDigest off_digest;
-  const RunOutcome off_out =
-      RunFatTreeScenarioConfigured(off, windows, 4, 10, 5, &off_digest);
-
-  SimConfig spec = off;
-  spec.speculation = SpeculationMode::kAuto;
-  RunDigest spec_digest;
-  const RunOutcome spec_out =
-      RunFatTreeScenarioConfigured(spec, windows, 4, 10, 5, &spec_digest);
-
-  EXPECT_EQ(spec_out.fingerprint, off_out.fingerprint);
-  EXPECT_EQ(spec_out.events, off_out.events);
-  EXPECT_EQ(spec_out.summary.completed, off_out.summary.completed);
-  EXPECT_EQ(spec_out.lps, off_out.lps);
-  EXPECT_TRUE(spec_digest == off_digest);
-}
-
-std::string SpecCaseName(
-    const ::testing::TestParamInfo<std::tuple<int, uint32_t>>& info) {
-  static const char* const names[3] = {"barrier", "unison", "hybrid"};
-  return std::string(names[std::get<0>(info.param)]) + "_w" +
-         std::to_string(std::get<1>(info.param));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    OptInKernels, SpeculationTransparency,
-    ::testing::Combine(::testing::Range(0, 3), ::testing::Values(1u, 2u, 5u)),
-    SpecCaseName);
-
-// Forced rollback: a horizon dwarfing the 3 us fat-tree lookahead drives the
-// optimistic rounds far past the safe bound, so cross-LP arrivals land below
-// already-advanced clocks — the window must detect the miss, restore the
-// boundary checkpoint, re-run conservatively, and still land bit-identical
-// to speculation=off.
-TEST(SpeculationRollback, ForcedMissRollsBackAndStaysBitIdentical) {
-  KernelConfig k;
-  k.type = KernelType::kUnison;
-  k.threads = 2;
-  SimConfig off;
-  off.kernel = k;
-  RunDigest off_digest;
-  const RunOutcome off_out =
-      RunFatTreeScenarioConfigured(off, 2, 4, 10, 5, &off_digest);
-
-  SimConfig spec = off;
-  spec.speculation = SpeculationMode::kAuto;
-  spec.trace = true;
-  spec.tuning_config.spec_horizon_initial_ps = Time::Milliseconds(10).ps();
-
-  Network net(spec);
-  FatTreeTopo topo =
-      BuildFatTree(net, 4, 10'000'000'000ULL, Time::Microseconds(3));
-  net.Finalize();
-  GeneratePermutation(net, topo.hosts, 200 * 1024, Time::Zero());
-  TrafficSpec traffic;
-  traffic.hosts = topo.hosts;
-  traffic.bisection_bps = topo.bisection_bps;
-  traffic.load = 0.1;
-  traffic.duration = Time::Milliseconds(5);
-  GenerateTraffic(net, traffic);
-  net.Run(Time::Picoseconds(Time::Milliseconds(5).ps() / 2));
-  net.Run(Time::Milliseconds(5));
-
-  // The windows speculated, missed at least once, and the rollback restored
-  // the boundary checkpoint (all surfaced in the per-window trace and the
-  // kernel's checkpoint counters).
-  const RunSummary total = net.run_trace().Cumulative();
-  EXPECT_GE(total.spec_rounds, 1u);
-  EXPECT_GE(total.spec_misses, 1u);
-  EXPECT_GE(net.kernel().spec_checkpoint().captures(), 1u);
-  EXPECT_GE(net.kernel().spec_checkpoint().restores(), 1u);
-
-  RunDigest spec_digest = DigestOf(net);
-  EXPECT_EQ(net.flow_monitor().Fingerprint(), off_out.fingerprint);
-  EXPECT_EQ(net.kernel().session_events(), off_out.events);
-  EXPECT_TRUE(spec_digest == off_digest);
-}
-
-// --- The speculation checkpoint store ---
-
-struct WanStoreRun {
-  uint64_t fingerprint = 0;
-  RunDigest digest;
-  uint32_t rollbacks = 0;  // Rollbacks verified against the boundary bytes.
-  uint32_t checked = 0;    // Windows whose store matched the reference.
-  uint32_t declined = 0;   // Windows whose capture declined.
-};
+// --- A WAN ring ---
 
 // A 4-site WAN ring: four hosts behind each site's router on 1 us links, the
 // routers joined by `cut_delay` links, one LP per site when `partition` is
 // manual. Until `until`, TCP flows inside and across sites start every
-// 150 us, over streaming Poisson load.
-struct WanRing {
-  std::vector<std::vector<NodeId>> hosts;  // [site][host]
-  TrafficSpec streaming;                   // As installed.
-  uint32_t ring_link = 0;                  // The last ring link.
-};
-
-WanRing BuildWanRing(Network& net, Time cut_delay, Time until,
-                     PartitionMode partition) {
+// 150 us, over streaming Poisson load. Returns the last ring link.
+uint32_t BuildWanRing(Network& net, Time cut_delay, Time until,
+                      PartitionMode partition) {
   constexpr uint32_t kSites = 4;
   constexpr uint32_t kHostsPerSite = 4;
   constexpr uint64_t kBps = 10'000'000'000ULL;
-  WanRing wan;
-  wan.hosts.resize(kSites);
+  std::vector<std::vector<NodeId>> hosts(kSites);  // [site][host]
+  uint32_t ring_link = 0;
   std::vector<NodeId> routers;
   std::vector<NodeId> all_hosts;
   std::vector<LpId> lp_of_node;
@@ -1117,15 +962,15 @@ WanRing BuildWanRing(Network& net, Time cut_delay, Time until,
     routers.push_back(net.AddNode());
     lp_of_node.push_back(s);
     for (uint32_t h = 0; h < kHostsPerSite; ++h) {
-      wan.hosts[s].push_back(net.AddNode());
-      all_hosts.push_back(wan.hosts[s].back());
+      hosts[s].push_back(net.AddNode());
+      all_hosts.push_back(hosts[s].back());
       lp_of_node.push_back(s);
-      net.AddLink(wan.hosts[s][h], routers[s], kBps, Time::Microseconds(1));
+      net.AddLink(hosts[s][h], routers[s], kBps, Time::Microseconds(1));
     }
   }
   for (uint32_t s = 0; s < kSites; ++s) {
-    wan.ring_link = net.AddLink(routers[s], routers[(s + 1) % kSites], kBps,
-                                cut_delay);
+    ring_link = net.AddLink(routers[s], routers[(s + 1) % kSites], kBps,
+                            cut_delay);
   }
   if (partition == PartitionMode::kManual) {
     net.SetManualPartition(kSites, std::move(lp_of_node));
@@ -1136,127 +981,23 @@ WanRing BuildWanRing(Network& net, Time cut_delay, Time until,
   for (int64_t t = 0; t < until.ps(); t += Time::Microseconds(150).ps()) {
     for (uint32_t s = 0; s < kSites; ++s) {
       for (uint32_t h = 0; h < kHostsPerSite; ++h) {
-        flow.src = wan.hosts[s][h];
-        flow.dst = h == 0 ? wan.hosts[(s + 1) % kSites][1]
-                          : wan.hosts[s][(h + 1) % kHostsPerSite];
+        flow.src = hosts[s][h];
+        flow.dst = h == 0 ? hosts[(s + 1) % kSites][1]
+                          : hosts[s][(h + 1) % kHostsPerSite];
         flow.bytes = 16 * 1024 + 4096 * h;
         flow.start = Time::Picoseconds(t + 7000 * (s * kHostsPerSite + h));
         InstallFlow(net, flow);
       }
     }
   }
-  wan.streaming.hosts = all_hosts;
-  wan.streaming.bisection_bps = kBps;
-  wan.streaming.load = 0.2;
-  wan.streaming.duration = until;
-  InstallFlowSources(net, wan.streaming);
-  return wan;
+  TrafficSpec streaming;
+  streaming.hosts = all_hosts;
+  streaming.bisection_bps = kBps;
+  streaming.load = 0.2;
+  streaming.duration = until;
+  InstallFlowSources(net, streaming);
+  return ring_link;
 }
-
-// A 4-site WAN ring (one LP per site, 100 ns cut links) run in 50 us windows
-// with every kind of change a window can make: TCP flows inside and across
-// sites, streaming flow sources, a cross-site UDP flow installed mid-session
-// (its sender is a lambda, so captures decline while it runs, and its last
-// datagrams land after a capture succeeds again), a mid-session
-// InjectTraffic, and a progress ticker pending in the last window. Under
-// speculation, the kernel's checkpoint hooks are wrapped to take the
-// reference encoder's bytes at each capture: after every rollback the
-// reference encoder must read back those boundary bytes, and after every
-// window whose capture succeeded the store's slots must assemble into them.
-WanStoreRun RunWanStoreScenario(uint32_t threads, bool speculate) {
-  constexpr int kWindows = 48;
-  const Time window = Time::Microseconds(50);
-  SimConfig cfg;
-  cfg.kernel.type = KernelType::kUnison;
-  cfg.kernel.threads = threads;
-  cfg.partition = PartitionMode::kManual;
-  cfg.seed = 7;
-  if (speculate) {
-    cfg.speculation = SpeculationMode::kAuto;
-    cfg.tuning_config.spec_horizon_initial_ps = window.ps();
-  }
-  Network net(cfg);
-  const WanRing wan = BuildWanRing(net, Time::Nanoseconds(100),
-                                   window * kWindows, PartitionMode::kManual);
-  const std::vector<std::vector<NodeId>>& hosts = wan.hosts;
-  const TrafficSpec& streaming = wan.streaming;
-
-  WanStoreRun out;
-  std::vector<uint8_t> boundary;
-  if (speculate) {
-    net.kernel().set_checkpoint_hooks(
-        [&net, &boundary] {
-          CaptureWindowCheckpoint(net, &boundary);
-          return CaptureCheckpointStore(net);
-        },
-        [&net, &boundary, &out] {
-          RollBackCheckpointStore(net);
-          std::vector<uint8_t> rolled_back;
-          EXPECT_TRUE(CaptureWindowCheckpoint(net, &rolled_back));
-          EXPECT_TRUE(rolled_back == boundary)
-              << "rollback " << out.rollbacks << " left " << rolled_back.size()
-              << " bytes, the boundary held " << boundary.size();
-          ++out.rollbacks;
-        });
-  }
-  for (int w = 1; w <= kWindows; ++w) {
-    const Time start = window * (w - 1);
-    if (w == 6) {
-      OnOffSpec udp;
-      udp.src = hosts[0][2];
-      udp.dst = hosts[2][3];
-      udp.rate_bps = 5'000'000'000ULL;
-      udp.on = Time::Microseconds(20);
-      udp.off = Time::Microseconds(10);
-      udp.start = start + Time::Microseconds(5);
-      udp.stop = start + window * 4 - Time::Microseconds(2);
-      InstallOnOffFlow(net, udp);
-    }
-    if (w == 20) {
-      TrafficSpec burst = streaming;
-      burst.load = 0.3;
-      burst.duration = window * 6;
-      burst.rng_stream = 900;
-      InjectTraffic(net, burst);
-    }
-    if (w == kWindows) {
-      net.EnableProgressReport(Time::Milliseconds(10), [](Time, uint64_t) {});
-    }
-    const uint64_t captures = net.kernel().spec_checkpoint().captures();
-    net.Run(window * w);
-    if (!speculate) {
-      continue;
-    }
-    if (net.kernel().spec_checkpoint().captures() == captures) {
-      ++out.declined;
-      continue;
-    }
-    EXPECT_TRUE(AssembleCheckpointStore(net) == boundary) << "window " << w;
-    ++out.checked;
-  }
-  out.fingerprint = net.flow_monitor().Fingerprint();
-  out.digest = DigestOf(net);
-  return out;
-}
-
-class CheckpointStoreWan : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(CheckpointStoreWan, SlotsMatchTheReferenceAndRollbacksRestoreTheBoundary) {
-  const WanStoreRun off = RunWanStoreScenario(GetParam(), false);
-  const WanStoreRun spec = RunWanStoreScenario(GetParam(), true);
-  EXPECT_GE(spec.rollbacks, 1u);
-  EXPECT_GE(spec.checked, 30u);
-  EXPECT_GE(spec.declined, 2u);  // The UDP sender's windows and the ticker's.
-  EXPECT_EQ(spec.fingerprint, off.fingerprint);
-  EXPECT_TRUE(spec.digest == off.digest);
-}
-
-// At one worker nothing is captured: StepLoop checks that, and the digest
-// equality the t1 case used to check.
-INSTANTIATE_TEST_SUITE_P(Threads, CheckpointStoreWan, ::testing::Values(2u, 3u),
-                         [](const ::testing::TestParamInfo<uint32_t>& info) {
-                           return "t" + std::to_string(info.param);
-                         });
 
 // --- One worker: the step loop ---
 
@@ -1272,28 +1013,25 @@ void PrintTo(const StepCase& c, std::ostream* os) { *os << c.name; }
 struct StepRun {
   RunDigest digest;
   uint32_t crossings = 0;  // Parent and fork.
-  bool store = false;      // Parent or fork built a checkpoint store.
-  uint64_t captures = 0;   // Parent and fork.
   uint32_t early_stops = 0;
 };
 
-// Six windows under speculation=auto: a fork after the second, then on the
-// fork a progress ticker (its first tick lies past the fork), a FailLink in
-// the fourth window and a Stop() in the fifth, which ends that window early;
-// it is run again to its stop time.
+// Six windows: a fork after the second, then on the fork a progress ticker
+// (its first tick one interval past the fork), a FailLink in the fourth
+// window and a Stop() in the fifth, which ends that window early; it is run
+// again to its stop time.
 StepRun RunStepScenario(const StepCase& c, const KernelConfig& kernel,
                         PartitionMode partition) {
   SimConfig cfg;
   cfg.kernel = kernel;
   cfg.partition = partition;
   cfg.seed = 11;
-  cfg.speculation = SpeculationMode::kAuto;
   Network net(cfg);
   Time total;
   uint32_t fail_link = 0;
   if (c.wan) {
     total = Time::Microseconds(900);
-    fail_link = BuildWanRing(net, c.cut_delay, total, partition).ring_link;
+    fail_link = BuildWanRing(net, c.cut_delay, total, partition);
   } else {
     total = Time::Milliseconds(3);
     FatTreeTopo topo =
@@ -1334,8 +1072,6 @@ StepRun RunStepScenario(const StepCase& c, const KernelConfig& kernel,
       out.crossings += round_kernel->barrier_crossings();
       EXPECT_EQ(n->kernel().session_rounds(), 0u);
     }
-    out.store = out.store || n->checkpoint_store() != nullptr;
-    out.captures += n->kernel().spec_checkpoint().captures();
   }
   EXPECT_FALSE(live->links()[fail_link].up);
   out.digest = DigestOf(*live);
@@ -1344,10 +1080,10 @@ StepRun RunStepScenario(const StepCase& c, const KernelConfig& kernel,
 
 class StepLoop : public ::testing::TestWithParam<StepCase> {};
 
-// One worker steps each LP to its own safe bound, with no round, no barrier
-// crossing and no speculation checkpoint, and matches the sequential kernel
-// across windows, a fork, globals, a topology change and an early stop. With
-// a 1 ps cut link each step covers at most 2 ps past its LP's head.
+// One worker steps each LP to its own safe bound, with no round and no
+// barrier crossing, and matches the sequential kernel across windows, a
+// fork, globals, a topology change and an early stop. With a 1 ps cut link
+// each step covers at most 2 ps past its LP's head.
 TEST_P(StepLoop, OneWorkerMatchesSequentialWithNoRoundsOrCaptures) {
   const StepCase& c = GetParam();
   KernelConfig seq;
@@ -1372,8 +1108,6 @@ TEST_P(StepLoop, OneWorkerMatchesSequentialWithNoRoundsOrCaptures) {
     EXPECT_TRUE(got.digest == want.digest);
     EXPECT_EQ(got.early_stops, 1u);
     EXPECT_EQ(got.crossings, 0u);
-    EXPECT_FALSE(got.store);
-    EXPECT_EQ(got.captures, 0u);
   }
 }
 
@@ -1435,39 +1169,6 @@ TEST(StepBound, RepliesAndGlobalInsertsLandPastTheStep) {
   EXPECT_EQ(got.flow_fingerprint, want.flow_fingerprint);
   EXPECT_EQ(got.event_count, want.event_count);
   EXPECT_TRUE(got == want);
-}
-
-// Under speculation=auto, only a session some window of which could capture
-// and speculate gets a store (and with it, touch marking): a round kernel in
-// deterministic mode, a partition with cut links, and global routing.
-TEST(CheckpointStoreGate, InstalledOnlyWhereAWindowCanSpeculate) {
-  auto has_store = [](KernelType type, PartitionMode partition,
-                      bool deterministic, bool dv) {
-    SimConfig cfg;
-    cfg.kernel.type = type;
-    cfg.kernel.threads = 2;
-    cfg.kernel.deterministic = deterministic;
-    cfg.partition = partition;
-    cfg.speculation = SpeculationMode::kAuto;
-    Network net(cfg);
-    FatTreeTopo topo = BuildFatTree(net, 4, 10'000'000'000ULL, Time::Microseconds(3));
-    if (partition == PartitionMode::kManual) {
-      net.SetManualPartition(4, FatTreePodPartition(topo, net.num_nodes()));
-    }
-    if (dv) {
-      net.EnableDistanceVector(Time::Milliseconds(1));
-    }
-    net.Finalize();
-    return net.checkpoint_store() != nullptr;
-  };
-  EXPECT_TRUE(has_store(KernelType::kUnison, PartitionMode::kAuto, true, false));
-  EXPECT_TRUE(has_store(KernelType::kHybrid, PartitionMode::kAuto, true, false));
-  EXPECT_TRUE(has_store(KernelType::kBarrier, PartitionMode::kManual, true, false));
-  EXPECT_FALSE(has_store(KernelType::kSequential, PartitionMode::kAuto, true, false));
-  EXPECT_FALSE(has_store(KernelType::kNullMessage, PartitionMode::kManual, true, false));
-  EXPECT_FALSE(has_store(KernelType::kUnison, PartitionMode::kSingle, true, false));
-  EXPECT_FALSE(has_store(KernelType::kUnison, PartitionMode::kAuto, false, false));
-  EXPECT_FALSE(has_store(KernelType::kUnison, PartitionMode::kAuto, true, true));
 }
 
 // --- Automatic resume checkpoints ---
