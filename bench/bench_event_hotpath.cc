@@ -203,19 +203,24 @@ double RunDrain(size_t depth, size_t batch, uint64_t reps, bool bulk) {
 }
 
 // Overflow slow path at steady state: Push a batch into the LP's OverflowBox,
-// DrainInto the LP's reusable scratch, bulk-push into the FEL, dispatch.
-// After warm cycles every buffer (box, scratch, FEL) sits at its high-water
-// capacity, so the measured cycles must not allocate at all.
+// drain its chunks into the FEL in bulk (returning them to the cache),
+// dispatch. After warm cycles the chunk cache and the FEL sit at their
+// high-water marks, so the measured cycles must not allocate at all.
 uint64_t OverflowDrainSteadyStateAllocs(size_t batch, int warm_cycles,
                                         int measured_cycles) {
+  ChunkPool pool;
+  ChunkCache chunks;
+  chunks.set_pool(&pool);
   Lp lp(0, /*deterministic=*/true);
+  lp.Attach(&chunks, 0);
   uint64_t seq = 0;
   auto cycle = [&] {
     for (size_t i = 0; i < batch; ++i) {
-      lp.overflow().Push(MakeInlineEvent(MakeKey(1000 + 7 * seq, seq), seq));
+      lp.overflow().Push(chunks,
+                         MakeInlineEvent(MakeKey(1000 + 7 * seq, seq), seq));
       ++seq;
     }
-    lp.DrainInboxes();
+    lp.DrainInboxes(0);
     lp.ProcessUntil(Time::Picoseconds(INT64_MAX));
   };
   for (int i = 0; i < warm_cycles; ++i) {
@@ -340,7 +345,7 @@ int main(int argc, char** argv) {
   const uint64_t overflow_allocs =
       OverflowDrainSteadyStateAllocs(/*batch=*/256, /*warm_cycles=*/4,
                                      /*measured_cycles=*/32);
-  std::printf("\noverflow Push -> DrainInto -> PushAll steady-state allocations: "
+  std::printf("\noverflow Push -> drain -> PushAll steady-state allocations: "
               "%llu (expected 0)\n",
               static_cast<unsigned long long>(overflow_allocs));
 

@@ -20,8 +20,8 @@
 // oversubscribed_tree_over_flat reports the worst tree/flat ratio among such
 // rows so a gate can catch a tree that spins when it should park. The
 // placement sweep runs at the largest party count whose waiters spin (one
-// party fewer than the cores, at most 16), so it compares placements rather
-// than wake-up latencies. Each sweep row alternates flat and tree over
+// party per core, at most 16), so it compares placements rather than
+// wake-up latencies. Each sweep row alternates flat and tree over
 // kBatches batches and reports each side's median batch, so a shift in host
 // load between the two measurements does not show up as a ratio.
 //
@@ -244,8 +244,8 @@ int main(int argc, char** argv) {
   // measure scheduler noise, not placement — the JSON says so explicitly
   // (affinity_degenerate) instead of letting consumers read three identical
   // policies as a null result.
-  const uint32_t aff_parties = static_cast<uint32_t>(std::clamp<size_t>(
-      cores > 0 ? cores - 1 : 0, 2, party_counts.back()));
+  const uint32_t aff_parties = static_cast<uint32_t>(
+      std::clamp<size_t>(cores, 2, party_counts.back()));
   const bool affinity_degenerate = cores < 2;
   std::printf("\nPlacement policies (tree, %u parties)%s:\n\n", aff_parties,
               affinity_degenerate

@@ -87,17 +87,16 @@ bool Controller::OnWindowEnd(const WindowTraceSegment& segment) {
   // Rule 1 — oversubscription: futex parks at the reduction barrier mean
   // workers waiting on descheduled peers. Fit the party knob to the machine
   // first; at the floor, release the pins instead (a pinned worker sharing
-  // its core with an unpinned stranger parks forever). Parks are evidence
-  // only where waiters may spin (fewer executors than CPUs, WaitSpins) or
-  // where the executors outnumber the CPUs: with exactly one executor per
-  // CPU every wait parks at once by policy (DESIGN.md §3f).
+  // its core with an unpinned stranger parks forever). Up to one executor
+  // per CPU waiters spin before they park (WaitSpins), so parks there mean
+  // a peer outlived the spin bound; past it every wait parks at once, and
+  // the party count itself is the fault (DESIGN.md §3f).
   uint64_t parked = 0;
   for (const RoundTraceRecord& rec : segment.records) {
     parked += rec.parked;
   }
-  if (executors != cpus_ &&
-      static_cast<double>(parked) / static_cast<double>(rounds) >
-          config_.parks_per_round_high) {
+  if (static_cast<double>(parked) / static_cast<double>(rounds) >
+      config_.parks_per_round_high) {
     uint32_t want = knob;
     if (executors > cpus_) {
       // Scale the knob so the *total* executor count fits the machine (the

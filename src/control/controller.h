@@ -60,10 +60,10 @@ struct ControllerConfig {
   // Oversubscription rule: mean futex parks per round across the window's
   // barrier crossings. Parks mean workers waiting on descheduled peers —
   // the signature of more parties than the machine can run. A round crosses
-  // the barrier twice (three times when a global is due), so a two-party run
-  // whose waiter parks at every crossing shows ~2 parks per round, while a
-  // run that fits the machine catches its crossings in the spin (under 0.01
-  // parks per round on a 4-core host).
+  // the barrier once, so a run whose waiters all park at every crossing
+  // shows parties - 1 parks per round: above the default from three
+  // parties on, while a run that fits the machine catches its crossings in
+  // the spin (under 0.03 parks per round on a 4-core host).
   double parks_per_round_high = 1.0;
 
   // Windows with fewer rounds than this carry too little signal to act on

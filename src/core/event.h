@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <tuple>
 
 #include "src/core/inline_function.h"
@@ -80,9 +81,27 @@ struct Event {
 // Two cache lines: the 32-byte key, the node (plus 4 bytes of padding), the
 // 8-byte ops pointer and the 80-byte buffer, at Event's natural 8-byte
 // alignment. Over-aligning to 64 bought no measurable speed and made every
-// slab and mailbox vector an aligned allocation.
+// slab an aligned allocation.
 static_assert(sizeof(EventKey) == 32);
 static_assert(sizeof(Event) == 128, "an Event is exactly two cache lines");
+
+// Events per mailbox chunk (DESIGN.md §3b gives the measurement behind it).
+inline constexpr uint32_t kChunkEvents = 16;
+
+// A fixed-size block of events, the unit of mailbox storage
+// (src/kernel/mailbox.h). Events are built in place at the tail of the last
+// chunk of a list and moved out, in order, when the list is drained
+// (FutureEventList::PushAll). The events come first, so each sits on its own
+// two cache lines.
+struct EventChunk {
+  alignas(64) std::byte storage[kChunkEvents * sizeof(Event)];
+  EventChunk* next = nullptr;
+  uint32_t size = 0;  // Events built so far.
+
+  Event* at(uint32_t i) {
+    return std::launder(reinterpret_cast<Event*>(storage) + i);
+  }
+};
 
 }  // namespace unison
 

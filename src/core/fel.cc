@@ -12,6 +12,12 @@ void FutureEventList::Push(Event event) {
   PushNode(key, PlaceInSlot(std::move(event)));
 }
 
+void FutureEventList::AppendUnsifted(Event&& ev) {
+  const EventKey key = ev.key;
+  const uint32_t slot = PlaceInSlot(std::move(ev));
+  heap_.push_back(HeapNode{key, slot});
+}
+
 void FutureEventList::PushAll(std::vector<Event>& src) {
   if (src.empty()) {
     return;
@@ -19,11 +25,27 @@ void FutureEventList::PushAll(std::vector<Event>& src) {
   const size_t old_size = heap_.size();
   heap_.reserve(old_size + src.size());
   for (Event& ev : src) {
-    const EventKey key = ev.key;
-    const uint32_t slot = PlaceInSlot(std::move(ev));
-    heap_.push_back(HeapNode{key, slot});
+    AppendUnsifted(std::move(ev));
   }
   src.clear();
+  SiftAppended(old_size);
+}
+
+size_t FutureEventList::PushAll(EventChunk* chunks) {
+  const size_t old_size = heap_.size();
+  for (EventChunk* c = chunks; c != nullptr; c = c->next) {
+    for (uint32_t i = 0; i < c->size; ++i) {
+      Event* const ev = c->at(i);
+      AppendUnsifted(std::move(*ev));
+      std::destroy_at(ev);
+    }
+    c->size = 0;
+  }
+  SiftAppended(old_size);
+  return heap_.size() - old_size;
+}
+
+void FutureEventList::SiftAppended(size_t old_size) {
   const size_t n = heap_.size();
   const size_t added = n - old_size;
   // Per-element sift-up worst case is added*log2(n) node copies, but DES

@@ -1,7 +1,7 @@
 // The future event list (FEL): a min-priority queue of events keyed by the
 // deterministic EventKey order. One FEL exists per logical process; only the
 // thread currently executing that LP touches it, so no synchronization is
-// needed here (phase barriers in the kernels provide the happens-before
+// needed here (the kernels' barrier crossings provide the happens-before
 // edges for cross-round handoff).
 //
 // Storage is split in two so the heap never moves whole events:
@@ -41,12 +41,17 @@ class FutureEventList {
     PushNode(key, PlaceInSlot(key, node, std::forward<F>(fn)));
   }
 
-  // Bulk insert for the receiving phase: moves every event out of `src`
-  // (which is cleared but keeps its capacity — mailbox buffers are reused
-  // each round), then restores the heap property in one pass. Equivalent to
-  // Push per event but with a single reserve, and a Floyd rebuild instead of
-  // per-event sifts when the batch is large relative to the heap.
+  // Bulk insert (snapshot restore): moves every event out of `src`, which
+  // is cleared but keeps its capacity, then restores the heap property in
+  // one pass. Equivalent to Push per event but with a single reserve, and a
+  // Floyd rebuild instead of per-event sifts when the batch is large
+  // relative to the heap.
   void PushAll(std::vector<Event>& src);
+
+  // The same for a drained mailbox lane (src/kernel/mailbox.h): moves every
+  // event out of the chunk list `chunks`, in list order, and leaves the
+  // chunks empty for the caller to recycle. Returns the number of events.
+  size_t PushAll(EventChunk* chunks);
 
   // Precondition: !Empty().
   Event Pop();
@@ -118,6 +123,11 @@ class FutureEventList {
   }
 
   void PushNode(const EventKey& key, uint32_t slot);
+  // Moves `ev` into a slot and appends its node without sifting.
+  void AppendUnsifted(Event&& ev);
+  // Restores the heap property over the nodes appended since the heap held
+  // `old_size`.
+  void SiftAppended(size_t old_size);
 
   void CountBeforeFrom(size_t i, Time bound, size_t cap, size_t* n) const;
 

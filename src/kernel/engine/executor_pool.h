@@ -9,9 +9,9 @@
 //
 // Both of the pool's waits — a worker's wait for the next run epoch and the
 // caller's wait for the workers to finish — follow the same policy as the
-// barrier crossings inside a run (spin_wait.h): when the parties leave one of
-// the allowed CPUs free, a bounded spin that yields every few microseconds,
-// then a futex park; otherwise a park at once.
+// barrier crossings inside a run (spin_wait.h): when the parties are at most
+// the allowed CPUs, a bounded spin that yields every few microseconds, then a
+// futex park; otherwise a park at once.
 //
 // The thread set is a high-water mark: Ensure() grows it by spawning only the
 // missing workers and shrinks it in place by parking the excess (they skip

@@ -13,7 +13,6 @@ void RoundSync::BeginRun(const char* kernel_name, uint32_t executors, Time stop)
   stop_ = stop;
   lbts_ = Time::Zero();
   window_ = Time::Zero();
-  globals_due_ = false;
   done_ = false;
   reason_ = RunReason::kExhausted;
   round_index_ = 0;
@@ -23,7 +22,7 @@ void RoundSync::BeginRun(const char* kernel_name, uint32_t executors, Time stop)
   parks_baseline_ = 0;
 }
 
-void RoundSync::SeedMinFromLps() {
+void RoundSync::FoldLpHeads() {
   for (uint32_t i = 0; i < kernel_->num_lps(); ++i) {
     reduced_min_ps_ =
         std::min(reduced_min_ps_, kernel_->lp(i)->fel().NextTimestamp().ps());
@@ -65,7 +64,6 @@ bool RoundSync::ComputeWindow() {
     lbts_ = std::min(npub, min_next + lookahead);
   }
   window_ = std::min(lbts_, stop_);
-  globals_due_ = npub <= lbts_ && !npub.IsMax();
   return true;
 }
 

@@ -45,11 +45,12 @@ class alignas(64) RoundSync {
   // a window continues the session, it does not restart it.
   void BeginRun(const char* kernel_name, uint32_t executors, Time stop);
 
-  // Seeds the reduced minimum with every LP's next event timestamp: workers
+  // Lowers the reduced minimum to every LP's next event timestamp. Workers
   // contribute partial minima at the *end* of each round, so the first
   // prologue needs this instead (for the barrier preset it replaces stock
-  // barrier sync's leading all-reduce).
-  void SeedMinFromLps();
+  // barrier sync's leading all-reduce); and globals insert into FELs after
+  // the reduction, so the completion that ran them calls it again.
+  void FoldLpHeads();
 
   // Copies the fused reduction the barrier published on its last release —
   // min next-event timestamp, summed event count, OR'd stop flags — into the
@@ -95,10 +96,6 @@ class alignas(64) RoundSync {
   Time stop() const { return stop_; }
   Time lbts() const { return lbts_; }
   Time window() const { return window_; }
-  // Whether the public FEL held an event at or below lbts() when the window
-  // was computed, i.e. the round's global phase has work before any LP event
-  // schedules one.
-  bool globals_due() const { return globals_due_; }
   uint32_t round_index() const { return round_index_; }
   // Event count from the last Absorb(): the cross-worker total as of the
   // reduction barrier — the live events_before input to CommitRound.
@@ -109,7 +106,6 @@ class alignas(64) RoundSync {
   Time stop_;
   Time lbts_;
   Time window_;
-  bool globals_due_ = false;
   // Written by the coordinator between barriers, read by every worker after
   // the next barrier; the barrier's acquire/release ordering publishes it.
   bool done_ = false;

@@ -80,7 +80,6 @@ void Kernel::ScheduleGlobal(Time abs, EventFn fn) {
   if (cur != nullptr && cur != public_lp_.get()) {
     std::lock_guard<std::mutex> lock(public_mu_);
     public_lp_->fel().Push(Event{cur->MakeKey(abs), kNoNode, std::move(fn)});
-    flags_.global_scheduled = true;
     return;
   }
   Lp* const sender = cur != nullptr ? cur : public_lp_.get();
@@ -92,11 +91,12 @@ void Kernel::NotifyTopologyChanged() {
   WireMailboxes();
 }
 
-void Kernel::ScheduleRemote(Lp* /*from*/, LpId target, Event ev) {
+void Kernel::ScheduleRemote(Lp* from, LpId target, Event ev) {
   // No wired channel (the barrier preset wires none; otherwise possible
   // after a dynamic topology change until the next rewire): fall back to the
   // locked overflow box.
-  lps_[target]->overflow().Push(std::move(ev));
+  from->NoteOverflowSend(ev.key.ts);
+  lps_[target]->overflow().Push(from->chunk_cache(), std::move(ev));
 }
 
 void Kernel::WireMailboxes() {

@@ -141,7 +141,7 @@ class Kernel {
       // into any LP is safe ("global events have to be handled just once").
       target->Emplace(cur->MakeKey(abs), node, std::forward<F>(fn));
     } else if (Outbox* const box = cur->FindOutbox(target_id)) {
-      box->events.emplace_back(cur->MakeKey(abs), node, std::forward<F>(fn));
+      cur->Send(box, cur->MakeKey(abs), node, std::forward<F>(fn));
     } else {
       ScheduleRemote(cur, target_id,
                      Event{cur->MakeKey(abs), node, std::forward<F>(fn)});
@@ -286,8 +286,9 @@ class Kernel {
  protected:
   // Routes an event from `from` to a different LP that `from` has no outbox
   // to. The base implementation pushes it into the target's locked overflow
-  // box. Overridden by kernels with their own transport (null-message
-  // channels).
+  // box, with a chunk from `from`'s attached cache, and notes its timestamp
+  // in `from`'s sent minimum. Overridden by kernels with their own transport
+  // (null-message channels).
   virtual void ScheduleRemote(Lp* from, LpId target, Event ev);
 
   // Creates outboxes/inboxes for every cut edge of the partition. The
@@ -358,17 +359,12 @@ class Kernel {
   uint64_t session_events_ = 0;
   uint64_t session_rounds_ = 0;
   uint32_t session_windows_ = 0;
-  // The flags an LP event may set mid-round and every round-kernel worker
-  // reads each round, on a cache line of their own: no member written per
+  // The flag an LP event may set mid-round and every round-kernel worker
+  // reads each round, on a cache line of its own: no member written per
   // round or per window may share it, and adding or removing a neighbour
   // cannot move it onto one that is (DESIGN.md §3d).
   struct alignas(64) MidRoundFlags {
     std::atomic<bool> stop_requested{false};
-    // Set by ScheduleGlobal's locked path, i.e. when an LP event scheduled a
-    // global mid-round. Written under public_mu_; the round kernel reads it
-    // after the barrier that ends phase 1 and clears it in the next round's
-    // prologue.
-    bool global_scheduled = false;
   };
   static_assert(sizeof(MidRoundFlags) == 64);
   MidRoundFlags flags_;

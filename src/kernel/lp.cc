@@ -26,36 +26,39 @@ uint64_t Lp::ProcessUntil(Time bound) {
   return processed;
 }
 
-uint64_t Lp::DrainInboxes() {
+int64_t Lp::SentMin() const {
+  int64_t sent = overflow_sent_ps_;
+  for (const std::unique_ptr<Outbox>& box : outboxes_) {
+    sent = std::min(sent, box->lanes[parity_].min_ps);
+  }
+  return sent;
+}
+
+uint64_t Lp::DrainInboxes(uint32_t parity) {
   uint64_t received = 0;
   for (Outbox* box : inboxes_) {
-    if (box->events.empty()) {
-      continue;
+    MailLane& lane = box->lanes[parity];
+    if (!lane.empty()) {
+      received += Receive(lane.Detach());
     }
-    received += box->events.size();
-    if (!deterministic_) {
-      RewriteArrivalKeys(box->events);
-    }
-    fel_.PushAll(box->events);  // Clears the inbox, keeping its capacity.
   }
-  if (!overflow_.EmptyUnlocked()) {
-    // Reusable scratch: DrainInto appends and PushAll clears keeping
-    // capacity, so the slow path stops allocating once warm.
-    overflow_scratch_.clear();
-    overflow_.DrainInto(&overflow_scratch_);
-    received += overflow_scratch_.size();
-    if (!deterministic_) {
-      RewriteArrivalKeys(overflow_scratch_);
-    }
-    fel_.PushAll(overflow_scratch_);
+  if (!overflow_.empty()) {
+    received += Receive(overflow_.Take());
   }
   return received;
 }
 
-void Lp::RewriteArrivalKeys(std::vector<Event>& events) {
-  for (Event& ev : events) {
-    RewriteArrivalKey(&ev.key);
+uint64_t Lp::Receive(EventChunk* chunks) {
+  if (!deterministic_) {
+    for (EventChunk* c = chunks; c != nullptr; c = c->next) {
+      for (uint32_t i = 0; i < c->size; ++i) {
+        RewriteArrivalKey(&c->at(i)->key);
+      }
+    }
   }
+  const size_t received = fel_.PushAll(chunks);
+  chunks_->GiveList(chunks);
+  return received;
 }
 
 }  // namespace unison

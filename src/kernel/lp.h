@@ -1,12 +1,16 @@
 // A logical process: one spatial partition of the simulated network, with its
 // own future event list, clock, outboxes, and deterministic sequence counters.
 //
-// Exactly one thread executes a given LP at a time (each LP is processed at
-// most once per round, or by the one worker of a step-loop window); the
-// kernels guarantee this, which lets all LP state be plain non-atomic data.
+// Exactly one thread executes a given LP at a time (each LP is claimed by one
+// worker per round, which drains its inboxes and runs it, or by the one
+// worker of a step-loop window); the kernels guarantee this, which lets all
+// LP state be plain non-atomic data. Other LPs' workers append to this LP's
+// inboxes concurrently, but only to the lanes it does not drain that round
+// (mailbox.h).
 #ifndef UNISON_SRC_KERNEL_LP_H_
 #define UNISON_SRC_KERNEL_LP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -72,7 +76,7 @@ class Lp {
   // Returns the number of events executed. Updates the LP clock as it goes.
   uint64_t ProcessUntil(Time bound);
 
-  // --- Mailbox wiring (set up by the kernels) ---
+  // --- Mailboxes (wired by the kernels; see mailbox.h) ---
 
   // Returns the outbox from this LP to `target`, or nullptr if none wired.
   // O(1): a dense LpId-indexed table maintained at wiring time — this lookup
@@ -84,7 +88,7 @@ class Lp {
   // Heap-allocated so inbox registrations on the target stay valid when more
   // outboxes are wired later (dynamic topology changes add channels).
   Outbox* AddOutbox(LpId target) {
-    outboxes_.push_back(std::make_unique<Outbox>(Outbox{target, {}}));
+    outboxes_.push_back(std::make_unique<Outbox>(target));
     if (outbox_index_.size() <= target) {
       outbox_index_.resize(target + 1, nullptr);
     }
@@ -96,10 +100,37 @@ class Lp {
   // Inboxes: outboxes of other LPs that target this LP.
   void AddInbox(Outbox* box) { inboxes_.push_back(box); }
 
-  // Receiving phase: moves all mailbox events into the FEL via bulk PushAll
-  // (one reserve + one sift pass per inbox instead of per-event pushes).
-  // Returns the number of events received.
-  uint64_t DrainInboxes();
+  // Called by the worker that is about to run this LP: until the next call,
+  // its sends append to lane `parity` of its outboxes with chunks from
+  // `cache`, drained chunks go back to `cache`, and the overflow-send
+  // minimum restarts.
+  void Attach(ChunkCache* cache, uint32_t parity) {
+    chunks_ = cache;
+    parity_ = parity;
+    overflow_sent_ps_ = INT64_MAX;
+  }
+  ChunkCache& chunk_cache() { return *chunks_; }
+
+  // A wired send: builds Event(key, args...) at the tail of `box`'s lane of
+  // the attached parity.
+  template <typename... Args>
+  void Send(Outbox* box, const EventKey& key, Args&&... args) {
+    box->lanes[parity_].Emplace(*chunks_, key, std::forward<Args>(args)...);
+  }
+  // Records an overflow send at `ts` for SentMin.
+  void NoteOverflowSend(Time ts) {
+    overflow_sent_ps_ = std::min(overflow_sent_ps_, ts.ps());
+  }
+  // The earliest timestamp this LP has sent since Attach that still waits in
+  // a mailbox: its outboxes' lanes of the attached parity, and its overflow
+  // sends.
+  int64_t SentMin() const;
+
+  // Receiving: moves the events waiting in lane `parity` of every inbox, and
+  // in the overflow box, into the FEL (bulk PushAll, one pass per lane) and
+  // returns their chunks to the attached cache. Returns the number of events
+  // received.
+  uint64_t DrainInboxes(uint32_t parity);
 
   OverflowBox& overflow() { return overflow_; }
 
@@ -137,7 +168,8 @@ class Lp {
     key->sender_node = id_;
     key->seq = arrival_seq_++;
   }
-  void RewriteArrivalKeys(std::vector<Event>& events);
+  // Moves a detached lane's events into the FEL and recycles its chunks.
+  uint64_t Receive(EventChunk* chunks);
 
   const LpId id_;
   const bool deterministic_;
@@ -149,7 +181,9 @@ class Lp {
   std::vector<Outbox*> outbox_index_;  // Dense LpId -> Outbox* lookup.
   std::vector<Outbox*> inboxes_;
   OverflowBox overflow_;
-  std::vector<Event> overflow_scratch_;  // Reused across DrainInboxes calls.
+  ChunkCache* chunks_ = nullptr;  // The running worker's; see Attach.
+  uint32_t parity_ = 0;           // Lane parity sends append to.
+  int64_t overflow_sent_ps_ = INT64_MAX;
 
   static thread_local Lp* current_;
   static thread_local NodeId current_node_;

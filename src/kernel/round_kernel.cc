@@ -85,6 +85,13 @@ void RoundKernel::Setup(const TopoGraph& graph, const Partition& partition) {
   layout_workers_ = 0;
   last_round_ns_.assign(num_lps(), 0);
   shared_.workers = std::make_unique<Worker[]>(MaxExecutors());
+  chunk_pool_ = std::make_unique<ChunkPool>();
+  for (uint32_t w = 0; w < MaxExecutors(); ++w) {
+    shared_.workers[w].chunks.set_pool(chunk_pool_.get());
+  }
+  for (const std::unique_ptr<Lp>& lp : lps_) {
+    lp->Attach(&shared_.workers[0].chunks, 0);
+  }
   shared_.barrier = std::make_unique<CombiningBarrier>(MaxExecutors());
   shared_.lanes = max_lanes_;
   // A borrowed pool keeps its owner's placement; only the kernel's own pool
@@ -160,18 +167,21 @@ RunResult RoundKernel::Run(Time stop_time) {
   }
   // Round 0's prologue runs here, on the caller, before the workers start;
   // every later one runs in the completion step of the previous round's
-  // end-of-round crossing. Workers contribute their partial minima at the
-  // end of each round, so round 0's reduction is seeded from the LPs.
-  sync_.SeedMinFromLps();
-  Prologue();
+  // crossing. Workers contribute their partial minima at the end of each
+  // round, so round 0's reduction is seeded from the LPs.
+  sync_.FoldLpHeads();
+  Prologue(0);
 
   active_pool_->Run([this](uint32_t worker) { RoundLoop(worker); });
 
+  // The last round's sends are still in its parity's lanes.
+  const uint64_t delivered = DrainAll(0b11);
   processed_events_ = LiveEvents();
   rounds_ = sync_.round_index();
   window_steals_ = 0;
   window_messages_ = 0;
   if (sync_.recording()) {
+    window_messages_ = delivered;
     for (uint32_t w = 0; w < workers; ++w) {
       window_steals_ += shared_.workers[w].steals;
       window_messages_ += shared_.workers[w].messages;
@@ -190,16 +200,31 @@ void RoundKernel::ScheduleRemote(Lp* from, LpId target, Event ev) {
   }
 }
 
+uint64_t RoundKernel::DrainAll(uint32_t parities) {
+  ChunkCache* const chunks = &shared_.workers[0].chunks;
+  uint64_t received = 0;
+  for (const std::unique_ptr<Lp>& lp : lps_) {
+    lp->Attach(chunks, 0);
+    for (uint32_t parity = 0; parity < 2; ++parity) {
+      if ((parities >> parity & 1) != 0) {
+        received += lp->DrainInboxes(parity);
+      }
+    }
+  }
+  return received;
+}
+
 RunReason RoundKernel::StepLoop(Time stop) {
   const uint32_t n = num_lps();
   std::vector<int64_t>& head = head_ps_;
   head.resize(n);
   uint64_t events = 0;
   uint64_t messages = 0;
+  // Every LP sends to, and drains, lane 0 (mailbox.h): the loop is alone.
   // Moves every mailbox into its FEL and re-reads every head from it.
   const auto settle = [&] {
+    messages += DrainAll(0b01);
     for (uint32_t i = 0; i < n; ++i) {
-      messages += lps_[i]->DrainInboxes();
       head[i] = lps_[i]->fel().NextTimestamp().ps();
     }
     overflowed_ = false;
@@ -250,22 +275,14 @@ RunReason RoundKernel::StepLoop(Time stop) {
                   SaturatingAdd(SaturatingAdd(first, lookahead), lookahead),
                   npub, stop.ps()});
     Lp* const lp = lps_[a].get();
-    const std::vector<std::unique_ptr<Outbox>>& boxes = lp->outboxes();
-    sent_before_.clear();
-    for (const std::unique_ptr<Outbox>& box : boxes) {
-      sent_before_.push_back(box->events.size());
-    }
-    messages += lp->DrainInboxes();
+    messages += lp->DrainInboxes(0);
     events += lp->ProcessUntil(Time::Picoseconds(bound));
     head[a] = lp->fel().NextTimestamp().ps();
     // Lazy delivery: the sends stay in the outboxes until their target's
     // next step; only the target's head learns of them now.
-    for (size_t k = 0; k < boxes.size(); ++k) {
-      const std::vector<Event>& sent = boxes[k]->events;
-      int64_t& target = head[boxes[k]->target];
-      for (size_t e = sent_before_[k]; e < sent.size(); ++e) {
-        target = std::min(target, sent[e].key.ts.ps());
-      }
+    for (const std::unique_ptr<Outbox>& box : lp->outboxes()) {
+      int64_t& target = head[box->target];
+      target = std::min(target, box->lanes[0].min_ps);
     }
     if (overflowed_) {
       settle();
@@ -309,13 +326,7 @@ void RoundKernel::BuildLayout(uint32_t workers) {
   layout_workers_ = workers;
 }
 
-void RoundKernel::Prologue() {
-  // Every worker read the flag after the phase-1 crossing, before arriving at
-  // the crossing this prologue completes. Cleared only when set, so the
-  // flags' line is not rewritten in rounds without a mid-round global.
-  if (flags_.global_scheduled) {
-    flags_.global_scheduled = false;
-  }
+void RoundKernel::Prologue(uint64_t globals) {
   if (!sync_.ComputeWindow()) {
     return;
   }
@@ -336,8 +347,9 @@ void RoundKernel::Prologue() {
     }
   }
   // events_before comes from the end-of-round barrier's fused count — the
-  // live cross-worker total as of the last reduction (0 for round 0).
-  sync_.CommitRound(sync_.reduced_events());
+  // live cross-worker total as of the last reduction (0 for round 0) — plus
+  // the globals its completion ran after the reduction.
+  sync_.CommitRound(sync_.reduced_events() + globals);
   if (resort && sync_.recording()) {
     // The recorded claim order is each group's priority order: all of its
     // LPs under the LPT key, whichever lane's list holds them.
@@ -381,27 +393,42 @@ void RoundKernel::RoundLoop(uint32_t worker) {
   // Worker-local round index: every worker executes the same loop iterations,
   // so this mirrors sync_.round_index() without reading shared state. It keys
   // the accountant's executor-private per-round rows, which lets every sync
-  // wait — including the end-of-round crossing, whose completion runs the
-  // next round's prologue — be attributed to its round without data races.
+  // wait — including the crossing whose completion runs the next round's
+  // prologue — be attributed to its round without data races, and its parity
+  // picks the mailbox lanes.
   uint32_t round = 0;
   PhaseAccountant acct(worker, rows);
-  // The end-of-round crossing's completion: absorb the fused reduction and
-  // open the next round before anyone is released into it.
-  const auto next_round = [this, &barrier] {
+  // The crossing's completion, run by the one worker that completes it while
+  // the others wait: absorb the fused reduction, run the globals due at or
+  // below this round's LBTS (an LP event may have scheduled one mid-round),
+  // lower the minimum to the FEL heads they may have changed, and open the
+  // next round before anyone is released into it. The globals count as this
+  // worker's events and P.
+  const auto next_round = [this, &barrier, &acct, &events] {
     sync_.Absorb(barrier);
-    Prologue();
+    const Time npub = public_lp_->fel().NextTimestamp();
+    uint64_t globals = 0;
+    if (!npub.IsMax() && npub <= sync_.lbts()) {
+      acct.CloseSync();
+      globals = RunGlobalEvents(sync_.lbts(), sync_.stop());
+      events += globals;
+      sync_.FoldLpHeads();
+      acct.CloseProcessing();
+    }
+    Prologue(globals);
   };
 
   acct.OpenInterval();
   while (!sync_.done()) {
     acct.BeginRound(round);
+    const uint32_t parity = round & 1;
 
-    // Phase 1: process events. The worker claims its own list from the head,
-    // then visits the other lanes of its group in lane order and steals from
-    // their tails while a victim has at least two unclaimed LPs. The whole
-    // phase closes into P, so claim and bookkeeping overhead is attributed
-    // alongside the per-LP work it exists to distribute.
+    // The worker claims its own list from the head, then visits the other
+    // lanes of its group in lane order and steals from their tails while a
+    // victim has at least two unclaimed LPs. Claim overhead, processing and
+    // the fold close into P, the drains into M.
     const Time window = sync_.window();
+    int64_t local_min_ps = INT64_MAX;
     for (uint32_t hop = 0; hop < lanes;) {
       ClaimLine& line = group[(lane + hop) % lanes].claim;
       uint32_t i = 0;
@@ -413,6 +440,12 @@ void RoundKernel::RoundLoop(uint32_t worker) {
       const LpId lp_id = line.lps[i];
       self.claimed.push_back(lp_id);
       Lp* const lp = lps[lp_id].get();
+      // Receive last round's sends, which its crossing completed; this
+      // round's go to the other lane.
+      lp->Attach(&self.chunks, parity);
+      acct.CloseProcessing();
+      messages += lp->DrainInboxes(parity ^ 1);
+      acct.CloseMessaging();
       // Capped like EstimateByPendingEvents: an uncapped CountBefore is a
       // full recursive heap walk per LP per round, and the heatmap/cost-model
       // consumers only need "how busy", never exact counts past the cap.
@@ -432,54 +465,22 @@ void RoundKernel::RoundLoop(uint32_t worker) {
                                        pending, lp_ns});
         }
       }
+      // Fold: nothing changes this FEL again this round (other LPs' sends
+      // wait in its inboxes, counted by their senders), and its own sends
+      // wait in this round's lanes until the next.
+      local_min_ps = std::min(
+          {local_min_ps, lp->fel().NextTimestamp().ps(), lp->SentMin()});
     }
     acct.CloseProcessing();
-    self.events = events;  // Published by the barrier for LiveEvents.
-    barrier.Arrive(worker);
-    acct.CloseSync();
-    // No thief reads a list past the phase-1 crossing: the LPs this worker
-    // claimed become its own list, drained and folded below by the core
-    // that ran them, and claimed first next round.
+    // The claims become the worker's own list, claimed first next round. Its
+    // list's range is empty, so no thief takes from it again this round.
     self.list.swap(self.claimed);
     self.claimed.clear();
+    self.events = events;  // Published by the barrier for LiveEvents.
 
-    // Phase 2: global events, worker 0 only, in rounds where one is due: the
-    // prologue saw the public FEL's next event at or below the LBTS, or an LP
-    // event scheduled a global mid-round (ScheduleGlobal's locked path; the
-    // barrier above publishes the flag). Every worker reads the same two
-    // inputs after the same crossing, so all of them cross or skip the
-    // phase's barrier together. While worker 0 runs it, everyone else waits
-    // at that barrier, so direct cross-LP insertion is safe.
-    if (sync_.globals_due() || flags_.global_scheduled) {
-      if (worker == 0) {
-        events += RunGlobalEvents(sync_.lbts(), sync_.stop());
-        acct.CloseProcessing();
-      }
-      barrier.Arrive(worker);
-      acct.CloseSync();
-    }
-
-    // Phase 3: receive events from mailboxes — intra- and inter-group alike.
-    // The claims partition all LPs, so every inbox is drained exactly once.
-    for (uint32_t id : self.list) {
-      messages += lps[id]->DrainInboxes();
-    }
-
-    // Phase 4: update the window — fold the list into a local minimum and
-    // contribute it, with the event count and stop vote, to the end-of-round
-    // barrier's fused reduction. No barrier separates it from phase 3: a
-    // worker folds exactly the LPs it just drained, so no FEL is read across
-    // workers between the two. No shared CAS line: the tree combine IS the
-    // all-reduce.
+    // The crossing: the fused reduction, then the completion above. Its
+    // wait — completion included — closes into this round's S.
     const uint32_t flags = stop_requested() ? CombiningBarrier::kStopFlag : 0;
-    int64_t local_min_ps = INT64_MAX;
-    for (uint32_t id : self.list) {
-      local_min_ps = std::min(local_min_ps, lps[id]->fel().NextTimestamp().ps());
-    }
-    acct.CloseMessaging();
-    // End-of-round crossing: its completer runs the next round's prologue,
-    // so the crossing's wait — prologue included — closes into this round's
-    // S.
     const uint64_t barrier_t0 =
         worker == 0 && sync_.recording() ? Profiler::NowNs() : 0;
     barrier.Arrive(worker, local_min_ps, events, flags, next_round);

@@ -1,35 +1,36 @@
-// The round kernel: one four-phase LBTS loop (Fig. 7) behind the barrier
-// baseline (§2.3), Unison (§4, §5), and the hybrid kernel (§5.2).
+// The round kernel: one LBTS round loop (Fig. 7) behind the barrier baseline
+// (§2.3), Unison (§4, §5), and the hybrid kernel (§5.2).
 //
 // Executors are laid out as G groups of L lanes; worker ids are group-major
 // (worker = group * L + lane), so compact placement keeps a group's lanes on
 // one package. Each worker owns a list of its group's LPs: the ones it ran
 // last round (the first round starts from the preset's setup placement, a
-// PartitionMap). Each round has four phases:
-//   1. Process events  — each worker claims its own list from the head, in
-//                        LPT order, then steals from the tails of the other
-//                        lanes' lists of its group, never a victim's last
-//                        unclaimed LP (ClaimRange), and runs each claimed LP
-//                        up to the window bound.
-//   2. Global events   — worker 0 alone runs public-LP events on the window
-//                        edge; topology changes recompute the lookahead here.
-//   3. Receive events  — each worker drains the mailboxes of the LPs it
-//                        claimed this round, which become its next own list.
-//   4. Update window   — each worker folds the same LPs into a local minimum
-//                        and contributes it, with its event count and stop
-//                        vote, to the end-of-round barrier's fused reduction.
-//                        The party that completes that crossing absorbs the
-//                        result and runs the next round's prologue (Eq. 2
-//                        LBTS, re-sort, claim-range reset; RoundSync) before
-//                        it releases the others.
+// PartitionMap). In each round, each worker claims its own list from the
+// head, in LPT order, then steals from the tails of the other lanes' lists of
+// its group, never a victim's last unclaimed LP (ClaimRange). For each LP it
+// claims it
+//   - receives: drains the LP's inboxes of the events sent to it last round
+//     (mailbox.h: round r's sends wait in lane r % 2, so this round's sends
+//     go to the other lane and never race the drain);
+//   - processes: runs the LP up to the window bound;
+//   - folds: lowers its local minimum to the LP's next event and to the
+//     earliest timestamp the LP sent this round (Lp::SentMin).
+// Its claims become its next own list. It then contributes the local
+// minimum, with its event count and stop vote, to the round's one barrier
+// crossing, a fused reduction. The fold is the LBTS that draining every
+// mailbox and then folding every FEL head would give: every pending event is
+// either in the FEL of the LP that just ran or in a mailbox, counted by its
+// sender. The party that completes the crossing absorbs the result, runs the
+// globals due at or below the round's LBTS (everyone else waits in the
+// crossing, so globals may insert into any FEL or rewire mailboxes), lowers
+// the minimum to the FEL heads they may have changed, and runs the next
+// round's prologue (Eq. 2 LBTS, re-sort, claim-range reset; RoundSync) before
+// it releases the others.
 //
-// A round crosses the barrier twice: after phase 1, and at the end of round.
-// Phase 2 adds a third crossing only in rounds where a global event is due
-// (RoundSync::globals_due, or an LP event that scheduled one mid-round);
-// otherwise worker 0 has nothing to run and the others go straight to phase
-// 3. Phases 3 and 4 need no crossing between them, because each worker folds
-// exactly the LPs it drained, and round 0's prologue runs on the caller
-// before the workers start, so no crossing opens a round or ends the run.
+// So a round crosses the barrier once, globals included. Round 0's prologue
+// runs on the caller before the workers start, and the completion that finds
+// the window over ends the run; the caller then delivers the last round's
+// sends, so every window ends with its mailboxes empty.
 //
 // The three kernels are presets of that loop, picked from KernelType:
 //
@@ -48,7 +49,7 @@
 // Kernel's overflow fallback — which reproduces MPI receive-order
 // indeterminism when the run is non-deterministic (Fig. 11). Stock barrier
 // sync all-reduces *before* each round; here that reduction is the
-// end-of-round one, and the leading reduce is RoundSync::SeedMinFromLps.
+// end-of-round one, and the leading reduce is RoundSync::FoldLpHeads.
 //
 // A window with one live worker (unison at 1 thread, hybrid 1 x 1, barrier
 // with one LP, or lanes tuned down to 1) and a positive lookahead runs no
@@ -58,10 +59,11 @@
 //   min(other LPs' heads + L, its own head + 2L, next global, stop):
 // any later send from another LP lands at or past its head + L, and a reply
 // to this step's own sends at or past this head + 2L, so every event the
-// step runs is final. Sends stay in the outboxes until their target's next
-// step; each step lowers its targets' heads from the events it appended.
-// Every inbox is drained before globals run and when the window ends. Such a
-// window crosses no barrier and counts 0 rounds.
+// step runs is final. Sends stay in the outboxes (one lane for every pair)
+// until their target's next step; each step lowers its targets' heads to the
+// earliest events waiting for them. Every inbox is drained before globals run
+// and when the window ends. Such a window crosses no barrier and counts 0
+// rounds.
 #ifndef UNISON_SRC_KERNEL_ROUND_KERNEL_H_
 #define UNISON_SRC_KERNEL_ROUND_KERNEL_H_
 
@@ -94,8 +96,12 @@ class RoundKernel : public Kernel {
 
   // Barrier crossings completed since the barrier was built, at Setup or in
   // the last window whose worker count changed (test hook: a run of R rounds
-  // makes 2R when no global is ever due).
+  // makes R, globals included).
   uint32_t barrier_crossings() const { return shared_.barrier->generation(); }
+
+  // Mailbox chunks allocated since Setup (test hook: bounded by what is in
+  // flight, not by the traffic's direction or the run's length).
+  size_t mailbox_chunks() const { return chunk_pool_->chunks(); }
 
   uint64_t LiveEvents() const override {
     uint64_t sum = 0;
@@ -119,9 +125,9 @@ class RoundKernel : public Kernel {
   void ScheduleRemote(Lp* from, LpId target, Event ev) override;
 
  private:
-  // A worker's own list as the lanes of its group see it in phase 1: the
-  // claim range and the list it indexes, on one cache line — thieves read
-  // both, and nothing else is written there during the phase.
+  // A worker's own list as the lanes of its group see it while they claim:
+  // the claim range and the list it indexes, on one cache line — thieves
+  // read both, and nothing else is written there during the round.
   struct alignas(64) ClaimLine {
     ClaimRange range;
     const uint32_t* lps = nullptr;
@@ -139,6 +145,7 @@ class RoundKernel : public Kernel {
     uint64_t events = 0;            // Window events, published at crossings.
     uint64_t steals = 0;            // Claims from another lane's list.
     uint64_t messages = 0;          // Events drained from inbound mailboxes.
+    ChunkCache chunks;              // Mailbox chunks it sends and drains.
   };
 
   // Read by every worker at every claim and crossing, written only at Setup
@@ -167,9 +174,14 @@ class RoundKernel : public Kernel {
   // The start-of-round bookkeeping: window computation, termination check,
   // periodic re-sort, round record, claim-range reset. Round 0's runs on the
   // caller before the workers start; every later one runs in the completion
-  // step of the previous round's end-of-round crossing.
-  void Prologue();
+  // step of the previous round's crossing, after the `globals` events that
+  // completion ran.
+  void Prologue(uint64_t globals);
   void RoundLoop(uint32_t worker);
+  // Attaches every LP to worker 0's chunk cache at parity 0 and drains the
+  // inbox lanes of the parities in `parities` (bit p = lane p) into the
+  // FELs. Returns the events received. Runs on the caller alone.
+  uint64_t DrainAll(uint32_t parities);
 
   // The preset, fixed at construction.
   const char* const name_;
@@ -190,6 +202,8 @@ class RoundKernel : public Kernel {
   ExecutorPool* active_pool_ = nullptr;
   RoundSync sync_{this};
   Shared shared_;
+  // Every mailbox chunk, rebuilt at Setup; the workers' caches trade with it.
+  std::unique_ptr<ChunkPool> chunk_pool_ = std::make_unique<ChunkPool>();
   static_assert(sizeof(Shared) == 64, "the fixed pointers fill one line");
   uint32_t layout_workers_ = 0;  // Worker count of the last build; 0 = stale.
   PartitionMap pmap_;            // The setup placement; see partition_map().
@@ -199,10 +213,9 @@ class RoundKernel : public Kernel {
   std::vector<uint32_t> claim_order_;  // Recorded group priority orders.
 
   // Step loop state: per-LP heads (lower bounds on each LP's next event, in
-  // ps), the stepped LP's outbox sizes before its step, and whether a send
-  // took the overflow box since the heads were last re-read.
+  // ps), and whether a send took the overflow box since the heads were last
+  // re-read.
   std::vector<int64_t> head_ps_;
-  std::vector<size_t> sent_before_;
   bool overflowed_ = false;
 };
 

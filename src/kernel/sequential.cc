@@ -1,13 +1,21 @@
 #include "src/kernel/sequential.h"
 
 #include <algorithm>
+#include <string>
 
 namespace unison {
 
+void SequentialKernel::Setup(const TopoGraph& graph,
+                             const Partition& partition) {
+  if (partition.num_lps != 1) {
+    FatalConfigError("the sequential kernel runs one LP, got a partition of " +
+                     std::to_string(partition.num_lps) +
+                     " (use SingleLpPartition)");
+  }
+  Kernel::Setup(graph, partition);
+}
+
 RunResult SequentialKernel::Run(Time stop_time) {
-  // The sequential kernel is always set up with the single-LP partition; a
-  // larger partition would still execute correctly but pay mailbox overhead
-  // for nothing.
   Lp* const lp = lps_[0].get();
   // Nothing here is tunable (no rounds, no pool), but sampling stamps the
   // window's tuning epoch into the summary like every other kernel.

@@ -13,6 +13,9 @@ class SequentialKernel : public Kernel {
  public:
   using Kernel::Kernel;
 
+  // `partition` must have one LP (SingleLpPartition): Run executes only
+  // that LP's FEL, and cross-LP sends would have no worker to carry them.
+  void Setup(const TopoGraph& graph, const Partition& partition) override;
   RunResult Run(Time stop_time) override;
 };
 

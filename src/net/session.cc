@@ -950,13 +950,13 @@ void GetWindowState(Reader& r, Network& net) {
 
 void CheckQuiescent(Lp* lp, const char* what) {
   for (const auto& outbox : lp->outboxes()) {
-    if (!outbox->events.empty()) {
+    if (!outbox->empty()) {
       SnapshotFatal(std::string("Snapshot outside a window boundary: ") + what +
                     " has undelivered mailbox events; snapshot only between "
                     "Run() windows");
     }
   }
-  if (!lp->overflow().EmptyUnlocked()) {
+  if (!lp->overflow().empty()) {
     SnapshotFatal(std::string("Snapshot outside a window boundary: ") + what +
                   " has undelivered overflow events; snapshot only between "
                   "Run() windows");

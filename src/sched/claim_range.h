@@ -1,7 +1,7 @@
 // One list's claim range for a round of the round kernel (DESIGN.md §3d).
 //
 // Each worker owns a list of LPs — the ones it ran last round — and the
-// lanes of its group claim from it in phase 1. The unclaimed indices
+// lanes of its group claim from it each round. The unclaimed indices
 // [head, tail) are packed into one 64-bit word, so a claim from either end is
 // a single CAS and every index is taken exactly once per Reset. The owner
 // takes from the head, in the list's LPT priority order; a thief takes from
@@ -12,7 +12,7 @@
 // the same under every SchedulingMetric.
 //
 // The word orders nothing but claims: the list the indices refer to, and the
-// LP state behind it, are published by the round's barrier crossings.
+// LP state behind it, are published by the rounds' barrier crossings.
 #ifndef UNISON_SRC_SCHED_CLAIM_RANGE_H_
 #define UNISON_SRC_SCHED_CLAIM_RANGE_H_
 

@@ -25,8 +25,8 @@
 // start-of-round crossing into the end-of-round one.
 //
 // Waiters follow the one executor wait policy (spin_wait.h): a bounded,
-// yielding spin when the parties leave one of the allowed CPUs free, a prompt
-// futex park when they do not. Cumulative parks are exposed so the trace
+// yielding spin when the parties are at most the allowed CPUs, a prompt futex
+// park when they are more. Cumulative parks are exposed so the trace
 // layer can report per-round park deltas.
 #ifndef UNISON_SRC_SCHED_COMBINING_BARRIER_H_
 #define UNISON_SRC_SCHED_COMBINING_BARRIER_H_

@@ -1,14 +1,14 @@
 // The one wait policy behind every executor wait: the combining barrier's
 // crossings and the executor pool's run-epoch and completion waits.
 //
-// When the waiting parties leave at least one of the process's allowed CPUs
-// free, a waiter polls with a CPU pause hint for up to kSpinBoundNs before it
-// parks in the futex. A round of a sync-bound run lasts a few microseconds,
-// so a park and a wake-up per crossing, each several microseconds, would cost
-// more than the round itself. The bound is wall time rather than a count of
-// polls, so it does not drift with the latency of the pause instruction (10
-// to 140 cycles across x86 generations), and a straggler that is really late
-// costs its waiters at most kSpinBoundNs of CPU before they park.
+// When the waiting parties are at most the process's allowed CPUs, a waiter
+// polls with a CPU pause hint for up to kSpinBoundNs before it parks in the
+// futex. A round of a sync-bound run lasts a few microseconds, so a park and
+// a wake-up per crossing, each several microseconds, would cost more than
+// the round itself. The bound is wall time rather than a count of polls, so
+// it does not drift with the latency of the pause instruction (10 to 140
+// cycles across x86 generations), and a straggler that is really late costs
+// its waiters at most kSpinBoundNs of CPU before they park.
 //
 // The spin yields the CPU every kSpinChunkNs. That is not optional: wake-up
 // placement co-locates unpinned executors (two of them often end up on one
@@ -18,13 +18,14 @@
 // generation was ~108 us for a pure 50 us spin, ~7 us for parking at once and
 // ~10 us for the yielding spin.
 //
-// Otherwise a waiter parks at once. With more parties than CPUs some party is
-// always descheduled. With exactly as many, any other runnable thread — the
-// OS, another process on a shared host — preempts a party, and its peers
-// then spin against a descheduled straggler: on a 4-vCPU VM shared with other
-// tenants, a 4-party hybrid 2x2 run of a k=4 fat-tree with its load
-// concentrated in one pod took ~39 ms with spinning waiters and ~28 ms with
-// parking ones.
+// With more parties than CPUs some party is always descheduled, so a waiter
+// parks at once. One party per CPU spins: a party that another thread
+// preempts costs its peers one bounded, yielding spin, while parking at every
+// crossing costs every round a futex wake-up. On a 4-vCPU VM at 4 lanes
+// (median of 6 runs each, parking against spinning), perfbench's wan-sync
+// ring took 1.63 s against 0.31 s with 324k voluntary context switches per
+// run against 98, fattree-web 0.58 s against 0.56 s and fattree-incast
+// 0.51 s against 0.52 s.
 #ifndef UNISON_SRC_SCHED_SPIN_WAIT_H_
 #define UNISON_SRC_SCHED_SPIN_WAIT_H_
 
@@ -43,9 +44,9 @@ inline constexpr int64_t kSpinBoundNs = 50'000;
 inline constexpr int64_t kSpinChunkNs = 2'000;
 
 // Whether waiters among `parties` threads spin before they park: true when
-// the parties leave one of the process's allowed CPUs free (counted in its
+// the parties are at most the process's allowed CPUs (counted in its
 // pre-first-pin set, so a pinned caller never shrinks the answer).
-inline bool WaitSpins(uint32_t parties) { return parties < ProcessCpuCount(); }
+inline bool WaitSpins(uint32_t parties) { return parties <= ProcessCpuCount(); }
 
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)

@@ -174,9 +174,8 @@ TEST(Controller, OversubscribedFitsPartiesToTheMachine) {
   EXPECT_EQ(ctl.decisions()[0].rule, "oversubscribed");
 }
 
-// The default threshold separates a two-party run whose waiter parks at each
-// of a round's two crossings from one that catches most crossings in the
-// spin.
+// The default threshold separates a run whose waiters park at most
+// crossings from one that catches most crossings in the spin.
 TEST(Controller, OversubscribedDefaultThresholdSplitsParkingFromSpinning) {
   SegmentSpec spec;
   spec.executors = 2;
@@ -202,19 +201,20 @@ TEST(Controller, OversubscribedDefaultThresholdSplitsParkingFromSpinning) {
   }
 }
 
-// With one executor per CPU every wait parks at once by policy (2 crossings
-// x 3 waiters = 6 parks per round), not because a peer was descheduled: no
-// decision.
-TEST(Controller, PartiesEqualToTheCpuCountParkByPolicy) {
+// With one executor per CPU waiters spin before they park, so parks there
+// mean peers outlived the spin bound, as with fewer executors: the rule
+// halves the parties.
+TEST(Controller, PartiesEqualToTheCpuCountParkAsEvidence) {
   TunableStore store;
   Controller ctl(TestConfig(), /*cpus=*/4, &store);
   SegmentSpec spec;
   spec.executors = 4;
   spec.parties = 4;
-  spec.parked_per_round = 6;
-  EXPECT_FALSE(ctl.OnWindowEnd(MakeSegment(spec)));
-  EXPECT_TRUE(ctl.decisions().empty());
-  EXPECT_EQ(store.epoch(), 0u);  // Nothing published.
+  spec.parked_per_round = 3;
+  EXPECT_TRUE(ctl.OnWindowEnd(MakeSegment(spec)));
+  EXPECT_EQ(store.Get().parties, 2u);
+  ASSERT_EQ(ctl.decisions().size(), 1u);
+  EXPECT_EQ(ctl.decisions()[0].rule, "oversubscribed");
 }
 
 TEST(Controller, AffinityFallbackAtThePartyFloor) {
@@ -545,7 +545,7 @@ TEST(TuningPlane, AutoTuningIsResultsNeutral) {
 // rule must stay quiet and the run keeps both parties.
 TEST(TuningPlane, SyncBoundRunThatFitsIsNotOversubscribed) {
   if (!WaitSpins(2)) {
-    GTEST_SKIP() << "needs 3 allowed CPUs for 2 parties to spin";
+    GTEST_SKIP() << "needs 2 allowed CPUs for 2 parties to spin";
   }
   constexpr uint32_t kSites = 4;
   constexpr uint32_t kHostsPerSite = 4;
@@ -597,9 +597,8 @@ TEST(TuningPlane, SyncBoundRunThatFitsIsNotOversubscribed) {
 }
 
 // The same at network scale: a k=4 fat-tree under web-search load on 4
-// threads with tuning=auto. Where exactly 4 CPUs are allowed, the waiters
-// park by policy and the run must keep its 4 parties; with more CPUs they
-// spin, and parks stay rare.
+// threads with tuning=auto. With at least 4 allowed CPUs the waiters spin,
+// parks stay rare, and the run must keep its 4 parties.
 TEST(TuningPlane, RunWithOnePartyPerCpuIsNotOversubscribed) {
   if (ProcessCpuCount() < 4) {
     GTEST_SKIP() << "needs 4 allowed CPUs";

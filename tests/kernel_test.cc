@@ -343,12 +343,13 @@ GlobalsRun RunWithGlobals(const KernelConfig& kernel, PartitionMode partition,
   return out;
 }
 
-// A round crosses the barrier twice, plus once in each round where a global
-// is due — including one an LP event scheduled mid-round at or below the
-// LBTS, which runs in the very round that scheduled it. Unison at 1 thread
-// has one worker, so it steps its LPs with no round and no crossing. Results
-// stay those of the sequential kernel.
-TEST(RoundCrossings, TwoPerRoundPlusOnePerRoundWithAGlobal) {
+// A round crosses the barrier once, globals included: the crossing's
+// completion runs the globals due at or below the round's LBTS — including
+// one an LP event scheduled mid-round, which runs in the very round that
+// scheduled it — before it opens the next round. Unison at 1 thread has one
+// worker, so it steps its LPs with no round and no crossing. Results stay
+// those of the sequential kernel.
+TEST(RoundCrossings, OnePerRoundGlobalsIncluded) {
   KernelConfig seq;
   seq.type = KernelType::kSequential;
   const GlobalsRun seq_mid = RunWithGlobals(seq, PartitionMode::kSingle, true);
@@ -384,11 +385,10 @@ TEST(RoundCrossings, TwoPerRoundPlusOnePerRoundWithAGlobal) {
       }
       // The mid-round global ran in the round that scheduled it: no extra
       // round against the up-front variant.
+      EXPECT_GT(plain.rounds, 0u);
       EXPECT_EQ(mid.rounds, plain.rounds);
-      // The globals add a crossing each in the 2 ms and 3 ms rounds, and the
-      // mid-round one in the 1.5 ms round.
-      EXPECT_EQ(plain.crossings, 2 * plain.rounds + 2);
-      EXPECT_EQ(mid.crossings, 2 * mid.rounds + 3);
+      EXPECT_EQ(plain.crossings, plain.rounds);
+      EXPECT_EQ(mid.crossings, mid.rounds);
     }
   }
 }
@@ -399,11 +399,30 @@ struct IncastRun {
   RunDigest digest;
   uint64_t steals = 0;
   uint64_t messages = 0;
+  bool mailboxes_empty = true;  // At every window boundary.
 };
 
+// Whether every outbox lane and overflow box of the kernel is empty.
+bool MailboxesEmpty(Kernel& kernel) {
+  for (uint32_t i = 0; i < kernel.num_lps(); ++i) {
+    Lp* const lp = kernel.lp(i);
+    for (const std::unique_ptr<Outbox>& box : lp->outboxes()) {
+      if (!box->empty()) {
+        return false;
+      }
+    }
+    if (!lp->overflow().empty()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // The k=4 fat-tree with web-search flows at load 0.3, 30% of them redirected
-// at one victim host, traced so the window summary counts steals.
-IncastRun RunIncast(const KernelConfig& kernel, PartitionMode partition) {
+// at one victim host, traced so the window summaries count steals, and run
+// to 3 ms in `windows` equal windows.
+IncastRun RunIncast(const KernelConfig& kernel, PartitionMode partition,
+                    int windows = 1) {
   SimConfig cfg;
   cfg.kernel = kernel;
   cfg.partition = partition;
@@ -423,12 +442,15 @@ IncastRun RunIncast(const KernelConfig& kernel, PartitionMode partition) {
   traffic.incast_ratio = 0.3;
   traffic.duration = Time::Milliseconds(3);
   GenerateTraffic(net, traffic);
-  net.Run(Time::Milliseconds(3));
 
   IncastRun out;
+  for (int w = 1; w <= windows; ++w) {
+    net.Run(Time::Picoseconds(Time::Milliseconds(3).ps() * w / windows));
+    out.steals += net.kernel().run_summary().steals;
+    out.messages += net.kernel().run_summary().messages;
+    out.mailboxes_empty = out.mailboxes_empty && MailboxesEmpty(net.kernel());
+  }
   out.digest = DigestOf(net);
-  out.steals = net.kernel().run_summary().steals;
-  out.messages = net.kernel().run_summary().messages;
   return out;
 }
 
@@ -462,6 +484,84 @@ TEST(AffinityClaims, IncastStealsAcrossLanesAndMatchesSequential) {
   const IncastRun b = RunIncast(barrier, PartitionMode::kManual);
   EXPECT_TRUE(b.digest == reference.digest);
   EXPECT_EQ(b.steals, 0u);
+}
+
+// --- Mailbox handoff ---
+
+// Round r's sends wait in lane r % 2 while round r's claimers drain lane
+// (r + 1) % 2, so a worker that claims an LP can drain it while other
+// workers, stealing across lanes, append to its other lane. Barrier ranks
+// send through the targets' overflow boxes, which a claimer drains while
+// other ranks push. Over several windows results stay the sequential
+// kernel's, and every window ends with its mailboxes empty (snapshots have
+// no mailbox section).
+TEST(MailboxHandoff, IncastOverWindowsMatchesSequentialWithEmptyMailboxes) {
+  KernelConfig seq;
+  seq.type = KernelType::kSequential;
+  const IncastRun reference = RunIncast(seq, PartitionMode::kSingle);
+  for (uint32_t threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    KernelConfig unison;
+    unison.type = KernelType::kUnison;
+    unison.threads = threads;
+    const IncastRun u = RunIncast(unison, PartitionMode::kAuto, /*windows=*/6);
+    EXPECT_TRUE(u.digest == reference.digest);
+    EXPECT_TRUE(u.mailboxes_empty);
+    EXPECT_GT(u.steals, 0u);
+  }
+  KernelConfig barrier;
+  barrier.type = KernelType::kBarrier;
+  const IncastRun b = RunIncast(barrier, PartitionMode::kManual, /*windows=*/6);
+  EXPECT_TRUE(b.digest == reference.digest);
+  EXPECT_TRUE(b.mailboxes_empty);
+}
+
+// Node 0 sends kBurst events per microsecond to node 1, which sends nothing
+// back.
+struct OneWaySource {
+  static constexpr uint32_t kBurst = 40;  // Three chunks per round.
+  Kernel* kernel;
+  std::atomic<uint64_t>* received;
+  void operator()() const {
+    const Time next = kernel->Now() + Time::Microseconds(1);
+    for (uint32_t i = 0; i < kBurst; ++i) {
+      std::atomic<uint64_t>* const r = received;
+      kernel->ScheduleOnNode(1, next,
+                             [r] { r->fetch_add(1, std::memory_order_relaxed); });
+    }
+    kernel->ScheduleOnNode(0, next, OneWaySource{*this});
+  }
+};
+
+// Two workers, one LP each (a victim's last LP is never stolen), and traffic
+// in one direction only: worker 0 takes every chunk and worker 1 frees every
+// one. The caches trade whole batches through the pool, so the chunk count
+// follows what is in flight instead of growing with the run.
+TEST(MailboxHandoff, OneWayTrafficKeepsTheChunkCountBounded) {
+  TopoGraph graph;
+  graph.num_nodes = 2;
+  graph.edges.push_back(TopoEdge{0, 1, Time::Microseconds(1), true});
+  KernelConfig kc;
+  kc.type = KernelType::kUnison;
+  kc.threads = 2;
+  auto kernel = MakeKernel(kc);
+  kernel->Setup(graph, RangePartition(graph, 2));
+  auto* const rounds = dynamic_cast<RoundKernel*>(kernel.get());
+  ASSERT_NE(rounds, nullptr);
+  std::atomic<uint64_t> received{0};
+  kernel->ScheduleOnNode(0, Time::Zero(), OneWaySource{kernel.get(), &received});
+  constexpr int kWindows = 20;
+  for (int w = 1; w <= kWindows; ++w) {
+    kernel->Run(Time::Microseconds(200 * w));
+    EXPECT_TRUE(MailboxesEmpty(*kernel));
+  }
+  EXPECT_EQ(kernel->session_rounds(), 4000u);
+  // Sends at 1..3999 us have landed by 4 ms; the burst at 3999 us lands at
+  // 4 ms, past the last window.
+  EXPECT_EQ(received.load(), uint64_t{OneWaySource::kBurst} * 3999);
+  // 4,000 rounds of three chunks each: without recycling across workers
+  // the count would reach ~12,000.
+  EXPECT_LE(rounds->mailbox_chunks(), 8u * ChunkPool::kBatch);
 }
 
 // --- Cross-LP message counter ---

@@ -93,7 +93,7 @@ TEST(Profiler, UnisonRunPopulatesAllPhases) {
   for (const auto& c : merged) {
     trace_events += c.events;
   }
-  // The per-LP trace accounts for every event executed in phase 1; global
+  // The per-LP trace accounts for every event a claimed LP executed; global
   // events (none here) are the only exception.
   EXPECT_EQ(trace_events, net.kernel().processed_events());
 }
